@@ -5,11 +5,11 @@ GO ?= go
 # its counters and histograms are written from every engine goroutine.
 RACE_PKGS = . ./internal/core ./internal/store ./internal/httpapi ./internal/cbcd ./internal/obs ./internal/router
 
-.PHONY: check vet build test race cover bench bench-shard bench-plan bench-cold bench-sketch bench-plancache bench-router bench-obs faults chaos-router
+.PHONY: check vet build test race check-bench loc cover bench bench-plan bench-cold bench-plancache bench-router bench-obs faults chaos-router
 
 # check is the full verification gate: static checks, build, all tests,
-# then the race detector over the engine packages.
-check: vet build test race
+# the race detector over the engine packages, then the bench/ module.
+check: vet build test race check-bench
 
 # vet is go vet plus the metric-name lint: every exported s3_* family
 # must be constructed at exactly one site and documented in
@@ -26,6 +26,17 @@ test:
 
 race:
 	$(GO) test -race $(RACE_PKGS)
+
+# check-bench vets, builds and tests bench/, a Go module of its own
+# that `go test ./...` at the root does not reach: an API change that
+# breaks it fails here instead of failing the benchmark run.
+check-bench:
+	cd bench && $(GO) vet ./... && $(GO) build -o /dev/null ./... && $(GO) test ./...
+
+# loc prints the size metric ROADMAP aim 2 reports: non-test Go lines
+# outside bench/, total and per package.
+loc:
+	sh scripts/loc.sh
 
 # faults runs the chaos suite — the crash harness (a crash injected at
 # every I/O operation of a randomized schedule), transient-fault and
@@ -61,11 +72,6 @@ cover:
 bench:
 	$(GO) test -bench=. -benchmem .
 
-# bench-shard regenerates BENCH_shard.json (shard count x GOMAXPROCS
-# throughput sweep over a 500k fingerprint corpus).
-bench-shard:
-	$(GO) test -run TestShardThroughputSweep -bench-shard -timeout 30m .
-
 # bench-plan regenerates BENCH_plan.json (incremental frontier planner vs
 # legacy multi-descent threshold search: descent nodes and plans/sec over
 # the 500k fingerprint corpus).
@@ -75,7 +81,9 @@ bench-plan:
 # bench-cold regenerates BENCH_cold.json (cold-tier serving vs
 # all-resident: bytes read per query, cache hit rate and queries/sec at
 # cache budgets down to ~10% of the corpus record bytes; sketch-on/off
-# and codec-on/off rows included).
+# and codec-on/off rows included, asserting >=2x fewer disk bytes per
+# uncached cold query with sketches and the quantized codec on, at
+# answers byte-identical to the resident baseline).
 bench-cold:
 	$(GO) test -run TestColdBenchSweep -bench-cold -timeout 30m .
 
@@ -85,13 +93,6 @@ bench-cold:
 # hit rate at byte-identical answers).
 bench-plancache:
 	$(GO) test -run TestPlanCacheBenchSweep -bench-plancache -timeout 30m .
-
-# bench-sketch is bench-cold's sketch/codec view: the same sweep, which
-# asserts >=2x fewer disk bytes per uncached cold query with sketches and
-# the quantized codec on, at answers byte-identical to the resident
-# baseline.
-bench-sketch:
-	$(GO) test -run TestColdBenchSweep -bench-cold -timeout 30m .
 
 # bench-router regenerates BENCH_router.json (hedged vs unhedged tail
 # latency through the scatter/gather coordinator with one uniformly

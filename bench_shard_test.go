@@ -1,25 +1,16 @@
 package s3
 
-// Shard-engine throughput sweep: batch statistical search over a 500k
-// fingerprint corpus at several shard counts and GOMAXPROCS settings.
-//
-//	go test -run TestShardThroughputSweep -bench-shard -timeout 30m .
-//
-// regenerates BENCH_shard.json in the repository root (the sweep is gated
-// behind the flag because building the corpus takes a while). The
-// BenchmarkShardedStatBatch benchmarks expose the same measurement to the
-// standard -bench machinery at the current GOMAXPROCS.
+// The 500k-fingerprint corpus the root-package bench_*_test.go files
+// share, and BenchmarkShardedStatBatch: batch statistical search at
+// several shard counts through the standard -bench machinery at the
+// current GOMAXPROCS. (The end-to-end shard and fleet numbers come from
+// bench/, see BENCHMARK.json.)
 
 import (
 	"context"
-	"encoding/json"
-	"flag"
 	"fmt"
-	"os"
-	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"s3cbcd/internal/core"
 	"s3cbcd/internal/experiments"
@@ -27,8 +18,6 @@ import (
 	"s3cbcd/internal/hilbert"
 	"s3cbcd/internal/store"
 )
-
-var benchShardFlag = flag.Bool("bench-shard", false, "run the shard throughput sweep and write BENCH_shard.json")
 
 // shardBenchDB caches the large corpus across benchmarks in one run.
 var shardBenchDB struct {
@@ -84,102 +73,4 @@ func BenchmarkShardedStatBatch(b *testing.B) {
 			b.ReportMetric(float64(len(queries))*float64(b.N)/b.Elapsed().Seconds(), "queries/s")
 		})
 	}
-}
-
-type shardBenchResult struct {
-	Shards     int     `json:"shards"`
-	GOMAXPROCS int     `json:"gomaxprocs"`
-	Seconds    float64 `json:"seconds"`
-	QPS        float64 `json:"queries_per_sec"`
-	Speedup    float64 `json:"speedup_vs_sequential"`
-}
-
-// TestShardThroughputSweep sweeps shard count x GOMAXPROCS over the 500k
-// corpus and writes BENCH_shard.json. Gated behind -bench-shard.
-func TestShardThroughputSweep(t *testing.T) {
-	if !*benchShardFlag {
-		t.Skip("pass -bench-shard to run the throughput sweep")
-	}
-	_, ix, queries := sharedShardDB(t)
-	sq := shardBenchQuery()
-	ctx := context.Background()
-
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	procsSweep := []int{1, 2, 4}
-	shardSweep := []int{1, 2, 4, 8}
-
-	timeBatch := func(eng *core.Engine, rounds int) float64 {
-		// Warm the engine's pools, then time whole batches.
-		if _, err := eng.SearchStatBatch(ctx, queries, sq); err != nil {
-			t.Fatal(err)
-		}
-		start := time.Now()
-		for i := 0; i < rounds; i++ {
-			if _, err := eng.SearchStatBatch(ctx, queries, sq); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return time.Since(start).Seconds() / float64(rounds)
-	}
-
-	const rounds = 3
-	// Sequential reference: the seed's single-threaded path (one shard,
-	// one worker).
-	runtime.GOMAXPROCS(1)
-	seqSec := timeBatch(core.NewEngine(ix, 1, 1), rounds)
-	seqQPS := float64(len(queries)) / seqSec
-	t.Logf("sequential baseline: %.3fs/batch (%.1f queries/s)", seqSec, seqQPS)
-
-	var results []shardBenchResult
-	for _, procs := range procsSweep {
-		runtime.GOMAXPROCS(procs)
-		for _, shards := range shardSweep {
-			eng := core.NewEngine(ix, shards, procs)
-			sec := timeBatch(eng, rounds)
-			res := shardBenchResult{
-				Shards:     shards,
-				GOMAXPROCS: procs,
-				Seconds:    sec,
-				QPS:        float64(len(queries)) / sec,
-				Speedup:    seqSec / sec,
-			}
-			results = append(results, res)
-			t.Logf("shards=%d procs=%d: %.3fs/batch (%.1f queries/s, %.2fx)",
-				shards, procs, sec, res.QPS, res.Speedup)
-		}
-	}
-
-	report := map[string]interface{}{
-		"benchmark": "sharded statistical batch search (Engine.SearchStatBatch)",
-		"corpus": map[string]interface{}{
-			"records": shardBenchRecords,
-			"dims":    fingerprint.D,
-			"queries": len(queries),
-			"alpha":   shardBenchAlpha,
-			"sigma":   shardBenchSigma,
-		},
-		"host": map[string]interface{}{
-			"num_cpu":    runtime.NumCPU(),
-			"go_version": runtime.Version(),
-		},
-		"note": fmt.Sprintf("Numbers measured on a %d-core host: GOMAXPROCS settings above "+
-			"the physical core count timeshare one core, so parallel speedup beyond "+
-			"%dx is not observable here. The sharded engine's win on this host is the "+
-			"near-zero-allocation batch path; rerun the sweep on a multicore machine "+
-			"(go test -run TestShardThroughputSweep -bench-shard .) to measure shard "+
-			"scaling.", runtime.NumCPU(), runtime.NumCPU()),
-		"sequential_baseline": map[string]interface{}{
-			"seconds": seqSec,
-			"qps":     seqQPS,
-		},
-		"results": results,
-	}
-	raw, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_shard.json", append(raw, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Log("wrote BENCH_shard.json")
 }

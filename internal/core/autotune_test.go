@@ -138,7 +138,7 @@ func TestAutoTuneDisabledReproducesDefaults(t *testing.T) {
 	cases = append(cases, struct {
 		name string
 		tn   tuning
-	}{"live", li.liveTuning()})
+	}{"live", li.tuning()})
 
 	want := tuning{depth: liveTestDepth, bracketStep: bracketStep, thresholdTol: thresholdTol}
 	for _, tc := range cases {

@@ -124,7 +124,7 @@ func TestEngineEmptyResultIdentity(t *testing.T) {
 }
 
 // TestEngineBatchMatchesSequential checks that every batch entry equals
-// the corresponding single-query result, for all three query types.
+// the corresponding single-query result.
 func TestEngineBatchMatchesSequential(t *testing.T) {
 	ix, engines := newEngineFixture(t, 6, 1500, 11, []int{3})
 	e := engines[3]
@@ -141,14 +141,6 @@ func TestEngineBatchMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng, err := e.SearchRangeBatch(ctx, queries, 60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	knn, knnStats, err := e.SearchKNNBatch(ctx, queries, 5, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i, q := range queries {
 		wantS, _, err := ix.SearchStat(q, sq)
 		if err != nil {
@@ -156,20 +148,6 @@ func TestEngineBatchMatchesSequential(t *testing.T) {
 		}
 		if !reflect.DeepEqual(stat[i], wantS) {
 			t.Fatalf("batch stat %d differs from sequential", i)
-		}
-		wantR, _, err := ix.SearchRange(q, 60)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(rng[i], wantR) {
-			t.Fatalf("batch range %d differs from sequential", i)
-		}
-		wantK, wantKS, err := ix.SearchKNN(q, 5, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(knn[i], wantK) || knnStats[i] != wantKS {
-			t.Fatalf("batch knn %d differs from sequential", i)
 		}
 	}
 }
@@ -246,12 +224,6 @@ func TestEngineContextCancellation(t *testing.T) {
 	}
 	if _, err := e.SearchStatBatch(ctx, [][]byte{q}, sq); err == nil {
 		t.Error("SearchStatBatch ignored canceled context")
-	}
-	if _, err := e.SearchRangeBatch(ctx, [][]byte{q}, 50); err == nil {
-		t.Error("SearchRangeBatch ignored canceled context")
-	}
-	if _, _, err := e.SearchKNNBatch(ctx, [][]byte{q}, 3, 0); err == nil {
-		t.Error("SearchKNNBatch ignored canceled context")
 	}
 }
 

@@ -16,19 +16,23 @@ import (
 type planner struct {
 	curve *hilbert.Curve
 	depth int
-	// scratch pools the frontier planner's working state (mass cache,
-	// frontier and leaf buffers) for the stateless plan entry points, so
-	// concurrent PlanStat calls stay allocation-light without sharing
-	// state. The engine's per-worker query contexts hold their own.
+	// scratch pools the per-query working state, so concurrent queries
+	// stay allocation-light without sharing state.
 	scratch sync.Pool // *planScratch
 }
 
-// planScratch is one pooled set of planning buffers.
+// planScratch is the reusable scratch state of one in-flight query: the
+// widened query point, the per-dimension mass cache, and the frontier
+// planner's leaf/frontier buffers. All of it is reset, not reallocated,
+// between queries, keeping planning allocation-free.
 type planScratch struct {
+	qf []float64
 	mc *massCache
 	fs *frontierState
 }
 
+// getScratch borrows a scratch set with a fresh mass cache; return it
+// with pl.scratch.Put.
 func (pl *planner) getScratch() *planScratch {
 	if v := pl.scratch.Get(); v != nil {
 		ps := v.(*planScratch)
@@ -36,9 +40,21 @@ func (pl *planner) getScratch() *planScratch {
 		return ps
 	}
 	return &planScratch{
+		qf: make([]float64, pl.dims()),
 		mc: newMassCache(pl.dims(), pl.curve.SideLen()),
 		fs: newFrontierState(pl.curve),
 	}
+}
+
+// setQuery validates q and widens it into the scratch's float buffer.
+func (ps *planScratch) setQuery(q []byte) error {
+	if len(q) != len(ps.qf) {
+		return fmt.Errorf("core: query has %d components, index has %d", len(q), len(ps.qf))
+	}
+	for i, b := range q {
+		ps.qf[i] = float64(b)
+	}
+	return nil
 }
 
 // dims returns the fingerprint dimension.

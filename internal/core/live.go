@@ -82,30 +82,13 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"s3cbcd/internal/bitkey"
 	"s3cbcd/internal/hilbert"
 	"s3cbcd/internal/obs"
 	"s3cbcd/internal/store"
-)
-
-// Searcher is the query surface shared by the static Engine and the
-// LiveIndex, letting serving layers (httpapi, cbcd.Detector) run over
-// either a frozen archive or a growing one.
-type Searcher interface {
-	SearchStat(ctx context.Context, q []byte, sq StatQuery) ([]Match, Plan, error)
-	SearchRange(ctx context.Context, q []byte, eps float64) ([]Match, Plan, error)
-	SearchKNN(ctx context.Context, q []byte, k, maxLeaves int) ([]Match, KNNStats, error)
-	SearchStatBatch(ctx context.Context, queries [][]byte, sq StatQuery) ([][]Match, error)
-}
-
-var (
-	_ Searcher = (*Engine)(nil)
-	_ Searcher = (*LiveIndex)(nil)
 )
 
 // ErrClosed is returned by operations on a closed LiveIndex.
@@ -293,13 +276,14 @@ func (s *liveSegment) maskFn() func(uint32) bool {
 	}
 }
 
-// source returns the seam refinement visits the segment's records
-// through.
-func (s *liveSegment) source() store.RecordSource {
+// segment returns the executor's view of the segment: the seam
+// refinement visits its records through, its mask and its sketch.
+func (s *liveSegment) segment() segment {
+	seg := segment{src: s.db, masked: s.maskFn(), sketch: s.sketch, name: s.name}
 	if s.cold != nil {
-		return s.cold
+		seg.src = s.cold
 	}
-	return s.db
+	return seg
 }
 
 // records returns the segment's stored record count (masked included).
@@ -364,21 +348,14 @@ type liveSnapshot struct {
 	mem  *liveSegment
 }
 
-// all returns every segment of the snapshot, memtable last.
-func (s *liveSnapshot) all() []*liveSegment {
-	out := make([]*liveSegment, 0, len(s.segs)+1)
-	out = append(out, s.segs...)
-	if s.mem.db.Len() > 0 {
-		out = append(out, s.mem)
-	}
-	return out
-}
-
 // LiveIndex is a segmented S³ index supporting concurrent ingest and
 // query with background compaction. All query methods are safe for
 // concurrent use with each other and with Ingest/DeleteVideo/Compact.
+// The embedded executor carries the query side: the planner at the
+// shared depth, the plan cache (keyed on the snapshot generation), the
+// tuner (which never moves the depth) and the query metrics.
 type LiveIndex struct {
-	pl  planner
+	executor
 	opt LiveOptions
 	dir string // "" = memory-only
 	fs  store.FS
@@ -428,20 +405,14 @@ type LiveIndex struct {
 	pendingMu sync.Mutex
 	pending   map[string]struct{}
 
-	// met instruments the write path and queries (lifetime counters,
-	// latency histograms, retry/degraded state); log receives the write
-	// path's lifecycle events. Exported via RegisterMetrics. coldCtr is
-	// shared by every cold file for sketch-skip/codec accounting.
+	// met instruments the write path and segment visits (lifetime
+	// counters, latency histograms, retry/degraded state); log receives
+	// the write path's lifecycle events. Exported via RegisterMetrics.
+	// coldCtr is shared by every cold file for sketch-skip/codec
+	// accounting.
 	met     liveMetrics
 	coldCtr *store.ColdCounters
 	log     *slog.Logger
-
-	// cache memoizes statistical plans keyed on (query, α, model,
-	// tuning, snapshot generation); nil when LiveOptions.PlanCache is
-	// off. tuner adapts the threshold-search schedule (never the depth);
-	// nil when LiveOptions.AutoTune is off.
-	cache *planCache
-	tuner *autoTuner
 }
 
 // OpenLiveIndex opens (or creates) a live index over the given curve.
@@ -453,9 +424,13 @@ func OpenLiveIndex(curve *hilbert.Curve, dir string, opt LiveOptions) (*LiveInde
 	if opt.Depth > curve.IndexBits() {
 		return nil, fmt.Errorf("core: depth %d exceeds index bits %d", opt.Depth, curve.IndexBits())
 	}
-	li := &LiveIndex{pl: planner{curve: curve, depth: opt.Depth}, opt: opt, dir: dir,
+	met := newLiveMetrics()
+	li := &LiveIndex{opt: opt, dir: dir,
 		fs: opt.FS, closedCh: make(chan struct{}), pending: make(map[string]struct{}),
-		met: newLiveMetrics(), coldCtr: store.NewColdCounters(), log: opt.Logger}
+		met: met, coldCtr: store.NewColdCounters(), log: opt.Logger}
+	li.executor = executor{pl: &planner{curve: curve, depth: opt.Depth}, workers: opt.Workers,
+		qmet: newQueryMetrics(), querySegments: met.querySegments,
+		sketchConsults: met.sketchConsults, segmentsSkipped: met.segmentsSkipped}
 	if opt.PlanCache {
 		// The record set churns, so the cache buckets keys with value-only
 		// uniform cells: assignments stay comparable across snapshots.
@@ -643,12 +618,6 @@ func (li *LiveIndex) isPending(name string) bool {
 	li.pendingMu.Unlock()
 	return ok
 }
-
-// Curve returns the index's curve geometry.
-func (li *LiveIndex) Curve() *hilbert.Curve { return li.pl.curve }
-
-// Depth returns the shared partition depth.
-func (li *LiveIndex) Depth() int { return li.pl.depth }
 
 // Gen returns the current snapshot generation.
 func (li *LiveIndex) Gen() uint64 { return li.snap.Load().gen }
@@ -1408,366 +1377,53 @@ func (li *LiveIndex) Close() error {
 	return err
 }
 
-// segMatch pairs a match with its Hilbert key for the canonical merge
-// across segments.
-type segMatch struct {
-	key bitkey.Key
-	m   Match
+// view exposes the snapshot to the executor: every sealed segment, oldest
+// first, then the memtable when it holds records.
+func (s *liveSnapshot) view() view {
+	v := view{gen: s.gen, segs: make([]segment, 0, len(s.segs)+1)}
+	for _, seg := range s.segs {
+		v.segs = append(v.segs, seg.segment())
+	}
+	if s.mem.db.Len() > 0 {
+		v.segs = append(v.segs, s.mem.segment())
+	}
+	return v
 }
 
-// segMatchLess is the canonical result order: key, then ID, TC, X, Y —
-// the same total order store.Build lays records out in, which is what
-// makes merged live results identical to a monolithic index's scan.
-func segMatchLess(a, b *segMatch) bool {
-	if c := a.key.Cmp(b.key); c != 0 {
-		return c < 0
-	}
-	if a.m.ID != b.m.ID {
-		return a.m.ID < b.m.ID
-	}
-	if a.m.TC != b.m.TC {
-		return a.m.TC < b.m.TC
-	}
-	if a.m.X != b.m.X {
-		return a.m.X < b.m.X
-	}
-	return a.m.Y < b.m.Y
-}
-
-// mergeCanonical k-way merges per-segment match lists (each already
-// canonically ordered) into one canonically ordered result. Returns nil
-// for no matches, matching the engine's convention.
-func mergeCanonical(lists [][]segMatch) []Match {
-	total := 0
-	for _, l := range lists {
-		total += len(l)
-	}
-	if total == 0 {
-		return nil
-	}
-	out := make([]Match, 0, total)
-	idx := make([]int, len(lists))
-	for len(out) < total {
-		best := -1
-		for l := range lists {
-			if idx[l] >= len(lists[l]) {
-				continue
-			}
-			if best == -1 || segMatchLess(&lists[l][idx[l]], &lists[best][idx[best]]) {
-				best = l
-			}
-		}
-		out = append(out, lists[best][idx[best]].m)
-		idx[best]++
-	}
-	return out
-}
-
-// skipBySketch reports whether the segment's sketch proves the plan's
-// intervals hold none of its records, counting the consultation. A nil
-// sketch (sketches off, the memtable, or a pre-sketch segment) never
-// skips.
-func (li *LiveIndex) skipBySketch(s *liveSegment, ivs []hilbert.Interval) bool {
-	if s.sketch == nil {
-		return false
-	}
-	li.met.sketchConsults.Inc()
-	if s.sketch.MayIntersect(ivs) {
-		return false
-	}
-	li.met.segmentsSkipped.Inc()
-	return true
-}
-
-// refineStatSnap refines one plan against every segment of a snapshot,
-// resident or cold, through the RecordSource seam. Segments whose sketch
-// proves the plan misses them are skipped before any record is visited.
-func (li *LiveIndex) refineStatSnap(snap *liveSnapshot, plan Plan) ([]Match, error) {
-	segs := snap.all()
-	lists := make([][]segMatch, len(segs))
-	for i, s := range segs {
-		if li.skipBySketch(s, plan.Intervals) {
-			continue
-		}
-		ms, err := statMatchesSource(s.source(), s.maskFn(), plan)
-		if err != nil {
-			return nil, fmt.Errorf("core: refine of segment %s: %w", s.name, err)
-		}
-		lists[i] = ms
-	}
-	return mergeCanonical(lists), nil
-}
-
-// liveTuning resolves the parameters the next plan runs at.
-func (li *LiveIndex) liveTuning() tuning {
-	if li.tuner != nil {
-		return *li.tuner.current()
-	}
-	return li.pl.defaultTuning()
-}
-
-// planFor computes the statistical plan for one query against snap,
-// serving it from the plan cache when one is attached. The snapshot
-// generation keys the cache, so a plan cached before any ingest, delete
-// or compaction can never be returned afterwards.
-func (li *LiveIndex) planFor(ctx context.Context, snap *liveSnapshot, q []byte, qf []float64, sq StatQuery) Plan {
-	tn := li.liveTuning()
-	if pc := li.cache; pc != nil {
-		if planCacheBypassed(ctx) {
-			pc.noteBypass()
-		} else if mkey, keyable := modelPlanKey(sq.Model); keyable {
-			if plan, ok := pc.plan(ctx, q, sq.Alpha, mkey, snap.gen, tn, func() Plan {
-				return li.pl.planStatFloatTuned(qf, sq, tn)
-			}); ok {
-				return plan
-			}
-		} else {
-			pc.noteBypass()
-		}
-	}
-	return li.pl.planStatFloatTuned(qf, sq, tn)
-}
-
-// PlanCacheStats reports the plan cache; false when disabled.
-func (li *LiveIndex) PlanCacheStats() (PlanCacheStats, bool) {
-	if li.cache == nil {
-		return PlanCacheStats{}, false
-	}
-	return li.cache.statsSnapshot(), true
-}
-
-// AutoTuneStats reports the online tuner; false when disabled.
-func (li *LiveIndex) AutoTuneStats() (AutoTuneStats, bool) {
-	if li.tuner == nil {
-		return AutoTuneStats{}, false
-	}
-	return li.tuner.statsSnapshot(), true
-}
+// Queries are the executor's (executor.go) run against the current
+// snapshot. Each holds queryGate for its duration, so a cold file it
+// may be reading is never closed under it, and loads the snapshot once:
+// a consistent view even while ingest continues — for a batch, one view
+// for every query in it. Pos fields of the matches are segment-local.
 
 // SearchStat executes a statistical query against the current snapshot:
 // one plan against the shared curve, refined across every segment, with
-// results merged in canonical order. Pos fields are segment-local.
+// results merged in canonical order.
 func (li *LiveIndex) SearchStat(ctx context.Context, q []byte, sq StatQuery) ([]Match, Plan, error) {
-	if err := sq.validate(li.pl.dims()); err != nil {
-		return nil, Plan{}, err
-	}
-	qf, err := queryPoint(q, li.pl.dims())
-	if err != nil {
-		return nil, Plan{}, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, Plan{}, err
-	}
 	li.queryGate.RLock()
 	defer li.queryGate.RUnlock()
-	snap := li.snap.Load()
-	li.noteQuery(snap)
-	tr := obs.FromContext(ctx)
-	t0 := time.Now()
-	plan := li.planFor(ctx, snap, q, qf, sq)
-	if tr != nil {
-		id := tr.StageSince("plan", t0)
-		tr.Annotate(id, "blocks", strconv.Itoa(plan.Blocks))
-		tr.Annotate(id, "descentNodes", strconv.Itoa(plan.DescentNodes))
-	}
-	tr.AddDescentNodes(int64(plan.DescentNodes))
-	tr.AddBlocks(int64(plan.Blocks))
-	t1 := time.Now()
-	ms, err := li.refineStatSnap(snap, plan)
-	if err != nil {
-		return nil, Plan{}, err
-	}
-	if tr != nil {
-		id := tr.StageSince("refine", t1)
-		tr.Annotate(id, "candidates", strconv.Itoa(len(ms)))
-		tr.Annotate(id, "segments", strconv.Itoa(snapSegments(snap)))
-	}
-	tr.AddCandidates(int64(len(ms)))
-	tr.AddSegments(int64(snapSegments(snap)))
-	if li.tuner != nil {
-		li.tuner.observe(t1.Sub(t0), time.Since(t1))
-	}
-	return ms, plan, nil
-}
-
-// noteQuery counts one query against snap into the live metrics.
-func (li *LiveIndex) noteQuery(snap *liveSnapshot) {
-	li.met.queries.Inc()
-	li.met.querySegments.Observe(float64(snapSegments(snap)))
-}
-
-// snapSegments counts the segments a query against snap visits (the
-// memtable included when non-empty), without materializing snap.all().
-func snapSegments(snap *liveSnapshot) int {
-	n := len(snap.segs)
-	if snap.mem.db.Len() > 0 {
-		n++
-	}
-	return n
+	return li.searchStat(ctx, li.snap.Load().view(), q, sq)
 }
 
 // SearchRange executes an ε-range query against the current snapshot.
 func (li *LiveIndex) SearchRange(ctx context.Context, q []byte, eps float64) ([]Match, Plan, error) {
-	if eps < 0 {
-		return nil, Plan{}, fmt.Errorf("core: negative range radius %v", eps)
-	}
-	qf, err := queryPoint(q, li.pl.dims())
-	if err != nil {
-		return nil, Plan{}, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, Plan{}, err
-	}
 	li.queryGate.RLock()
 	defer li.queryGate.RUnlock()
-	snap := li.snap.Load()
-	li.noteQuery(snap)
-	tr := obs.FromContext(ctx)
-	t0 := time.Now()
-	plan := li.pl.planRangeFloat(qf, eps)
-	if tr != nil {
-		id := tr.StageSince("plan", t0)
-		tr.Annotate(id, "blocks", strconv.Itoa(plan.Blocks))
-		tr.Annotate(id, "descentNodes", strconv.Itoa(plan.DescentNodes))
-	}
-	tr.AddDescentNodes(int64(plan.DescentNodes))
-	tr.AddBlocks(int64(plan.Blocks))
-	t1 := time.Now()
-	segs := snap.all()
-	lists := make([][]segMatch, len(segs))
-	skipped := 0
-	for i, s := range segs {
-		// The component envelope bounds the distance to every record of the
-		// segment from below: a box further than eps holds no match. The
-		// occupancy filter then proves curve non-intersection. Both bounds
-		// are one-sided, so skipping cannot change the answer.
-		if s.sketch != nil {
-			li.met.sketchConsults.Inc()
-			if s.sketch.EnvelopeMinDistSq(qf) > eps*eps || !s.sketch.MayIntersect(plan.Intervals) {
-				li.met.segmentsSkipped.Inc()
-				skipped++
-				continue
-			}
-		}
-		sms, err := rangeMatchesSource(s.source(), qf, eps, s.maskFn(), plan)
-		if err != nil {
-			return nil, Plan{}, fmt.Errorf("core: refine of segment %s: %w", s.name, err)
-		}
-		lists[i] = sms
-	}
-	ms := mergeCanonical(lists)
-	if tr != nil {
-		id := tr.StageSince("refine", t1)
-		tr.Annotate(id, "matches", strconv.Itoa(len(ms)))
-		tr.Annotate(id, "segments", strconv.Itoa(len(segs)))
-		tr.Annotate(id, "segmentsSkipped", strconv.Itoa(skipped))
-	}
-	tr.AddCandidates(int64(len(ms)))
-	tr.AddSegments(int64(len(segs)))
-	return ms, plan, nil
+	return li.searchRange(ctx, li.snap.Load().view(), q, eps)
 }
 
-// SearchKNN answers a k-NN query against the current snapshot: an exact
-// (or per-segment early-stopped, when maxLeaves > 0) traversal of each
-// segment skipping tombstoned records, with candidates merged by
-// distance. Ties at equal distance order deterministically by
-// (ID, TC, X, Y).
+// SearchKNN answers a k-NN query against the current snapshot, skipping
+// tombstoned records (see executor.searchKNN for the merge order).
 func (li *LiveIndex) SearchKNN(ctx context.Context, q []byte, k, maxLeaves int) ([]Match, KNNStats, error) {
-	if k < 1 {
-		return nil, KNNStats{}, fmt.Errorf("core: k = %d must be >= 1", k)
-	}
-	if _, err := queryPoint(q, li.pl.dims()); err != nil {
-		return nil, KNNStats{}, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, KNNStats{}, err
-	}
 	li.queryGate.RLock()
 	defer li.queryGate.RUnlock()
-	snap := li.snap.Load()
-	li.noteQuery(snap)
-	t0 := time.Now()
-	var (
-		all   []Match
-		stats KNNStats
-	)
-	stats.Exact = true
-	for _, seg := range snap.all() {
-		if seg.records() == 0 {
-			continue
-		}
-		var keep func(uint32) bool
-		if masked := seg.maskFn(); masked != nil {
-			keep = func(id uint32) bool { return !masked(id) }
-		}
-		ms, st, err := searchKNNSource(li.pl.curve, li.pl.depth, seg.source(), q, k, maxLeaves, keep)
-		if err != nil {
-			return nil, KNNStats{}, fmt.Errorf("core: refine of segment %s: %w", seg.name, err)
-		}
-		stats.Leaves += st.Leaves
-		stats.Scanned += st.Scanned
-		stats.Exact = stats.Exact && st.Exact
-		all = append(all, ms...)
-	}
-	sort.Slice(all, func(a, b int) bool {
-		if all[a].Dist != all[b].Dist {
-			return all[a].Dist < all[b].Dist
-		}
-		if all[a].ID != all[b].ID {
-			return all[a].ID < all[b].ID
-		}
-		if all[a].TC != all[b].TC {
-			return all[a].TC < all[b].TC
-		}
-		if all[a].X != all[b].X {
-			return all[a].X < all[b].X
-		}
-		return all[a].Y < all[b].Y
-	})
-	if len(all) > k {
-		all = all[:k]
-	}
-	if tr := obs.FromContext(ctx); tr != nil {
-		tr.StageSince("knn", t0)
-		tr.AddCandidates(int64(stats.Scanned))
-		tr.AddSegments(int64(snapSegments(snap)))
-	}
-	return all, stats, nil
+	return li.searchKNN(ctx, li.snap.Load().view(), q, k, maxLeaves)
 }
 
 // SearchStatBatch pipelines many statistical queries across the worker
-// pool, all against ONE snapshot loaded at batch start — a consistent
-// view even while ingest continues. results[i] corresponds to
-// queries[i].
+// pool, all against one snapshot. results[i] corresponds to queries[i].
 func (li *LiveIndex) SearchStatBatch(ctx context.Context, queries [][]byte, sq StatQuery) ([][]Match, error) {
-	if err := sq.validate(li.pl.dims()); err != nil {
-		return nil, err
-	}
 	li.queryGate.RLock()
 	defer li.queryGate.RUnlock()
-	snap := li.snap.Load()
-	li.met.queries.Add(int64(len(queries)))
-	results := make([][]Match, len(queries))
-	err := forEach(ctx, li.opt.Workers, len(queries), nil, func(_ *struct{}, i int) error {
-		qf, err := queryPoint(queries[i], li.pl.dims())
-		if err != nil {
-			return fmt.Errorf("query %d: %w", i, err)
-		}
-		t0 := time.Now()
-		plan := li.planFor(ctx, snap, queries[i], qf, sq)
-		t1 := time.Now()
-		ms, err := li.refineStatSnap(snap, plan)
-		if err != nil {
-			return fmt.Errorf("query %d: %w", i, err)
-		}
-		if li.tuner != nil {
-			li.tuner.observe(t1.Sub(t0), time.Since(t1))
-		}
-		results[i] = ms
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
+	return li.searchStatBatch(ctx, li.snap.Load().view(), queries, sq)
 }

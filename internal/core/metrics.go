@@ -4,13 +4,15 @@ import (
 	"s3cbcd/internal/obs"
 )
 
-// engineMetrics are the query engine's instruments: the plan/refine
-// split of every query (the paper's filtering vs refinement cost), the
+// queryMetrics are the executor's instruments: the plan/refine split
+// of every query (the paper's filtering vs refinement cost), the
 // partition-tree work the planner performs, and the selectivity of the
-// plans it emits. They are created unregistered at NewEngine — updating
-// them is a few atomics, so the engine always counts — and published
-// into a registry by Engine.RegisterMetrics (one engine per registry).
-type engineMetrics struct {
+// plans it emits. They are created unregistered with the executor —
+// updating them is a few atomics, so it always counts — and published
+// into a registry by RegisterMetrics on the Engine or LiveIndex that
+// embeds it (one per registry). The families keep their s3_engine_
+// prefix from when only the static engine had them.
+type queryMetrics struct {
 	plans         *obs.Counter
 	descentNodes  *obs.Counter
 	planSeconds   *obs.Histogram
@@ -24,8 +26,8 @@ type engineMetrics struct {
 	inflight      *obs.Gauge
 }
 
-func newEngineMetrics() engineMetrics {
-	return engineMetrics{
+func newQueryMetrics() queryMetrics {
+	return queryMetrics{
 		plans: obs.NewCounter("s3_engine_plans_total",
 			"plans computed (statistical and geometric, batch included)"),
 		descentNodes: obs.NewCounter("s3_engine_descent_nodes_total",
@@ -51,31 +53,38 @@ func newEngineMetrics() engineMetrics {
 	}
 }
 
-// RegisterMetrics publishes the engine's metrics, plus gauges describing
-// its static shape, into r. Call at most once per registry.
-func (e *Engine) RegisterMetrics(r *obs.Registry) {
-	r.MustRegister(e.met.plans, e.met.descentNodes, e.met.planSeconds,
-		e.met.planBlocks, e.met.refineSeconds, e.met.candidates,
-		e.met.statQueries, e.met.rangeQueries, e.met.knnQueries,
-		e.met.batchQueries, e.met.inflight)
+// registerMetrics publishes the query metrics, the worker bound and the
+// plan cache's and tuner's own families into r.
+func (x *executor) registerMetrics(r *obs.Registry) {
+	r.MustRegister(x.qmet.plans, x.qmet.descentNodes, x.qmet.planSeconds,
+		x.qmet.planBlocks, x.qmet.refineSeconds, x.qmet.candidates,
+		x.qmet.statQueries, x.qmet.rangeQueries, x.qmet.knnQueries,
+		x.qmet.batchQueries, x.qmet.inflight)
 	r.GaugeFunc("s3_engine_workers", "engine worker bound",
-		func() float64 { return float64(e.workers) })
-	r.GaugeFunc("s3_engine_shards", "keyspace shard count",
-		func() float64 { return float64(len(e.shards)) })
-	r.GaugeFunc("s3_engine_records", "records in the served database",
-		func() float64 { return float64(e.ix.db.Len()) })
-	if e.cache != nil {
-		e.cache.RegisterMetrics(r)
+		func() float64 { return float64(x.workers) })
+	if x.cache != nil {
+		x.cache.RegisterMetrics(r)
 	}
-	if e.tuner != nil {
-		e.tuner.RegisterMetrics(r)
+	if x.tuner != nil {
+		x.tuner.RegisterMetrics(r)
 	}
 }
 
+// RegisterMetrics publishes the engine's metrics, plus gauges describing
+// its static shape, into r. Call at most once per registry.
+func (e *Engine) RegisterMetrics(r *obs.Registry) {
+	e.registerMetrics(r)
+	r.GaugeFunc("s3_engine_shards", "keyspace shard count",
+		func() float64 { return float64(e.Shards()) })
+	r.GaugeFunc("s3_engine_records", "records in the served database",
+		func() float64 { return float64(e.ix.db.Len()) })
+}
+
 // liveMetrics are the live index's instruments: LSM shape and write-path
-// latencies (seal, manifest commit, compaction), plus the persistence
-// retry/degraded machinery's state. Created unregistered at
-// OpenLiveIndex; published by LiveIndex.RegisterMetrics.
+// latencies (seal, manifest commit, compaction), the persistence
+// retry/degraded machinery's state, and the per-segment query
+// instruments the executor updates on its behalf. Created unregistered
+// at OpenLiveIndex; published by LiveIndex.RegisterMetrics.
 type liveMetrics struct {
 	ingested        *obs.Counter
 	deletes         *obs.Counter
@@ -88,7 +97,6 @@ type liveMetrics struct {
 	sealSeconds     *obs.Histogram
 	commitSeconds   *obs.Histogram
 	compactSeconds  *obs.Histogram
-	queries         *obs.Counter
 	querySegments   *obs.Histogram
 	sketchConsults  *obs.Counter
 	segmentsSkipped *obs.Counter
@@ -118,8 +126,6 @@ func newLiveMetrics() liveMetrics {
 			"wall time of a durable manifest commit", obs.LatencyBuckets()),
 		compactSeconds: obs.NewHistogram("s3_live_compaction_seconds",
 			"wall time of a committed compaction (merge, segment write and commit)", obs.LatencyBuckets()),
-		queries: obs.NewCounter("s3_live_queries_total",
-			"queries served against live snapshots (batch included)"),
 		querySegments: obs.NewHistogram("s3_live_query_segments",
 			"segments visited per query (memtable included)", obs.SizeBuckets()),
 		sketchConsults: obs.NewCounter("s3_live_sketch_consults_total",
@@ -136,8 +142,9 @@ func (li *LiveIndex) RegisterMetrics(r *obs.Registry) {
 	r.MustRegister(li.met.ingested, li.met.deletes, li.met.compactions,
 		li.met.persistFailures, li.met.persistRetries, li.met.degradedTrips,
 		li.met.degraded, li.met.retryBackoff, li.met.sealSeconds,
-		li.met.commitSeconds, li.met.compactSeconds, li.met.queries,
+		li.met.commitSeconds, li.met.compactSeconds,
 		li.met.querySegments, li.met.sketchConsults, li.met.segmentsSkipped)
+	li.registerMetrics(r)
 	li.coldCtr.RegisterMetrics(r)
 	r.GaugeFunc("s3_live_sketch_bytes", "on-disk bytes of segment sketches in the current snapshot",
 		func() float64 {
@@ -194,10 +201,4 @@ func (li *LiveIndex) RegisterMetrics(r *obs.Registry) {
 			}
 			return 0
 		})
-	if li.cache != nil {
-		li.cache.RegisterMetrics(r)
-	}
-	if li.tuner != nil {
-		li.tuner.RegisterMetrics(r)
-	}
 }

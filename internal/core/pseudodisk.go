@@ -93,22 +93,16 @@ func (di *DiskIndex) SearchStatBatch(queries [][]byte, sq StatQuery, budgetRecor
 
 	// Phase 1: filtering, independent of the database (Section IV-B).
 	// Plans are mutually independent, so they fan out across the worker
-	// pool; each worker reuses one query context across its share.
+	// pool, each through the planner's pooled scratch.
 	t0 := time.Now()
 	plans := make([]Plan, len(queries))
-	mkCtx := func() *queryContext {
-		return &queryContext{
-			qf: make([]float64, di.dims()),
-			mc: newMassCache(di.dims(), di.curve.SideLen()),
-			fs: newFrontierState(di.curve),
-		}
-	}
-	err := forEach(context.Background(), di.workers, len(queries), mkCtx, func(qc *queryContext, i int) error {
-		if err := qc.setQuery(queries[i]); err != nil {
+	err := forEach(context.Background(), di.workers, len(queries), func(i int) error {
+		ps := di.getScratch()
+		defer di.scratch.Put(ps)
+		if err := ps.setQuery(queries[i]); err != nil {
 			return fmt.Errorf("query %d: %w", i, err)
 		}
-		qc.mc.reset()
-		plans[i] = di.planStatFrontier(qc.qf, sq, qc.mc, qc.fs)
+		plans[i] = di.planStatFrontier(ps.qf, sq, ps.mc, ps.fs)
 		return nil
 	})
 	if err != nil {
@@ -162,7 +156,7 @@ func (di *DiskIndex) SearchStatBatch(queries [][]byte, sq StatQuery, budgetRecor
 		// one task, and sections are processed in curve order, so the
 		// per-query match order is identical to the sequential path.
 		tr := time.Now()
-		err = forEach(context.Background(), di.workers, len(touching), nil, func(_ *struct{}, ti int) error {
+		err = forEach(context.Background(), di.workers, len(touching), func(ti int) error {
 			tc := touching[ti]
 			ivs := plans[tc.q].Intervals
 			for c := tc.ivFrom; c < len(ivs) && ivs[c].Start.Less(secEnd); c++ {

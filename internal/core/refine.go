@@ -22,10 +22,12 @@ import (
 // statMatchesSource refines a statistical plan against one source: every
 // record in the plan's intervals is an answer (the region is the
 // answer). masked, when non-nil, hides tombstoned video ids. Pos is
-// source-local.
-func statMatchesSource(src store.RecordSource, masked func(uint32) bool, plan Plan) ([]segMatch, error) {
+// source-local. The count is the records visited, masked ones included.
+func statMatchesSource(src store.RecordSource, masked func(uint32) bool, plan Plan) ([]segMatch, int, error) {
 	var out []segMatch
+	visited := 0
 	visit := func(rv store.RecordView) bool {
+		visited++
 		if masked != nil && masked(rv.ID) {
 			return true
 		}
@@ -43,17 +45,21 @@ func statMatchesSource(src store.RecordSource, masked func(uint32) bool, plan Pl
 		err = src.VisitIntervals(plan.Intervals, visit)
 	}
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return out, nil
+	return out, visited, nil
 }
 
 // rangeMatchesSource refines a geometric plan against one source,
-// keeping records within eps of the query point.
-func rangeMatchesSource(src store.RecordSource, qf []float64, eps float64, masked func(uint32) bool, plan Plan) ([]segMatch, error) {
+// keeping records within eps of the query point. The count is the
+// records visited, masked ones included (a filtered source visits only
+// the candidates its quantized bound could not reject).
+func rangeMatchesSource(src store.RecordSource, qf []float64, eps float64, masked func(uint32) bool, plan Plan) ([]segMatch, int, error) {
 	epsSq := eps * eps
 	var out []segMatch
+	visited := 0
 	visit := func(rv store.RecordView) bool {
+		visited++
 		if masked != nil && masked(rv.ID) {
 			return true
 		}
@@ -74,9 +80,9 @@ func rangeMatchesSource(src store.RecordSource, qf []float64, eps float64, maske
 		err = src.VisitIntervals(plan.Intervals, visit)
 	}
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return out, nil
+	return out, visited, nil
 }
 
 // searchKNNSource is the k-NN best-first traversal over a record source:

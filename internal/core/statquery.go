@@ -126,19 +126,11 @@ func (ix *Index) PlanStat(q []byte, sq StatQuery) (Plan, error) {
 	return ix.planStatFloat(qf, sq), nil
 }
 
-// planStatFloat plans with pooled scratch; the engine's per-worker
-// contexts use planStatFrontier directly.
+// planStatFloat plans with pooled scratch at the static parameters.
 func (pl *planner) planStatFloat(qf []float64, sq StatQuery) Plan {
 	ps := pl.getScratch()
 	defer pl.scratch.Put(ps)
 	return pl.planStatFrontier(qf, sq, ps.mc, ps.fs)
-}
-
-// planStatFloatTuned is planStatFloat at an explicit tuning.
-func (pl *planner) planStatFloatTuned(qf []float64, sq StatQuery, tn tuning) Plan {
-	ps := pl.getScratch()
-	defer pl.scratch.Put(ps)
-	return pl.planStatFrontierTuned(qf, sq, ps.mc, ps.fs, tn)
 }
 
 // planStatFrontier runs the threshold search on the incremental frontier

@@ -567,44 +567,30 @@ func autoTuneJSON(st core.AutoTuneStats, ok bool) map[string]interface{} {
 }
 
 // cacheTuneFields folds the searcher's plan cache and tuner groups into
-// a response body (both s.eng and s.live expose the same accessors).
+// a response body.
 func (s *Server) cacheTuneFields(body map[string]interface{}) {
-	var (
-		pcs  core.PlanCacheStats
-		ats  core.AutoTuneStats
-		pcOK bool
-		atOK bool
-	)
-	if s.live != nil {
-		pcs, pcOK = s.live.PlanCacheStats()
-		ats, atOK = s.live.AutoTuneStats()
-	} else {
-		pcs, pcOK = s.eng.PlanCacheStats()
-		ats, atOK = s.eng.AutoTuneStats()
-	}
-	if m := planCacheJSON(pcs, pcOK); m != nil {
+	if m := planCacheJSON(s.search.PlanCacheStats()); m != nil {
 		body["planCache"] = m
 	}
-	if m := autoTuneJSON(ats, atOK); m != nil {
+	if m := autoTuneJSON(s.search.AutoTuneStats()); m != nil {
 		body["autotune"] = m
 	}
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
+	status := "ok"
+	if s.draining.Load() {
+		status = "draining"
+	}
+	var body map[string]interface{}
 	if s.live != nil {
 		st := s.live.Stats()
-		status := "ok"
-		if s.draining.Load() {
-			status = "draining"
-		}
 		if st.Degraded {
 			// Degraded outranks draining: a router must know reads-only
 			// is all this backend offers, whether or not it is leaving.
 			status = "degraded"
 		}
-		body := map[string]interface{}{
-			"status":          status,
-			"draining":        s.draining.Load(),
+		body = map[string]interface{}{
 			"gen":             st.Gen,
 			"records":         st.LiveRecords,
 			"segments":        st.Segments,
@@ -652,36 +638,30 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 				"hitRate":     hitRate,
 			}
 		}
-		s.cacheTuneFields(body)
-		reply(w, body)
-		return
+	} else {
+		body = map[string]interface{}{
+			"shards":  s.eng.Shards(),
+			"records": s.eng.Len(),
+			// Cumulative partition-tree nodes visited by every plan this
+			// engine has computed: the filtering-side work counter that the
+			// frontier planner exists to keep small.
+			"descentNodes": s.eng.DescentNodes(),
+		}
 	}
-	status := "ok"
-	if s.draining.Load() {
-		status = "draining"
-	}
-	body := map[string]interface{}{
-		"status":   status,
-		"draining": s.draining.Load(),
-		"shards":   s.eng.Shards(),
-		"records":  s.eng.Index().DB().Len(),
-		// Cumulative partition-tree nodes visited by every plan this
-		// engine has computed: the filtering-side work counter that the
-		// frontier planner exists to keep small.
-		"descentNodes": s.eng.DescentNodes(),
-	}
+	body["status"], body["draining"] = status, s.draining.Load()
 	s.cacheTuneFields(body)
 	reply(w, body)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
+	var body map[string]interface{}
 	if s.live != nil {
 		st := s.live.Stats()
 		skipRate := 0.0
 		if st.SketchConsults > 0 {
 			skipRate = float64(st.SegmentsSkipped) / float64(st.SketchConsults)
 		}
-		body := map[string]interface{}{
+		body = map[string]interface{}{
 			"records":          st.LiveRecords,
 			"dims":             s.dims,
 			"order":            s.live.Curve().Order(),
@@ -701,19 +681,15 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			"fallbackReads":    st.FallbackReads,
 			"bytesSaved":       st.BytesSaved,
 		}
-		s.cacheTuneFields(body)
-		reply(w, body)
-		return
-	}
-	ix := s.eng.Index()
-	db := ix.DB()
-	body := map[string]interface{}{
-		"records": db.Len(),
-		"dims":    db.Dims(),
-		"order":   db.Curve().Order(),
-		"depth":   ix.Depth(),
-		"shards":  s.eng.Shards(),
-		"workers": s.eng.Workers(),
+	} else {
+		body = map[string]interface{}{
+			"records": s.eng.Len(),
+			"dims":    s.dims,
+			"order":   s.eng.Curve().Order(),
+			"depth":   s.eng.Depth(),
+			"shards":  s.eng.Shards(),
+			"workers": s.eng.Workers(),
+		}
 	}
 	s.cacheTuneFields(body)
 	reply(w, body)
