@@ -478,8 +478,8 @@ func (x *executor) searchKNN(ctx context.Context, v view, q []byte, k, maxLeaves
 	if k < 1 {
 		return nil, KNNStats{}, fmt.Errorf("core: k = %d must be >= 1", k)
 	}
-	if len(q) != x.pl.dims() {
-		return nil, KNNStats{}, fmt.Errorf("core: query has %d components, index has %d", len(q), x.pl.dims())
+	if err := checkQuery(q, x.pl.dims()); err != nil {
+		return nil, KNNStats{}, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, KNNStats{}, err

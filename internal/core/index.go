@@ -48,8 +48,8 @@ func (pl *planner) getScratch() *planScratch {
 
 // setQuery validates q and widens it into the scratch's float buffer.
 func (ps *planScratch) setQuery(q []byte) error {
-	if len(q) != len(ps.qf) {
-		return fmt.Errorf("core: query has %d components, index has %d", len(q), len(ps.qf))
+	if err := checkQuery(q, len(ps.qf)); err != nil {
+		return err
 	}
 	for i, b := range q {
 		ps.qf[i] = float64(b)
@@ -127,10 +127,18 @@ type Match struct {
 	Dist float64
 }
 
+// checkQuery rejects a query fingerprint of the wrong dimension.
+func checkQuery(q []byte, dims int) error {
+	if len(q) != dims {
+		return fmt.Errorf("core: query has %d components, index has %d", len(q), dims)
+	}
+	return nil
+}
+
 // queryPoint widens a byte fingerprint to float64 coordinates.
 func queryPoint(q []byte, dims int) ([]float64, error) {
-	if len(q) != dims {
-		return nil, fmt.Errorf("core: query has %d components, index has %d", len(q), dims)
+	if err := checkQuery(q, dims); err != nil {
+		return nil, err
 	}
 	out := make([]float64, dims)
 	for i, b := range q {

@@ -24,14 +24,17 @@ import (
 // answer). masked, when non-nil, hides tombstoned video ids. Pos is
 // source-local. The count is the records visited, masked ones included.
 func statMatchesSource(src store.RecordSource, masked func(uint32) bool, plan Plan) ([]segMatch, int, error) {
-	var out []segMatch
-	visited := 0
+	// One struct, so the escaping visitor costs one heap cell, not two.
+	var acc struct {
+		out     []segMatch
+		visited int
+	}
 	visit := func(rv store.RecordView) bool {
-		visited++
+		acc.visited++
 		if masked != nil && masked(rv.ID) {
 			return true
 		}
-		out = append(out, segMatch{key: rv.Key, m: Match{
+		acc.out = append(acc.out, segMatch{key: rv.Key, m: Match{
 			Pos: rv.Pos, ID: rv.ID, TC: rv.TC, X: rv.X, Y: rv.Y, Dist: -1}})
 		return true
 	}
@@ -47,7 +50,7 @@ func statMatchesSource(src store.RecordSource, masked func(uint32) bool, plan Pl
 	if err != nil {
 		return nil, 0, err
 	}
-	return out, visited, nil
+	return acc.out, acc.visited, nil
 }
 
 // rangeMatchesSource refines a geometric plan against one source,
@@ -56,15 +59,17 @@ func statMatchesSource(src store.RecordSource, masked func(uint32) bool, plan Pl
 // the candidates its quantized bound could not reject).
 func rangeMatchesSource(src store.RecordSource, qf []float64, eps float64, masked func(uint32) bool, plan Plan) ([]segMatch, int, error) {
 	epsSq := eps * eps
-	var out []segMatch
-	visited := 0
+	var acc struct {
+		out     []segMatch
+		visited int
+	}
 	visit := func(rv store.RecordView) bool {
-		visited++
+		acc.visited++
 		if masked != nil && masked(rv.ID) {
 			return true
 		}
 		if d := distSqToFP(qf, rv.FP); d <= epsSq {
-			out = append(out, segMatch{key: rv.Key, m: Match{
+			acc.out = append(acc.out, segMatch{key: rv.Key, m: Match{
 				Pos: rv.Pos, ID: rv.ID, TC: rv.TC, X: rv.X, Y: rv.Y, Dist: math.Sqrt(d)}})
 		}
 		return true
@@ -82,7 +87,7 @@ func rangeMatchesSource(src store.RecordSource, qf []float64, eps float64, maske
 	if err != nil {
 		return nil, 0, err
 	}
-	return out, visited, nil
+	return acc.out, acc.visited, nil
 }
 
 // searchKNNSource is the k-NN best-first traversal over a record source:
