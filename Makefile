@@ -72,11 +72,11 @@ cover:
 bench:
 	$(GO) test -bench=. -benchmem .
 
-# bench-plan regenerates BENCH_plan.json (incremental frontier planner vs
-# legacy multi-descent threshold search: descent nodes and plans/sec over
-# the 500k fingerprint corpus).
+# bench-plan prints benchstat-ready samples of the planner
+# micro-benchmarks (frontier, legacy, and the engine's pooled plan path)
+# over the 500k fingerprint corpus.
 bench-plan:
-	$(GO) test -run TestPlanBenchSweep -bench-plan -timeout 30m .
+	$(GO) test -run '^$$' -bench 'PlanStat' -benchmem -count 10 -cpu 1 .
 
 # bench-cold regenerates BENCH_cold.json (cold-tier serving vs
 # all-resident: bytes read per query, cache hit rate and queries/sec at

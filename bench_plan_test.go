@@ -1,26 +1,18 @@
 package s3
 
-// Frontier-planner benchmark: the filtering step of a statistical query
-// at α=0.8, σ=18 over the 500k fingerprint corpus, planned by the
+// Planner micro-benchmarks: the filtering step of a statistical query at
+// α=0.8, σ=18 over the 500k fingerprint corpus, planned by the
 // incremental frontier planner and by the legacy multi-descent threshold
-// search.
+// search, plus the zero-allocation guards of the pooled plan path.
 //
-//	go test -run TestPlanBenchSweep -bench-plan -timeout 30m .
+//	make bench-plan
 //
-// regenerates BENCH_plan.json in the repository root (gated behind the
-// flag because building the corpus takes a while). The BenchmarkPlanStat*
-// benchmarks expose the same comparison to the standard -bench machinery.
+// prints benchstat-ready samples. The end-to-end figures — core.plan_us
+// and core.plan.descent_nodes per workload — come from bench/.
 
 import (
 	"context"
-	"encoding/json"
-	"flag"
-	"fmt"
-	"os"
-	"reflect"
-	"runtime"
 	"testing"
-	"time"
 
 	"s3cbcd/internal/core"
 	"s3cbcd/internal/experiments"
@@ -29,8 +21,6 @@ import (
 	"s3cbcd/internal/obs"
 	"s3cbcd/internal/store"
 )
-
-var benchPlanFlag = flag.Bool("bench-plan", false, "run the planner comparison and write BENCH_plan.json")
 
 // BenchmarkPlanStat measures the production (frontier) filtering step.
 func BenchmarkPlanStat(b *testing.B) {
@@ -155,119 +145,4 @@ func TestPlanStatNoAllocsCacheHit(t *testing.T) {
 	if !ok || st.Hits == 0 {
 		t.Fatalf("guard did not exercise the hit path: stats %+v ok=%v", st, ok)
 	}
-}
-
-type planBenchSide struct {
-	DescentNodes    int     `json:"descent_nodes_total"`
-	NodesPerQuery   float64 `json:"descent_nodes_per_query"`
-	Seconds         float64 `json:"seconds_per_pass"`
-	PlansPerSec     float64 `json:"plans_per_sec"`
-	AvgFilterIters  float64 `json:"avg_filter_iters"`
-	AvgPlanBlocks   float64 `json:"avg_plan_blocks"`
-	AvgPlanMass     float64 `json:"avg_plan_mass"`
-	AvgPlanThreshld float64 `json:"avg_plan_threshold"`
-}
-
-// TestPlanBenchSweep plans every benchmark query with both planners,
-// checks the plans are identical, and writes BENCH_plan.json with the
-// node-count and throughput comparison. Gated behind -bench-plan.
-func TestPlanBenchSweep(t *testing.T) {
-	if !*benchPlanFlag {
-		t.Skip("pass -bench-plan to run the planner comparison")
-	}
-	_, ix, queries := sharedShardDB(t)
-	sq := shardBenchQuery()
-
-	measure := func(plan func([]byte, StatQuery) (Plan, error)) (planBenchSide, []Plan) {
-		var side planBenchSide
-		plans := make([]Plan, len(queries))
-		// Warm pass (page in the corpus side structures), then timed passes.
-		for i, q := range queries {
-			p, err := plan(q, sq)
-			if err != nil {
-				t.Fatal(err)
-			}
-			plans[i] = p
-		}
-		const rounds = 3
-		start := time.Now()
-		for r := 0; r < rounds; r++ {
-			for i, q := range queries {
-				p, err := plan(q, sq)
-				if err != nil {
-					t.Fatal(err)
-				}
-				plans[i] = p
-			}
-		}
-		side.Seconds = time.Since(start).Seconds() / rounds
-		side.PlansPerSec = float64(len(queries)) / side.Seconds
-		for _, p := range plans {
-			side.DescentNodes += p.DescentNodes
-			side.AvgFilterIters += float64(p.FilterIters)
-			side.AvgPlanBlocks += float64(p.Blocks)
-			side.AvgPlanMass += p.Mass
-			side.AvgPlanThreshld += p.Threshold
-		}
-		n := float64(len(queries))
-		side.NodesPerQuery = float64(side.DescentNodes) / n
-		side.AvgFilterIters /= n
-		side.AvgPlanBlocks /= n
-		side.AvgPlanMass /= n
-		side.AvgPlanThreshld /= n
-		return side, plans
-	}
-
-	frontier, fPlans := measure(ix.PlanStat)
-	legacy, lPlans := measure(ix.PlanStatLegacy)
-
-	// The comparison is only meaningful if the planners agree exactly.
-	for i := range fPlans {
-		f, l := fPlans[i], lPlans[i]
-		f.DescentNodes, l.DescentNodes = 0, 0
-		if !reflect.DeepEqual(f, l) {
-			t.Fatalf("query %d: frontier plan differs from legacy plan", i)
-		}
-	}
-
-	reduction := float64(legacy.DescentNodes) / float64(frontier.DescentNodes)
-	t.Logf("descent nodes: frontier %d, legacy %d (%.1fx reduction)",
-		frontier.DescentNodes, legacy.DescentNodes, reduction)
-	t.Logf("plans/sec: frontier %.1f, legacy %.1f (%.2fx)",
-		frontier.PlansPerSec, legacy.PlansPerSec, frontier.PlansPerSec/legacy.PlansPerSec)
-	if reduction < 5 {
-		t.Errorf("node reduction %.2fx below the 5x the frontier planner is expected to deliver", reduction)
-	}
-
-	report := map[string]interface{}{
-		"benchmark": "statistical filtering step: frontier planner vs legacy multi-descent search",
-		"corpus": map[string]interface{}{
-			"records": shardBenchRecords,
-			"dims":    fingerprint.D,
-			"queries": len(queries),
-			"alpha":   shardBenchAlpha,
-			"sigma":   shardBenchSigma,
-		},
-		"host": map[string]interface{}{
-			"num_cpu":    runtime.NumCPU(),
-			"go_version": runtime.Version(),
-		},
-		"note": fmt.Sprintf("Plans are bit-identical between the two planners (verified in-run). "+
-			"Timings measured on a %d-core host via Index.PlanStat / Index.PlanStatLegacy, "+
-			"which allocate their scratch per call; the engine's pooled batch path "+
-			"(Engine.SearchStatBatch) plans allocation-free on top of the same frontier code.",
-			runtime.NumCPU()),
-		"frontier":             frontier,
-		"legacy":               legacy,
-		"node_reduction":       reduction,
-		"plans_per_sec_factor": frontier.PlansPerSec / legacy.PlansPerSec,
-	}
-	raw, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_plan.json", append(raw, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Log("wrote BENCH_plan.json")
 }

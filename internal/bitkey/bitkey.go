@@ -153,6 +153,20 @@ func (k Key) AddUint64(v uint64) Key { return k.Add(FromUint64(v)) }
 // Inc returns k + 1.
 func (k Key) Inc() Key { return k.AddUint64(1) }
 
+// AddPow2 returns k + 2^n, wrapping on overflow: the exclusive end of the
+// dyadic curve interval of length 2^n that starts at k. Unlike
+// Add(FromUint64(1).Shl(n)) it touches one word unless a carry
+// propagates. It panics if n >= MaxBits.
+func (k Key) AddPow2(n uint) Key {
+	w := Words - 1 - int(n>>6)
+	var c uint64
+	k[w], c = bits.Add64(k[w], 1<<(n&63), 0)
+	for w--; c != 0 && w >= 0; w-- {
+		k[w], c = bits.Add64(k[w], 0, c)
+	}
+	return k
+}
+
 // Bit returns bit i of k, where bit 0 is the least significant bit.
 // It panics if i is out of range.
 func (k Key) Bit(i uint) uint64 {

@@ -73,6 +73,32 @@ func TestShiftAgainstBig(t *testing.T) {
 	}
 }
 
+func TestAddPow2AgainstBig(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	mod := new(big.Int).Lsh(big.NewInt(1), MaxBits)
+	for i := 0; i < 2000; i++ {
+		k := randKey(r)
+		switch i % 4 {
+		case 1: // force carry chains through whole words
+			k[Words-1], k[Words-2] = ^uint64(0), ^uint64(0)
+		case 2:
+			k = Key{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}
+		}
+		n := uint(r.Intn(MaxBits))
+		want := new(big.Int).Add(toBig(k), new(big.Int).Lsh(big.NewInt(1), n))
+		want.Mod(want, mod)
+		if got := toBig(k.AddPow2(n)); got.Cmp(want) != 0 {
+			t.Fatalf("AddPow2(%v, %d) = %v, want %v", k, n, got, want)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("AddPow2(MaxBits) did not panic")
+		}
+	}()
+	Zero.AddPow2(MaxBits)
+}
+
 func TestAddSubAgainstBig(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	mod := new(big.Int).Lsh(big.NewInt(1), MaxBits)

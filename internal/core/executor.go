@@ -353,9 +353,13 @@ func clip(pieces []piece, sh store.ShardRange, fn func(lo, hi, off int)) {
 // sequential scan.
 func refineResident(ctx context.Context, db *store.DB, shards []store.ShardRange, workers int, plan Plan, b ball) ([]Match, int, error) {
 	pieces := make([]piece, 0, len(plan.Intervals))
-	total := 0
+	total, from := 0, 0
 	for _, iv := range plan.Intervals {
-		if lo, hi := db.FindInterval(iv); lo < hi {
+		// Plan intervals are sorted and disjoint: each search starts
+		// where the previous interval ended.
+		lo, hi := db.FindIntervalFrom(from, iv)
+		from = hi
+		if lo < hi {
 			pieces = append(pieces, piece{lo: lo, hi: hi, off: total})
 			total += hi - lo
 		}

@@ -1,8 +1,9 @@
 package core
 
 import (
-	"slices"
+	"sort"
 
+	"s3cbcd/internal/bitkey"
 	"s3cbcd/internal/hilbert"
 )
 
@@ -14,24 +15,24 @@ import (
 // descent pruned, and raising t only discards already-discovered leaves.
 // So one materialized descent suffices. The first evaluation records
 // every pruned node with its mass and enough resumable state to continue
-// below it; evaluations at lower thresholds pop and expand exactly the
+// below it; evaluations at lower thresholds expand exactly the
 // frontier nodes whose mass now clears the threshold; evaluations at
 // higher thresholds touch no curve state at all — they filter the
 // accumulated leaf list by stored block mass.
 //
 // The planner is careful to be bit-identical to the legacy search, not
-// just equivalent: every pruned node stores its running product, its
-// per-dimension factors are recovered bitwise from the mass cache on
-// expansion (each one was computed through the cache when the node was
-// reached), so a resumed expansion replays exactly the float operations a
+// just equivalent: every pruned node stores its running product, the
+// factor a step divides out is read back bitwise from the mass cache
+// (each one was computed through the cache when its node was reached),
+// so a resumed expansion replays exactly the float operations a
 // from-scratch descent would have performed below that node, and leaf
 // masses are summed in curve order exactly as a single descent would have
 // emitted them.
 
 // frontierLeaf is one discovered depth-p block.
 type frontierLeaf struct {
-	iv   hilbert.Interval
-	mass float64 // the block's own mass (the visitor product at the leaf)
+	start bitkey.Key // first index of the block's curve interval
+	mass  float64    // the block's own mass (the visitor product at the leaf)
 	// gate is the minimum running product along the root path, including
 	// the leaf itself. A single descent at threshold t emits this leaf
 	// iff every product on the path exceeds t, i.e. iff gate > t. For a
@@ -41,21 +42,11 @@ type frontierLeaf struct {
 	gate float64
 }
 
-// frontierEntry is a pruned node awaiting possible expansion.
-type frontierEntry struct {
-	node hilbert.Node
-	mass float64 // the node's running product (its prune decision value)
-	gate float64 // min running product along the root path, incl. the node
-	off  int     // offset of the node's bounds in the bounds arena; -1 = root
-}
-
 // frontierState is the reusable per-worker state of the incremental
 // planner: the discovered leaves (curve order), the frontier of pruned
-// nodes (unordered — every evaluation expands ALL entries above its
-// threshold, so no priority structure earns its keep), arena storage for
-// node bounds, and the live visitor bookkeeping used during expansions.
-// All of it resets by reslicing, so a pooled frontierState plans query
-// after query without allocating.
+// nodes, and the live visitor bookkeeping used during expansions. All of
+// it resets by reslicing, so a pooled frontierState plans query after
+// query without allocating.
 type frontierState struct {
 	curve *hilbert.Curve
 	fd    *hilbert.FrontierDescent
@@ -67,24 +58,40 @@ type frontierState struct {
 	m     Model
 	q     []float64
 
-	// Live visitor state during one expansion.
-	t       float64
-	factors []float64
-	prod    float64
-	gate    float64
-	stack   []frontierFrame
-	nodes   int // Enter calls this query (descent nodes visited)
+	// Live visitor state during one expansion. The per-dimension factors
+	// are not kept: the factor of a dimension's current bound is its
+	// mass-cache value, read when a step halves that dimension — so an
+	// expansion restores nothing up front and pays only for the
+	// dimensions it actually splits.
+	t     float64
+	prod  float64
+	gate  float64
+	stack []frontierFrame
+	nodes int // Enter calls this query (descent nodes visited)
 
 	// Prune handoff between Enter (which rejects) and the pruned
 	// callback (which materializes the rejected child).
 	pruneMass float64
 
-	leaves   []frontierLeaf // discovered leaves, sorted by iv.Start
-	scratch  []frontierLeaf // merge double-buffer
-	pending  []frontierLeaf // leaves emitted by the current eval's expansions
-	frontier []frontierEntry
-	bounds   []uint32 // arena backing frontier node Lo/Hi
-	ivs      []hilbert.Interval
+	leaves  []frontierLeaf // discovered leaves, sorted by start
+	scratch []frontierLeaf // merge double-buffer
+	pending []frontierLeaf // leaves emitted by the current eval's expansions
+	runs    []int          // where each expansion's leaves start in pending
+
+	// The frontier: pruned node i is fmass[i], fgate[i], fpos[i] and the
+	// 2*D bounds at bounds[i*2*D:], each written once and never moved.
+	// fnext threads the nodes in curve order from node 0, the root (-1
+	// ends the list): a node's expansion splices the nodes pruned below
+	// it in right behind it, so a sweep meets them, and emits its leaves,
+	// in curve order. Every evaluation expands ALL nodes above its
+	// threshold, so no priority structure earns its keep; an expanded
+	// node stays in the list with mass 0, below every threshold.
+	fmass  []float64 // the node's running product (its prune decision value)
+	fgate  []float64 // min running product along the root path, incl. the node
+	fpos   []hilbert.Pos
+	fnext  []int32
+	bounds []uint32
+	ivs    []hilbert.Interval
 
 	// alias makes intervalsAt skip its defensive copy: the produced
 	// plan's Intervals then share s.ivs and are overwritten by the next
@@ -94,22 +101,19 @@ type frontierState struct {
 	alias bool
 
 	// pruned is prunedCB bound once at construction (see newFrontierState).
-	pruned func(hilbert.Node)
+	pruned func(*hilbert.Node)
 }
 
 type frontierFrame struct {
-	dim    int
-	factor float64
-	prod   float64
-	gate   float64
+	prod float64
+	gate float64
 }
 
 func newFrontierState(curve *hilbert.Curve) *frontierState {
 	s := &frontierState{
-		curve:   curve,
-		fd:      curve.NewFrontierDescent(),
-		root:    curve.RootNode(),
-		factors: make([]float64, curve.Dims()),
+		curve: curve,
+		fd:    curve.NewFrontierDescent(),
+		root:  curve.RootNode(),
 	}
 	// Bind the pruned callback once: a method value created at the call
 	// site would allocate on every node expansion.
@@ -118,67 +122,53 @@ func newFrontierState(curve *hilbert.Curve) *frontierState {
 }
 
 // begin binds the state to one query and seeds the frontier with the
-// root node (mass 1, all factors 1 — the state a fresh descent starts
-// in).
+// root node (mass 1 — the state a fresh descent starts in).
 func (s *frontierState) begin(depth int, m Model, q []float64, mc *massCache) {
 	s.depth, s.m, s.q, s.mc = depth, m, q, mc
 	s.leaves = s.leaves[:0]
 	s.scratch = s.scratch[:0]
-	s.pending = s.pending[:0]
-	s.frontier = s.frontier[:0]
-	s.bounds = s.bounds[:0]
 	s.ivs = s.ivs[:0]
 	s.nodes = 0
-	s.frontier = append(s.frontier, frontierEntry{node: s.root, mass: 1, gate: 1, off: -1})
+	s.fmass = append(s.fmass[:0], 1)
+	s.fgate = append(s.fgate[:0], 1)
+	s.fpos = append(s.fpos[:0], hilbert.Pos{})
+	s.fnext = append(s.fnext[:0], -1)
+	s.bounds = append(append(s.bounds[:0], s.root.Lo...), s.root.Hi...)
 }
 
 // expandTo lowers the materialized frontier to threshold t: every
-// frontier node whose mass exceeds t is removed and its subtree descended
-// (at threshold t) exactly as the legacy search would have, emitting new
-// leaves and appending newly pruned nodes. Thresholds at or above every
-// stored mass make this a pure scan — the traversal-free fast path of
-// evaluations that raise t. Entries appended mid-scan were just pruned at
-// t, so the swap-remove sweep never expands them again this round.
+// frontier node whose mass exceeds t is descended (at threshold t)
+// exactly as the legacy search would have, emitting new leaves and
+// splicing in newly pruned nodes. Thresholds at or above every stored
+// mass make this a pure scan — the traversal-free fast path of
+// evaluations that raise t. Nodes spliced in mid-sweep were just pruned
+// at t, so the sweep steps over them.
 func (s *frontierState) expandTo(t float64) {
 	s.pending = s.pending[:0]
+	s.runs = s.runs[:0]
 	s.t = t
-	side := s.curve.SideLen()
-	for i := 0; i < len(s.frontier); {
-		if s.frontier[i].mass <= t {
-			i++
+	d := s.curve.Dims()
+	var node hilbert.Node
+	for i, next := int32(0), int32(0); i >= 0; i = next {
+		next = s.fnext[i]
+		if s.fmass[i] <= t {
 			continue
 		}
-		e := s.frontier[i]
-		last := len(s.frontier) - 1
-		s.frontier[i] = s.frontier[last]
-		s.frontier = s.frontier[:last]
-		node := e.node
-		// Position the visitor exactly where a from-scratch descent
-		// would be on entering this node: dims the descent has split
-		// carry the mass-cache factor of their current bound (the cache
-		// returns the bitwise value computed when the node was reached),
-		// untouched dims carry the root factor 1.
-		if e.off >= 0 {
-			d := len(s.factors)
-			node.Lo = s.bounds[e.off : e.off+d : e.off+d]
-			node.Hi = s.bounds[e.off+d : e.off+2*d : e.off+2*d]
-			for j := range s.factors {
-				if node.Lo[j] == 0 && node.Hi[j] == side {
-					s.factors[j] = 1
-				} else {
-					s.factors[j] = s.mc.get(s.m, s.q, j, node.Lo[j], node.Hi[j])
-				}
-			}
-		} else {
-			for j := range s.factors {
-				s.factors[j] = 1
-			}
-		}
-		s.prod, s.gate = e.mass, e.gate
+		s.prod, s.gate = s.fmass[i], s.fgate[i]
+		s.fmass[i] = 0
 		s.stack = s.stack[:0]
-		s.fd.Descend(node, s.depth, s, s.pruned)
+		b := s.bounds[2*d*int(i) : 2*d*int(i+1)]
+		node.Lo, node.Hi, node.Pos = b[:d], b[d:], s.fpos[i]
+		first, off := len(s.fnext), len(s.pending)
+		s.fd.Descend(&node, s.depth, s, s.pruned)
+		if last := len(s.fnext); last > first {
+			s.fnext[i], s.fnext[last-1] = int32(first), next
+		}
+		if len(s.pending) > off {
+			s.runs = append(s.runs, off)
+		}
 	}
-	if len(s.pending) > 0 {
+	if len(s.runs) > 0 {
 		s.mergePending()
 	}
 }
@@ -187,14 +177,13 @@ func (s *frontierState) expandTo(t float64) {
 // rule of statVisitor, additionally tracking the path-minimum product.
 func (s *frontierState) Enter(dim int, lo, hi uint32) bool {
 	s.nodes++
-	f := s.mc.get(s.m, s.q, dim, lo, hi)
-	np := s.prod / s.factors[dim] * f
+	idx := s.mc.slot(dim, lo, hi)
+	np := s.prod / s.mc.parent(idx) * s.mc.at(idx, s.m, s.q, dim, lo, hi)
 	if np <= s.t {
 		s.pruneMass = np
 		return false
 	}
-	s.stack = append(s.stack, frontierFrame{dim: dim, factor: s.factors[dim], prod: s.prod, gate: s.gate})
-	s.factors[dim] = f
+	s.stack = append(s.stack, frontierFrame{prod: s.prod, gate: s.gate})
 	s.prod = np
 	if np < s.gate {
 		s.gate = np
@@ -206,60 +195,53 @@ func (s *frontierState) Enter(dim int, lo, hi uint32) bool {
 func (s *frontierState) Leave(int) {
 	fr := s.stack[len(s.stack)-1]
 	s.stack = s.stack[:len(s.stack)-1]
-	s.factors[fr.dim] = fr.factor
 	s.prod = fr.prod
 	s.gate = fr.gate
 }
 
 // Leaf implements hilbert.StepVisitor.
 func (s *frontierState) Leaf(b hilbert.Block) bool {
-	s.pending = append(s.pending, frontierLeaf{
-		iv:   hilbert.Interval{Start: b.Start, End: b.End},
-		mass: s.prod,
-		gate: s.gate,
-	})
+	s.pending = append(s.pending, frontierLeaf{start: b.Start, mass: s.prod, gate: s.gate})
 	return true
 }
 
 // prunedCB materializes a rejected child into the frontier. Nodes whose
 // mass cannot clear even the floor threshold are dropped: the search
 // never evaluates below tFloor, so they are unreachable.
-func (s *frontierState) prunedCB(n hilbert.Node) {
+func (s *frontierState) prunedCB(n *hilbert.Node) {
 	if s.pruneMass <= tFloor {
 		return
 	}
-	off := len(s.bounds)
-	s.bounds = append(s.bounds, n.Lo...)
-	s.bounds = append(s.bounds, n.Hi...)
 	gate := s.gate
 	if s.pruneMass < gate {
 		gate = s.pruneMass
 	}
-	n.Lo, n.Hi = nil, nil // re-pointed at the arena on expansion
-	s.frontier = append(s.frontier, frontierEntry{node: n, mass: s.pruneMass, gate: gate, off: off})
+	s.fmass = append(s.fmass, s.pruneMass)
+	s.fgate = append(s.fgate, gate)
+	s.fpos = append(s.fpos, n.Pos)
+	s.fnext = append(s.fnext, int32(len(s.fnext)+1)) // its curve-order successor, if it has one
+	s.bounds = append(append(s.bounds, n.Lo...), n.Hi...)
 }
 
 // mergePending folds the current eval's expansion leaves into the sorted
-// leaf list. Pending holds one sorted run per expanded node, runs
-// concatenated in pop (mass) order; every run covers a curve interval
-// disjoint from every other run and every existing leaf (dyadic
+// leaf list. Pending holds one sorted run per expanded node, in curve
+// order like the frontier they were swept from; every run covers a curve
+// interval disjoint from every other run and every existing leaf (dyadic
 // intervals nest or are disjoint, and the frontier partitions the
-// unexplored remainder), so sorting pending and zipping it with the leaf
-// list restores global curve order.
+// unexplored remainder), so splicing each run, whole, between the leaves
+// on either side of it restores global curve order.
 func (s *frontierState) mergePending() {
-	slices.SortFunc(s.pending, func(a, b frontierLeaf) int { return a.iv.Start.Cmp(b.iv.Start) })
-	merged := s.scratch[:0]
-	li := 0
-	for pi := range s.pending {
-		start := s.pending[pi].iv.Start
-		for li < len(s.leaves) && s.leaves[li].iv.Start.Less(start) {
-			merged = append(merged, s.leaves[li])
-			li++
+	rest, merged := s.leaves, s.scratch[:0]
+	for k, off := range s.runs {
+		run := s.pending[off:]
+		if k+1 < len(s.runs) {
+			run = s.pending[off:s.runs[k+1]]
 		}
-		merged = append(merged, s.pending[pi])
+		n := sort.Search(len(rest), func(i int) bool { return !rest[i].start.Less(run[0].start) })
+		merged = append(append(merged, rest[:n]...), run...)
+		rest = rest[n:]
 	}
-	merged = append(merged, s.leaves[li:]...)
-	s.leaves, s.scratch = merged, s.leaves[:0]
+	s.leaves, s.scratch = append(merged, rest...), s.leaves[:0]
 }
 
 // selectAt filters the discovered leaves at threshold t without touching
@@ -280,9 +262,10 @@ func (s *frontierState) selectAt(t float64) (blocks int, mass float64) {
 // the pooled state.
 func (s *frontierState) intervalsAt(t float64) []hilbert.Interval {
 	s.ivs = s.ivs[:0]
+	span := uint(s.curve.IndexBits() - s.depth) // log2 of a block's interval
 	for i := range s.leaves {
-		if s.leaves[i].gate > t {
-			s.ivs = append(s.ivs, s.leaves[i].iv)
+		if l := &s.leaves[i]; l.gate > t {
+			s.ivs = append(s.ivs, hilbert.Interval{Start: l.start, End: l.start.AddPow2(span)})
 		}
 	}
 	merged := hilbert.MergeIntervals(s.ivs)

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"s3cbcd/internal/hilbert"
 	"s3cbcd/internal/store"
 )
 
@@ -167,6 +168,54 @@ func TestFrontierVisitsFewerNodes(t *testing.T) {
 	}
 	t.Logf("descent nodes: frontier %d, legacy %d (%.1fx)",
 		frontierNodes, legacyNodes, float64(legacyNodes)/float64(frontierNodes))
+}
+
+// TestPlanWorkCountsGolden pins the planner's work counts on the paper's
+// curve (D=20, K=8) at α=0.8, σ=18 to the values recorded before the
+// descent kernel was rewritten for speed (PR 14): a kernel change may
+// make a node cheaper, not change which nodes are visited. Depths 26 and
+// 41 cross into the second and third Hilbert level. Planning reads no
+// records, so a one-record database serves.
+func TestPlanWorkCountsGolden(t *testing.T) {
+	golden := []struct{ depth, nodes, iters, blocks, intervals int }{
+		{20, 260, 6, 12, 12},
+		{13, 66, 7, 4, 3},
+		{26, 434, 8, 31, 27},
+		{41, 180842, 15, 4465, 2507},
+		{20, 288, 6, 12, 12},
+		{13, 62, 6, 7, 7},
+		{26, 1696, 10, 90, 36},
+		{41, 27242, 14, 950, 675},
+		{20, 130, 8, 3, 3},
+		{13, 42, 11, 2, 1},
+		{26, 346, 6, 12, 9},
+		{41, 10764, 12, 643, 318},
+		{20, 470, 5, 20, 20},
+		{13, 328, 7, 20, 13},
+		{26, 582, 8, 22, 22},
+		{41, 27428, 14, 1358, 668},
+	}
+	db := store.MustBuild(hilbert.MustNew(20, 8), []store.Record{{FP: make([]byte, 20)}})
+	sq := StatQuery{Alpha: 0.8, Model: IsoNormal{D: 20, Sigma: 18}}
+	r := rand.New(rand.NewSource(14))
+	for i, g := range golden {
+		ix, err := NewIndex(db, g.depth)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := make([]byte, 20)
+		for j := range q {
+			q[j] = byte(r.Intn(256))
+		}
+		p, err := ix.PlanStat(q, sq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.DescentNodes != g.nodes || p.FilterIters != g.iters || p.Blocks != g.blocks || len(p.Intervals) != g.intervals {
+			t.Errorf("query %d depth %d: nodes/iters/blocks/intervals = %d/%d/%d/%d, golden %d/%d/%d/%d", i, g.depth,
+				p.DescentNodes, p.FilterIters, p.Blocks, len(p.Intervals), g.nodes, g.iters, g.blocks, g.intervals)
+		}
+	}
 }
 
 // TestEngineDescentNodesCounter checks the engine's cumulative counter

@@ -236,7 +236,7 @@ func (pl *planner) planStatFrontierTuned(qf []float64, sq StatQuery, mc *massCac
 // PlanStatLegacy is the multi-descent threshold search the frontier
 // planner replaced: every threshold evaluation is a full pruned descent
 // from the root. It is retained as the reference implementation — the
-// planner equivalence property tests and the bench-plan harness compare
+// planner equivalence property tests and BenchmarkPlanStatLegacy compare
 // against it — and as the paper-faithful baseline for ablations.
 func (ix *Index) PlanStatLegacy(q []byte, sq StatQuery) (Plan, error) {
 	if err := sq.validate(ix.db.Dims()); err != nil {

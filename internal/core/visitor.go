@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/bits"
 
 	"s3cbcd/internal/hilbert"
 )
@@ -9,11 +10,15 @@ import (
 // massCache memoizes the per-dimension model mass of every dyadic
 // interval a query's descents encounter. Block bounds are always dyadic
 // (they come from repeated halving), so interval (lo, hi) of extent e
-// has the unique id side/e + lo/e in [1, 2*side). The threshold search
-// runs incremental expansions over overlapping node sets; the cache makes
-// the repeats nearly free.
+// has the unique id side/e + lo/e in [1, 2*side) — the root interval is
+// 1 and the halves of id are 2*id and 2*id+1. The threshold search runs
+// incremental expansions over overlapping node sets; the cache makes the
+// repeats nearly free.
 type massCache struct {
 	side uint32
+	// dimShift is log2(2*side): dimension dim owns slots [dim<<dimShift,
+	// (dim+1)<<dimShift), indexed by interval id.
+	dimShift uint
 	// gen is the current query's generation. A slot is valid only when
 	// gens[slot] == gen, so invalidating the whole cache is a single
 	// increment instead of a rewrite of every value — the engine resets
@@ -26,10 +31,11 @@ type massCache struct {
 
 func newMassCache(dims int, side uint32) *massCache {
 	return &massCache{
-		side: side,
-		gen:  1,
-		gens: make([]uint32, dims*int(2*side)),
-		vals: make([]float64, dims*int(2*side)),
+		side:     side,
+		dimShift: uint(bits.TrailingZeros32(side)) + 1,
+		gen:      1,
+		gens:     make([]uint32, dims*int(2*side)),
+		vals:     make([]float64, dims*int(2*side)),
 	}
 }
 
@@ -48,17 +54,29 @@ func (mc *massCache) reset() {
 	}
 }
 
+// slot returns the cache slot of interval [lo, hi) of dimension dim.
+// Extents are powers of two, so the id is two shifts, not two divides.
+func (mc *massCache) slot(dim int, lo, hi uint32) int {
+	return dim<<mc.dimShift | int((mc.side+lo)>>uint(bits.TrailingZeros32(hi-lo)))
+}
+
 // get returns P(ΔS_dim puts the reference inside [lo, hi)) under model m
 // for query coordinate q, extending edge intervals to infinity (reference
 // fingerprints cannot lie outside the grid, so tail mass belongs to the
 // boundary blocks) and centring unit cells on integer coordinates.
 func (mc *massCache) get(m Model, q []float64, dim int, lo, hi uint32) float64 {
-	e := hi - lo
-	id := mc.side/e + lo/e
-	idx := dim*int(2*mc.side) + int(id)
+	return mc.at(mc.slot(dim, lo, hi), m, q, dim, lo, hi)
+}
+
+// at is get for a caller that already holds the interval's slot.
+func (mc *massCache) at(idx int, m Model, q []float64, dim int, lo, hi uint32) float64 {
 	if mc.gens[idx] == mc.gen {
 		return mc.vals[idx]
 	}
+	return mc.fill(idx, m, q, dim, lo, hi)
+}
+
+func (mc *massCache) fill(idx int, m Model, q []float64, dim int, lo, hi uint32) float64 {
 	a, b := float64(lo)-0.5, float64(hi)-0.5
 	if lo == 0 {
 		a = math.Inf(-1)
@@ -70,6 +88,19 @@ func (mc *massCache) get(m Model, q []float64, dim int, lo, hi uint32) float64 {
 	mc.vals[idx] = v
 	mc.gens[idx] = mc.gen
 	return v
+}
+
+// parent returns the factor a descent carries for a dimension before it
+// halves it to the interval of slot idx: the cached mass of the
+// enclosing interval — the half an ancestor step entered through get in
+// this same query, so the slot holds that very value — or 1 while the
+// dimension is still whole.
+func (mc *massCache) parent(idx int) float64 {
+	id := idx & (1<<mc.dimShift - 1)
+	if id>>1 == 1 {
+		return 1
+	}
+	return mc.vals[idx-id+id>>1]
 }
 
 // statVisitor implements the statistical filtering rule incrementally:

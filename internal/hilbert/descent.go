@@ -1,10 +1,6 @@
 package hilbert
 
-import (
-	"fmt"
-
-	"s3cbcd/internal/bitkey"
-)
+import "s3cbcd/internal/bitkey"
 
 // Block is one element of the depth-p partition of the curve: a
 // hyper-rectangle of the grid together with the curve interval
@@ -50,164 +46,37 @@ type StepVisitor interface {
 	Leaf(b Block) bool
 }
 
-// DescendSteps is Descend with incremental per-dimension notifications.
-// It panics if depth is outside [0, K*D].
+// DescendSteps walks the whole tree down to depth with incremental
+// per-dimension notifications: FrontierDescent.Descend from the root. It
+// panics if depth is outside [0, K*D].
 func (c *Curve) DescendSteps(depth int, v StepVisitor) {
-	if depth < 0 || depth > c.IndexBits() {
-		panic(fmt.Sprintf("hilbert: depth %d outside [0,%d]", depth, c.IndexBits()))
-	}
-	d := &descent{
-		c:     c,
-		depth: depth,
-		stepV: v,
-		lo:    make([]uint32, c.dims),
-		hi:    make([]uint32, c.dims),
-	}
-	side := c.SideLen()
-	for j := range d.hi {
-		d.hi[j] = side
-	}
-	if depth == 0 {
-		v.Leaf(Block{
-			Lo: d.lo, Hi: d.hi,
-			Start: bitkey.Zero,
-			End:   endOfInterval(bitkey.Zero, 0, c.IndexBits()),
-			Depth: 0,
-		})
-		return
-	}
-	d.walk(bitkey.Zero, 0, initialState(), 0, 0)
+	fd := c.NewFrontierDescent()
+	fd.Descend(&fd.cur, depth, v, nil) // a new descent stands on the root
 }
 
 // Descend partitions the curve into 2^depth intervals and walks the
 // induced block tree. keep is consulted at every internal node (and may be
 // nil to keep everything); emit receives the surviving leaves in curve
 // order. Descend panics if depth is outside [0, K*D].
-//
-// The walk consumes one index bit per tree edge. Within a level the bits
-// are the binary rank w of the Gray-coded, state-transformed cell label;
-// because a reflected Gray code preserves aligned prefixes, every partial
-// prefix of q < D bits pins q known label bits, i.e. halves the node's
-// rectangle along q known dimensions. This is why the partition is made of
-// hyper-rectangles at every depth, not only at multiples of D.
 func (c *Curve) Descend(depth int, keep Keep, emit Emit) {
-	if depth < 0 || depth > c.IndexBits() {
-		panic(fmt.Sprintf("hilbert: depth %d outside [0,%d]", depth, c.IndexBits()))
-	}
-	d := &descent{
-		c:     c,
-		depth: depth,
-		keep:  keep,
-		emit:  emit,
-		lo:    make([]uint32, c.dims),
-		hi:    make([]uint32, c.dims),
-	}
-	side := c.SideLen()
-	for j := range d.hi {
-		d.hi[j] = side
-	}
-	if depth == 0 {
-		emit(Block{
-			Lo: d.lo, Hi: d.hi,
-			Start: bitkey.Zero,
-			End:   endOfInterval(bitkey.Zero, 0, c.IndexBits()),
-			Depth: 0,
-		})
-		return
-	}
-	d.walk(bitkey.Zero, 0, initialState(), 0, 0)
+	fd := c.NewFrontierDescent()
+	fd.Descend(&fd.cur, depth, &keepEmit{cur: &fd.cur, keep: keep, emit: emit}, nil)
 }
 
-// descent carries the mutable walk state. lo/hi are updated in place and
-// restored on backtrack, so the walk allocates nothing per node. Exactly
-// one of (keep/emit) or stepV is set.
-type descent struct {
-	c      *Curve
-	depth  int
-	keep   Keep
-	emit   Emit
-	stepV  StepVisitor
-	lo, hi []uint32
-	done   bool
+// keepEmit runs a whole-rectangle Keep rule and an Emit sink on the
+// stepwise walk: the child an Enter asks about is the node the walk
+// stands on.
+type keepEmit struct {
+	cur  *Node
+	keep Keep
+	emit Emit
 }
 
-// walk explores the node whose consumed index prefix is prefix (m bits).
-// st is the Hilbert state of the current level; q and wp are the count and
-// value of the within-level bits of w consumed so far.
-func (d *descent) walk(prefix bitkey.Key, m int, st state, q int, wp uint64) {
-	if d.done {
-		return
-	}
-	if m == d.depth {
-		b := Block{
-			Lo: d.lo, Hi: d.hi,
-			Start: prefix.Shl(uint(d.c.IndexBits() - m)),
-			Depth: d.depth,
-		}
-		b.End = endOfInterval(prefix, m, d.c.IndexBits())
-		if d.stepV != nil {
-			if !d.stepV.Leaf(b) {
-				d.done = true
-			}
-		} else if !d.emit(b) {
-			d.done = true
-		}
-		return
-	}
-	n := uint(d.c.dims)
-	for b := uint64(0); b <= 1; b++ {
-		// Gray bit introduced by this w bit: g[D-1-q] = w[D-1-q] ^ w[D-q].
-		prev := uint64(0)
-		if q > 0 {
-			prev = wp & 1
-		}
-		gbit := b ^ prev
-		posG := n - 1 - uint(q)
-		posL := (posG + st.d + 1) % n // label bit position = dimension
-		lbit := gbit ^ ((st.e >> posL) & 1)
-
-		dim := int(posL)
-		mid := (d.lo[dim] + d.hi[dim]) / 2
-		savedLo, savedHi := d.lo[dim], d.hi[dim]
-		if lbit == 1 {
-			d.lo[dim] = mid
-		} else {
-			d.hi[dim] = mid
-		}
-
-		var entered bool
-		if d.stepV != nil {
-			entered = d.stepV.Enter(dim, d.lo[dim], d.hi[dim])
-		} else {
-			entered = d.keep == nil || d.keep(d.lo, d.hi)
-		}
-		if entered {
-			childPrefix := prefix.Shl(1).OrLowBits(b)
-			if q+1 == int(n) {
-				w := wp<<1 | b
-				d.walk(childPrefix, m+1, st.next(w, n), 0, 0)
-			} else {
-				d.walk(childPrefix, m+1, st, q+1, wp<<1|b)
-			}
-			if d.stepV != nil {
-				d.stepV.Leave(dim)
-			}
-		}
-
-		d.lo[dim], d.hi[dim] = savedLo, savedHi
-		if d.done {
-			return
-		}
-	}
+func (a *keepEmit) Enter(int, uint32, uint32) bool {
+	return a.keep == nil || a.keep(a.cur.Lo, a.cur.Hi)
 }
-
-// endOfInterval returns (prefix+1) << (total-m), the exclusive end of the
-// curve interval of an m-bit prefix. The topmost interval ends at
-// 2^total, which is representable exactly because New rejects
-// configurations with total >= bitkey.MaxBits.
-func endOfInterval(prefix bitkey.Key, m, total int) bitkey.Key {
-	return prefix.Inc().Shl(uint(total - m))
-}
+func (a *keepEmit) Leave(int)         {}
+func (a *keepEmit) Leaf(b Block) bool { return a.emit(b) }
 
 // Interval is a half-open range [Start, End) of curve indices.
 type Interval struct {

@@ -2,140 +2,116 @@ package hilbert
 
 import "s3cbcd/internal/bitkey"
 
-// FrontierDescent is reusable scratch for resumable pruned descents. A
-// normal Descend restarts at the root every time the pruning rule
-// changes; a frontier descent instead materializes every pruned node as
-// an explicit Node (via the pruned callback) so that a later pass with a
+// FrontierDescent is the pruned walk of the partition tree, and its
+// reusable scratch. Every traversal in this package runs it: DescendSteps
+// and Descend start it at the root; a resumable descent starts it at any
+// node an earlier pass pruned. A normal descent restarts at the root
+// every time the pruning rule changes; a frontier descent instead hands
+// every pruned node to the pruned callback so that a later pass with a
 // weaker rule can resume exactly where the earlier pass stopped, never
 // re-walking the part of the tree the earlier pass already settled.
 //
-// A FrontierDescent carries only per-dimension bound scratch; it may be
-// reused across any number of Descend calls but is not safe for
-// concurrent use.
+// A FrontierDescent may be reused across any number of Descend calls but
+// is not safe for concurrent use.
 type FrontierDescent struct {
-	c      *Curve
-	depth  int
-	stepV  StepVisitor
-	pruned func(Node)
-	lo, hi []uint32
-	done   bool
+	n, total uint // D and K*D
+	depth    int
+	v        StepVisitor
+	pruned   func(*Node)
+	// cur is the node the walk stands on: its bounds, and in cur.Start
+	// the index prefix consumed so far (left-aligned, so stepping to a
+	// child sets or clears one bit of one word). Bits and level are
+	// filled in only for a node handed to pruned.
+	cur Node
 }
 
-// NewFrontierDescent returns scratch for resumable descents over c.
+// NewFrontierDescent returns scratch for descents over c, standing on
+// the root.
 func (c *Curve) NewFrontierDescent() *FrontierDescent {
-	return &FrontierDescent{
-		c:  c,
-		lo: make([]uint32, c.dims),
-		hi: make([]uint32, c.dims),
-	}
+	return &FrontierDescent{n: uint(c.dims), total: uint(c.IndexBits()), cur: c.RootNode()}
 }
 
-// Descend walks the partition subtree under n down to depth, following
-// the same protocol as Curve.DescendSteps: v.Enter is consulted for every
-// candidate child (one halved dimension per step), v.Leave undoes an
-// Enter on backtrack, and v.Leaf receives each surviving depth-level
-// block in curve order. The one addition is pruned: when non-nil it
+// Descend walks the partition subtree under n down to depth: v.Enter is
+// consulted for every candidate child (one halved dimension per step),
+// v.Leave undoes an Enter on backtrack, and v.Leaf receives each
+// surviving depth-level block in curve order. When pruned is non-nil it
 // receives, immediately after each Enter that returned false, the
 // rejected child as a resumable Node. Passing that Node back to a later
 // Descend call continues the walk below it as if it had never been
 // pruned.
 //
-// The Lo/Hi of nodes handed to pruned (and the bounds of Blocks handed
-// to v.Leaf) alias the FrontierDescent's scratch and are only valid
-// during the callback; copy them to retain. Descend panics when depth is
-// outside [n.Bits, c.IndexBits()].
-//
-// Descend(c.RootNode(), p, v, nil) enumerates exactly the blocks of
-// DescendSteps(p, v).
-func (fd *FrontierDescent) Descend(n Node, depth int, v StepVisitor, pruned func(Node)) {
-	if depth < n.Bits || depth > fd.c.IndexBits() {
-		panic("hilbert: frontier descend depth outside [node bits, index bits]")
+// The node handed to pruned, its Lo/Hi, and the bounds of Blocks handed
+// to v.Leaf alias the FrontierDescent's scratch and are only valid
+// during the callback; copy them to retain (CopyNode). Descend panics
+// when depth is outside [n.Bits, c.IndexBits()].
+func (fd *FrontierDescent) Descend(n *Node, depth int, v StepVisitor, pruned func(*Node)) {
+	if depth < n.Bits || uint(depth) > fd.total {
+		panic("hilbert: descend depth outside [node bits, index bits]")
 	}
-	copy(fd.lo, n.Lo)
-	copy(fd.hi, n.Hi)
-	fd.depth, fd.stepV, fd.pruned, fd.done = depth, v, pruned, false
-	fd.walk(n.Prefix, n.Bits, n.st, n.q, n.wp)
-	fd.stepV, fd.pruned = nil, nil
+	copy(fd.cur.Lo, n.Lo)
+	copy(fd.cur.Hi, n.Hi)
+	fd.cur.Start = n.Start
+	fd.depth, fd.v, fd.pruned = depth, v, pruned
+	fd.walk(n.Bits, n.level)
+	fd.v, fd.pruned = nil, nil
 }
 
-// walk mirrors descent.walk with two differences: it starts from an
-// arbitrary node state instead of the root, and it reports pruned
-// children as resumable Nodes.
-func (fd *FrontierDescent) walk(prefix bitkey.Key, m int, st state, q int, wp uint64) {
-	if fd.done {
-		return
-	}
+// walk explores the node of m consumed index bits at level position l
+// and reports whether the descent should go on. It consumes one index
+// bit per tree edge. Within a level the bits are the binary rank w of
+// the Gray-coded, state-transformed cell label; because a reflected Gray
+// code preserves aligned prefixes, every partial prefix of q < D bits
+// pins q known label bits, i.e. halves the node's rectangle along q
+// known dimensions. This is why the partition is made of
+// hyper-rectangles at every depth, not only at multiples of D.
+//
+// A step costs a handful of single-word operations whatever D and K
+// are: two bounds and one bit of the prefix change on the way down and
+// are put back on the way up; interval keys are built only for a leaf.
+// An aborted walk leaves cur as it is — Descend reseeds it.
+func (fd *FrontierDescent) walk(m int, l level) bool {
+	cur := &fd.cur
 	if m == fd.depth {
-		b := Block{
-			Lo: fd.lo, Hi: fd.hi,
-			Start: prefix.Shl(uint(fd.c.IndexBits() - m)),
-			End:   endOfInterval(prefix, m, fd.c.IndexBits()),
-			Depth: fd.depth,
-		}
-		if !fd.stepV.Leaf(b) {
-			fd.done = true
-		}
-		return
+		return fd.v.Leaf(Block{Lo: cur.Lo, Hi: cur.Hi, Depth: m,
+			Start: cur.Start, End: cur.Start.AddPow2(fd.total - uint(m))})
 	}
-	n := uint(fd.c.dims)
+	l = l.open(fd.n)
+	dim, flip := l.halving(fd.n)
+	lo, hi := cur.Lo[dim], cur.Hi[dim]
+	mid := (lo + hi) >> 1
+	bit := fd.total - 1 - uint(m)
+	word, mask := &cur.Start[bitkey.Words-1-bit>>6], uint64(1)<<(bit&63)
 	for b := uint64(0); b <= 1; b++ {
-		prev := uint64(0)
-		if q > 0 {
-			prev = wp & 1
-		}
-		gbit := b ^ prev
-		posG := n - 1 - uint(q)
-		posL := (posG + st.d + 1) % n
-		lbit := gbit ^ ((st.e >> posL) & 1)
-
-		dim := int(posL)
-		mid := (fd.lo[dim] + fd.hi[dim]) / 2
-		savedLo, savedHi := fd.lo[dim], fd.hi[dim]
-		if lbit == 1 {
-			fd.lo[dim] = mid
+		if b^flip == 1 {
+			cur.Lo[dim], cur.Hi[dim] = mid, hi
 		} else {
-			fd.hi[dim] = mid
+			cur.Lo[dim], cur.Hi[dim] = lo, mid
 		}
-
-		childPrefix := prefix.Shl(1).OrLowBits(b)
-		var childSt state
-		var childQ int
-		var childWp uint64
-		if q+1 == int(n) {
-			childSt, childQ, childWp = st.next(wp<<1|b, n), 0, 0
-		} else {
-			childSt, childQ, childWp = st, q+1, wp<<1|b
+		if b == 1 {
+			*word |= mask
 		}
-
-		if fd.stepV.Enter(dim, fd.lo[dim], fd.hi[dim]) {
-			fd.walk(childPrefix, m+1, childSt, childQ, childWp)
-			fd.stepV.Leave(dim)
+		if fd.v.Enter(int(dim), cur.Lo[dim], cur.Hi[dim]) {
+			if !fd.walk(m+1, l.child(b)) {
+				return false
+			}
+			fd.v.Leave(int(dim))
 		} else if fd.pruned != nil {
-			fd.pruned(Node{
-				Lo: fd.lo, Hi: fd.hi,
-				Prefix: childPrefix,
-				Bits:   m + 1,
-				st:     childSt,
-				q:      childQ,
-				wp:     childWp,
-			})
-		}
-
-		fd.lo[dim], fd.hi[dim] = savedLo, savedHi
-		if fd.done {
-			return
+			cur.Bits, cur.level = m+1, l.child(b)
+			fd.pruned(cur)
 		}
 	}
+	*word &^= mask
+	cur.Lo[dim], cur.Hi[dim] = lo, hi
+	return true
 }
 
 // CopyNode returns n with Lo/Hi copied into the given backing storage,
 // which must hold at least 2*Dims entries. It is the retention helper
 // for nodes received through a pruned callback: the returned node's
 // bounds alias dst, not the descent scratch.
-func CopyNode(n Node, dst []uint32) Node {
+func CopyNode(n *Node, dst []uint32) Node {
 	d := len(n.Lo)
 	copy(dst[:d], n.Lo)
 	copy(dst[d:2*d], n.Hi)
-	n.Lo, n.Hi = dst[:d:d], dst[d:2*d:2*d]
-	return n
+	return Node{Lo: dst[:d:d], Hi: dst[d : 2*d : 2*d], Pos: n.Pos}
 }

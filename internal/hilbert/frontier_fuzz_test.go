@@ -38,24 +38,26 @@ func FuzzFrontierResume(f *testing.F) {
 		tFinal := ts[len(ts)-1]
 
 		fd := c.NewFrontierDescent()
+		root := c.RootNode()
 		var frontier []Node
-		capture := func(n Node) {
+		capture := func(n *Node) {
 			frontier = append(frontier, CopyNode(n, make([]uint32, 2*dims)))
 		}
 
 		// Interrupted schedule: descend at ts[0], then resume the live
 		// frontier at each weaker threshold in turn.
 		first := newScoreVisitor(dims, seed, ts[0])
-		fd.Descend(c.RootNode(), depth, first, capture)
+		fd.Descend(&root, depth, first, capture)
 		leaves := append([]Interval(nil), first.leaves...)
 		for _, tr := range ts[1:] {
 			pending := frontier
 			frontier = nil
-			for _, n := range pending {
+			for i := range pending {
+				n := &pending[i]
 				v := newScoreVisitor(dims, seed, tr)
 				v.reseed(n, side)
 				if v.prod <= tr {
-					frontier = append(frontier, n) // still pruned, keep for later
+					frontier = append(frontier, *n) // still pruned, keep for later
 					continue
 				}
 				fd.Descend(n, depth, v, capture)
@@ -66,7 +68,7 @@ func FuzzFrontierResume(f *testing.F) {
 
 		// Fresh descent at the final threshold.
 		fresh := newScoreVisitor(dims, seed, tFinal)
-		fd.Descend(c.RootNode(), depth, fresh, nil)
+		fd.Descend(&root, depth, fresh, nil)
 
 		if len(leaves) != len(fresh.leaves) {
 			t.Fatalf("dims=%d order=%d depth=%d seed=%d: resumed %d leaves, fresh %d",

@@ -1,8 +1,12 @@
 package hilbert
 
 import (
+	"math"
+	"math/rand"
 	"sort"
 	"testing"
+
+	"s3cbcd/internal/bitkey"
 )
 
 // hashFactor derives a deterministic pseudo-random score for a dyadic
@@ -45,7 +49,7 @@ func newScoreVisitor(dims int, seed uint64, t float64) *scoreVisitor {
 
 // reseed positions the visitor at a resumed node by recomputing the
 // per-dimension factors from the node's bounds.
-func (v *scoreVisitor) reseed(n Node, side uint32) {
+func (v *scoreVisitor) reseed(n *Node, side uint32) {
 	v.prod = 1
 	v.stack = v.stack[:0]
 	v.dims = v.dims[:0]
@@ -98,7 +102,8 @@ func TestFrontierRootMatchesDescendSteps(t *testing.T) {
 
 		got := newScoreVisitor(cfg.dims, 0, -1)
 		fd := c.NewFrontierDescent()
-		fd.Descend(c.RootNode(), cfg.depth, got, nil)
+		root := c.RootNode()
+		fd.Descend(&root, cfg.depth, got, nil)
 
 		if len(want.leaves) != len(got.leaves) {
 			t.Fatalf("%+v: %d leaves vs %d", cfg, len(got.leaves), len(want.leaves))
@@ -128,17 +133,19 @@ func TestFrontierResumeEquivalence(t *testing.T) {
 		c := MustNew(cfg.dims, cfg.order)
 		side := c.SideLen()
 		fd := c.NewFrontierDescent()
+		root := c.RootNode()
 
 		// First pass at the strong threshold, capturing pruned nodes.
 		var frontier []Node
 		first := newScoreVisitor(cfg.dims, cfg.seed, cfg.tHi)
-		fd.Descend(c.RootNode(), cfg.depth, first, func(n Node) {
+		fd.Descend(&root, cfg.depth, first, func(n *Node) {
 			frontier = append(frontier, CopyNode(n, make([]uint32, 2*cfg.dims)))
 		})
 		leaves := append([]Interval(nil), first.leaves...)
 
 		// Resume each pruned node at the weak threshold.
-		for _, n := range frontier {
+		for i := range frontier {
+			n := &frontier[i]
 			v := newScoreVisitor(cfg.dims, cfg.seed, cfg.tLo)
 			v.reseed(n, side)
 			if v.prod <= cfg.tLo {
@@ -151,7 +158,7 @@ func TestFrontierResumeEquivalence(t *testing.T) {
 
 		// Fresh descent at the weak threshold.
 		fresh := newScoreVisitor(cfg.dims, cfg.seed, cfg.tLo)
-		fd.Descend(c.RootNode(), cfg.depth, fresh, nil)
+		fd.Descend(&root, cfg.depth, fresh, nil)
 
 		if len(fresh.leaves) != len(leaves) {
 			t.Fatalf("%+v: resumed %d leaves, fresh %d", cfg, len(leaves), len(fresh.leaves))
@@ -172,10 +179,11 @@ func TestFrontierResumeEquivalence(t *testing.T) {
 func TestFrontierLeafDepthNode(t *testing.T) {
 	c := MustNew(3, 3)
 	fd := c.NewFrontierDescent()
+	root := c.RootNode()
 
 	var nodes []Node
 	v := newScoreVisitor(3, 9, 1.0/32) // deep enough that some leaves prune
-	fd.Descend(c.RootNode(), 5, v, func(n Node) {
+	fd.Descend(&root, 5, v, func(n *Node) {
 		if n.Bits == 5 {
 			nodes = append(nodes, CopyNode(n, make([]uint32, 6)))
 		}
@@ -185,7 +193,7 @@ func TestFrontierLeafDepthNode(t *testing.T) {
 	}
 	for _, n := range nodes {
 		leafV := newScoreVisitor(3, 9, -1)
-		fd.Descend(n, 5, leafV, nil)
+		fd.Descend(&n, 5, leafV, nil)
 		if len(leafV.leaves) != 1 {
 			t.Fatalf("depth-level resume emitted %d leaves", len(leafV.leaves))
 		}
@@ -208,7 +216,7 @@ func TestFrontierDepthPanics(t *testing.T) {
 					t.Errorf("depth %d accepted", depth)
 				}
 			}()
-			fd.Descend(root, depth, newScoreVisitor(2, 0, -1), nil)
+			fd.Descend(&root, depth, newScoreVisitor(2, 0, -1), nil)
 		}()
 	}
 	// Depth below the node's own bits must also panic.
@@ -219,6 +227,125 @@ func TestFrontierDepthPanics(t *testing.T) {
 				t.Error("depth below node bits accepted")
 			}
 		}()
-		fd.Descend(kids[0], 0, newScoreVisitor(2, 0, -1), nil)
+		fd.Descend(&kids[0], 0, newScoreVisitor(2, 0, -1), nil)
 	}()
+}
+
+// tile is one leaf or pruned node of a descent, with owned bounds.
+type tile struct {
+	Node
+	leaf bool
+}
+
+// coinVisitor enters each child with probability p — but always the
+// second child of a node whose first it rejected, so every walk reaches
+// leaves — collecting leaves and (as the pruned callback) rejected nodes
+// in visit order.
+type coinVisitor struct {
+	r     *rand.Rand
+	p     float64
+	dims  int
+	tiles []tile
+	// Per level below the descent's start: whether the next Enter asks
+	// about a node's second child, and whether its first was entered.
+	lvl           int
+	second, first [161]bool
+}
+
+func (v *coinVisitor) Enter(int, uint32, uint32) bool {
+	second := v.second[v.lvl]
+	v.second[v.lvl] = !second
+	enter := v.r.Float64() < v.p || second && !v.first[v.lvl]
+	if !second {
+		v.first[v.lvl] = enter
+	}
+	if enter {
+		v.lvl++
+	}
+	return enter
+}
+func (v *coinVisitor) Leave(int) { v.lvl-- }
+func (v *coinVisitor) Leaf(b Block) bool {
+	n := Node{Lo: b.Lo, Hi: b.Hi, Pos: Pos{Start: b.Start, Bits: b.Depth}}
+	v.tiles = append(v.tiles, tile{CopyNode(&n, make([]uint32, 2*v.dims)), true})
+	return true
+}
+func (v *coinVisitor) pruned(n *Node) {
+	v.tiles = append(v.tiles, tile{CopyNode(n, make([]uint32, 2*v.dims)), false})
+}
+
+// TestKernelTilesPaperCurve checks the walk against an oracle that does
+// not share it: Encode. On the paper's curve (D=20, K=8), under a seeded
+// random pruning rule, with some of the pruned nodes resumed and pruned
+// again, the leaves and pruned nodes in visit order must tile
+// [0, 2^160) exactly, and each one's rectangle must hold exactly the
+// cells of its curve interval — a point drawn inside the bounds encodes
+// into the interval, a point drawn outside does not.
+func TestKernelTilesPaperCurve(t *testing.T) {
+	c := MustNew(20, 8)
+	fd := c.NewFrontierDescent()
+	root := c.RootNode()
+	for _, depth := range []int{1, 7, 20, 21, 33, 45, 160} {
+		// A node has 1+p^2 children entered on average: this p keeps a
+		// walk a few hundred nodes at every depth.
+		v := &coinVisitor{r: rand.New(rand.NewSource(int64(depth))), p: math.Min(0.9, math.Sqrt(5.7/float64(depth))), dims: 20}
+		fd.Descend(&root, depth, v, v.pruned)
+		for round := 0; round < 2; round++ {
+			first := v.tiles
+			v.tiles = nil
+			for i := range first {
+				if tl := &first[i]; !tl.leaf && v.r.Intn(len(first)/8+1) == 0 { // about 8 a round
+					fd.Descend(&tl.Node, depth, v, v.pruned)
+				} else {
+					v.tiles = append(v.tiles, *tl)
+				}
+			}
+		}
+
+		var leaves int
+		at := bitkey.Zero
+		pt := make([]uint32, 20)
+		for i, tl := range v.tiles {
+			if tl.leaf {
+				leaves++
+			}
+			if tl.leaf && tl.Bits != depth {
+				t.Fatalf("depth %d tile %d: leaf at %d bits", depth, i, tl.Bits)
+			}
+			iv := c.NodeInterval(tl.Node)
+			if iv.Start != at {
+				t.Fatalf("depth %d tile %d: starts at %v, previous ended at %v", depth, i, iv.Start, at)
+			}
+			if want := at.Add(bitkey.FromUint64(1).Shl(uint(160 - tl.Bits))); iv.End != want {
+				t.Fatalf("depth %d tile %d: %d-bit node ends at %v, want %v", depth, i, tl.Bits, iv.End, want)
+			}
+			at = iv.End
+
+			out := -1 // a halved dimension, if any
+			for j := range pt {
+				pt[j] = tl.Lo[j] + uint32(v.r.Intn(int(tl.Hi[j]-tl.Lo[j])))
+				if tl.Hi[j]-tl.Lo[j] < c.SideLen() && (out < 0 || v.r.Intn(3) == 0) {
+					out = j
+				}
+			}
+			if k := c.Encode(pt); k.Less(iv.Start) || !k.Less(iv.End) {
+				t.Fatalf("depth %d tile %d: inside point %v encodes to %v outside [%v,%v)", depth, i, pt, k, iv.Start, iv.End)
+			}
+			if out >= 0 {
+				e := tl.Hi[out] - tl.Lo[out]
+				if pt[out] = uint32(v.r.Intn(int(c.SideLen() - e))); pt[out] >= tl.Lo[out] {
+					pt[out] += e
+				}
+				if k := c.Encode(pt); !k.Less(iv.Start) && k.Less(iv.End) {
+					t.Fatalf("depth %d tile %d: outside point %v encodes to %v inside [%v,%v)", depth, i, pt, k, iv.Start, iv.End)
+				}
+			}
+		}
+		if want := bitkey.FromUint64(1).Shl(160); at != want {
+			t.Fatalf("depth %d: tiles end at %v, want 2^160", depth, at)
+		}
+		if leaves == 0 || depth > 1 && leaves == len(v.tiles) {
+			t.Fatalf("depth %d: %d leaves among %d tiles, test is vacuous", depth, leaves, len(v.tiles))
+		}
+	}
 }

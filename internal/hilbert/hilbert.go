@@ -76,19 +76,20 @@ func grayInverse(g uint64, n uint) uint64 {
 	return i
 }
 
-// rotl rotates the low n bits of x left by r.
+// rotl rotates the low n bits of x left by r, 0 <= r <= n. Every caller
+// rotates by a direction plus one, so the reduction modulo n is one
+// compare — the state transitions sit on the descent's per-node path,
+// which performs no integer divide.
 func rotl(x uint64, r, n uint) uint64 {
-	r %= n
-	if r == 0 {
+	if r == 0 || r == n {
 		return x
 	}
 	mask := uint64(1)<<n - 1
 	return ((x << r) | (x >> (n - r))) & mask
 }
 
-// rotr rotates the low n bits of x right by r.
+// rotr rotates the low n bits of x right by r, 0 <= r <= n.
 func rotr(x uint64, r, n uint) uint64 {
-	r %= n
 	return rotl(x, n-r, n)
 }
 
@@ -98,20 +99,24 @@ func entry(w uint64) uint64 {
 	if w == 0 {
 		return 0
 	}
-	return gray(2 * ((w - 1) / 2))
+	return gray((w - 1) &^ 1)
 }
 
 // direction returns the intra sub-cube direction d(w) (Hamilton, Lemma
 // 2.8), reduced modulo n.
 func direction(w uint64, n uint) uint {
-	switch {
-	case w == 0:
+	if w == 0 {
 		return 0
-	case w&1 == 0:
-		return uint(bits.TrailingZeros64(^(w - 1))) % n
-	default:
-		return uint(bits.TrailingZeros64(^w)) % n
 	}
+	if w&1 == 0 {
+		w--
+	}
+	// w < 2^n has at most n trailing ones.
+	d := uint(bits.TrailingZeros64(^w))
+	if d == n {
+		return 0
+	}
+	return d
 }
 
 // state is the per-level transform of the curve: cells are relabelled by
@@ -125,10 +130,11 @@ func initialState() state { return state{e: 0, d: 0} }
 
 // next returns the state of sub-cell w's own level.
 func (s state) next(w uint64, n uint) state {
-	return state{
-		e: s.e ^ rotl(entry(w), s.d+1, n),
-		d: (s.d + direction(w, n) + 1) % n,
+	d := s.d + direction(w, n) + 1 // both terms below n
+	if d >= n {
+		d -= n
 	}
+	return state{e: s.e ^ rotl(entry(w), s.d+1, n), d: d}
 }
 
 // transform maps a cell label (bit j = high/low half of dimension j) to

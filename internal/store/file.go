@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
 
 	"s3cbcd/internal/bitkey"
 	"s3cbcd/internal/hilbert"
@@ -855,11 +854,5 @@ func (c *Chunk) Y(i int) uint16 { return c.ys[i] }
 
 // FindInterval returns the chunk-local index range whose keys fall in iv.
 func (c *Chunk) FindInterval(iv hilbert.Interval) (lo, hi int) {
-	lo = sort.Search(len(c.keys), func(i int) bool {
-		return c.keys[i].Cmp(iv.Start) >= 0
-	})
-	hi = sort.Search(len(c.keys), func(i int) bool {
-		return c.keys[i].Cmp(iv.End) >= 0
-	})
-	return lo, hi
+	return findInterval(c.keys, 0, iv)
 }

@@ -160,13 +160,41 @@ func (db *DB) Y(i int) uint16 { return db.ys[i] }
 // FindInterval returns the record index range [lo, hi) whose keys fall in
 // the half-open curve interval iv.
 func (db *DB) FindInterval(iv hilbert.Interval) (lo, hi int) {
-	lo = sort.Search(len(db.keys), func(i int) bool {
-		return db.keys[i].Cmp(iv.Start) >= 0
-	})
-	hi = sort.Search(len(db.keys), func(i int) bool {
-		return db.keys[i].Cmp(iv.End) >= 0
-	})
-	return lo, hi
+	return findInterval(db.keys, 0, iv)
+}
+
+// FindIntervalFrom is FindInterval for a caller that knows no key before
+// record from falls in iv — the previous interval's hi, when walking the
+// sorted, disjoint intervals of a plan.
+func (db *DB) FindIntervalFrom(from int, iv hilbert.Interval) (lo, hi int) {
+	return findInterval(db.keys, from, iv)
+}
+
+// findInterval returns the index range of the sorted keys that falls in
+// iv. Start is binary-searched in [from, len). End is galloped for from
+// lo: the range a plan interval selects is a handful of records, so its
+// end is a few probes into the cache lines the start search just
+// touched, not another full-length search.
+func findInterval(keys []bitkey.Key, from int, iv hilbert.Interval) (lo, hi int) {
+	lo = lowerBound(keys, from, len(keys), iv.Start)
+	first, bound := lo, lo // every key before first is below End
+	for step := 1; bound < len(keys) && keys[bound].Less(iv.End); step <<= 1 {
+		first, bound = bound+1, bound+step
+	}
+	return lo, lowerBound(keys, first, min(bound, len(keys)), iv.End)
+}
+
+// lowerBound returns the first index in [lo, hi] whose key is not below
+// k, or hi.
+func lowerBound(keys []bitkey.Key, lo, hi int, k bitkey.Key) int {
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); keys[mid].Less(k) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // SectionStarts returns, for a partition of the curve into 2^bits equal

@@ -81,6 +81,29 @@ func TestFindIntervalMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestFindIntervalFromWalksSortedIntervals checks the hinted search on
+// the input it exists for: over sorted, disjoint intervals, starting each
+// search at the previous interval's hi finds exactly FindInterval's range.
+func TestFindIntervalFromWalksSortedIntervals(t *testing.T) {
+	curve := hilbert.MustNew(6, 4)
+	r := rand.New(rand.NewSource(4))
+	db := MustBuild(curve, randRecords(r, curve, 300))
+	for trial := 0; trial < 50; trial++ {
+		from, at := 0, uint64(0)
+		for at < 1<<24 {
+			start := at + uint64(r.Int63n(1<<18))
+			end := start + uint64(r.Int63n(1<<19)) // empty intervals included
+			iv := hilbert.Interval{Start: bitkey.FromUint64(start), End: bitkey.FromUint64(end)}
+			wantLo, wantHi := db.FindInterval(iv)
+			lo, hi := db.FindIntervalFrom(from, iv)
+			if lo != wantLo || hi != wantHi {
+				t.Fatalf("from %d: [%d,%d), want [%d,%d)", from, lo, hi, wantLo, wantHi)
+			}
+			from, at = hi, end
+		}
+	}
+}
+
 func TestSectionStarts(t *testing.T) {
 	curve := hilbert.MustNew(4, 4)
 	r := rand.New(rand.NewSource(3))
