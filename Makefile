@@ -5,7 +5,7 @@ GO ?= go
 # its counters and histograms are written from every engine goroutine.
 RACE_PKGS = . ./internal/core ./internal/store ./internal/httpapi ./internal/cbcd ./internal/obs ./internal/router
 
-.PHONY: check vet build test race check-bench loc cover bench bench-plan bench-cold bench-plancache bench-router bench-obs faults chaos-router
+.PHONY: check vet build test race check-bench loc cover bench bench-plan bench-plancache bench-router bench-obs faults chaos-router
 
 # check is the full verification gate: static checks, build, all tests,
 # the race detector over the engine packages, then the bench/ module.
@@ -77,15 +77,6 @@ bench:
 # over the 500k fingerprint corpus.
 bench-plan:
 	$(GO) test -run '^$$' -bench 'PlanStat' -benchmem -count 10 -cpu 1 .
-
-# bench-cold regenerates BENCH_cold.json (cold-tier serving vs
-# all-resident: bytes read per query, cache hit rate and queries/sec at
-# cache budgets down to ~10% of the corpus record bytes; sketch-on/off
-# and codec-on/off rows included, asserting >=2x fewer disk bytes per
-# uncached cold query with sketches and the quantized codec on, at
-# answers byte-identical to the resident baseline).
-bench-cold:
-	$(GO) test -run TestColdBenchSweep -bench-cold -timeout 30m .
 
 # bench-plancache regenerates BENCH_plancache.json (plan cache vs
 # uncached planning on a repeated-query monitoring workload over the

@@ -9,6 +9,7 @@
 package bitkey
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 )
@@ -230,34 +231,40 @@ func (k Key) String() string {
 	return s
 }
 
-// PutBytes writes the low n bytes of k into dst in big-endian order.
-// It panics if len(dst) < n or n > 32.
+// PutBytes writes the low n bytes of k into dst in big-endian order, a
+// word at a time from the least significant end. It panics if
+// len(dst) < n or n > 32.
 func (k Key) PutBytes(dst []byte, n int) {
 	if n > MaxBits/8 {
 		panic("bitkey: PutBytes width exceeds key size")
 	}
 	_ = dst[n-1]
-	for i := 0; i < n; i++ {
-		byteIdx := n - 1 - i // 0 = least significant
-		word := Words - 1 - byteIdx/8
-		shift := uint(byteIdx%8) * 8
-		dst[i] = byte(k[word] >> shift)
+	w := Words - 1
+	for ; n >= 8; n, w = n-8, w-1 {
+		binary.BigEndian.PutUint64(dst[n-8:], k[w])
+	}
+	if n > 0 {
+		for v := k[w]; n > 0; n, v = n-1, v>>8 {
+			dst[n-1] = byte(v)
+		}
 	}
 }
 
-// FromBytes reads an n-byte big-endian integer from src.
-// It panics if len(src) < n or n > 32.
+// FromBytes reads an n-byte big-endian integer from src, a word at a
+// time from the least significant end. It panics if len(src) < n or
+// n > 32.
 func FromBytes(src []byte, n int) Key {
 	if n > MaxBits/8 {
 		panic("bitkey: FromBytes width exceeds key size")
 	}
 	_ = src[n-1]
 	var k Key
-	for i := 0; i < n; i++ {
-		byteIdx := n - 1 - i
-		word := Words - 1 - byteIdx/8
-		shift := uint(byteIdx%8) * 8
-		k[word] |= uint64(src[i]) << shift
+	w := Words - 1
+	for ; n >= 8; n, w = n-8, w-1 {
+		k[w] = binary.BigEndian.Uint64(src[n-8:])
+	}
+	for _, b := range src[:n] {
+		k[w] = k[w]<<8 | uint64(b)
 	}
 	return k
 }

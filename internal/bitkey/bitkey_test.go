@@ -73,6 +73,29 @@ func TestShiftAgainstBig(t *testing.T) {
 	}
 }
 
+// TestBytesAgainstBig cross-checks the word-wise PutBytes and FromBytes
+// against math/big at every width: PutBytes writes k mod 2^(8n)
+// big-endian, FromBytes reads any n bytes as that integer.
+func TestBytesAgainstBig(t *testing.T) {
+	r := rand.New(rand.NewSource(16))
+	for n := 1; n <= 32; n++ {
+		mod := new(big.Int).Lsh(big.NewInt(1), uint(8*n))
+		for trial := 0; trial < 64; trial++ {
+			k := randKey(r)
+			buf := make([]byte, n+1)
+			buf[n] = 0xA5 // PutBytes must not write past n
+			k.PutBytes(buf, n)
+			if want := new(big.Int).Mod(toBig(k), mod); new(big.Int).SetBytes(buf[:n]).Cmp(want) != 0 || buf[n] != 0xA5 {
+				t.Fatalf("PutBytes n=%d: %x, want %x", n, buf, want)
+			}
+			r.Read(buf)
+			if got, want := toBig(FromBytes(buf, n)), new(big.Int).SetBytes(buf[:n]); got.Cmp(want) != 0 {
+				t.Fatalf("FromBytes n=%d: %x, want %x", n, got, want)
+			}
+		}
+	}
+}
+
 func TestAddPow2AgainstBig(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	mod := new(big.Int).Lsh(big.NewInt(1), MaxBits)

@@ -2,13 +2,16 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
 
+	"s3cbcd/internal/bitkey"
 	"s3cbcd/internal/hilbert"
 	"s3cbcd/internal/store"
 )
@@ -240,5 +243,58 @@ func TestEngineDescentNodesCounter(t *testing.T) {
 	}
 	if want == 0 {
 		t.Fatal("descent node counter never advanced")
+	}
+}
+
+// TestRangePlanGolden pins ε-range plans on the paper's curve (D=20,
+// K=8) to the values recorded before leaves were merged as they are
+// emitted (PR 16), when MergeIntervals ran over the collected p-blocks:
+// descent nodes, blocks, interval count and an FNV-1a digest of the
+// interval list (Start and End words, big-endian, in order).
+func TestRangePlanGolden(t *testing.T) {
+	golden := []struct {
+		depth                    int
+		eps                      float64
+		nodes, blocks, intervals int
+		digest                   uint64
+	}{
+		{20, 90.0675, 858, 229, 66, 0x817aae82c32fcb38},
+		{13, 90.0675, 688, 201, 51, 0xf6f457c37a680195},
+		{26, 90.0675, 76422, 19353, 5890, 0x504d10dc48a21e0f},
+		{33, 90.0675, 338376, 90244, 27034, 0xd50786cc95f82f6b},
+		{20, 40, 256, 20, 20, 0xdea1a5995c9a4985},
+		{13, 140, 3206, 544, 328, 0xe57097ab61b7b785},
+		{26, 60, 8802, 1618, 702, 0xad97dc21563888c1},
+		{33, 120, 4303698, 1514999, 221170, 0x5150ecc7fada77d9},
+	}
+	db := store.MustBuild(hilbert.MustNew(20, 8), []store.Record{{FP: make([]byte, 20)}})
+	r := rand.New(rand.NewSource(16))
+	for i, g := range golden {
+		ix, err := NewIndex(db, g.depth)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := make([]byte, 20)
+		for j := range q {
+			q[j] = byte(r.Intn(256))
+		}
+		p, err := ix.PlanRange(q, g.eps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		var w [8]byte
+		for _, iv := range p.Intervals {
+			for _, k := range [2]bitkey.Key{iv.Start, iv.End} {
+				for _, x := range k {
+					binary.BigEndian.PutUint64(w[:], x)
+					h.Write(w[:])
+				}
+			}
+		}
+		if p.DescentNodes != g.nodes || p.Blocks != g.blocks || len(p.Intervals) != g.intervals || h.Sum64() != g.digest {
+			t.Errorf("query %d depth %d eps %v: nodes/blocks/intervals/digest = %d/%d/%d/%#x, golden %d/%d/%d/%#x", i, g.depth, g.eps,
+				p.DescentNodes, p.Blocks, len(p.Intervals), h.Sum64(), g.nodes, g.blocks, g.intervals, g.digest)
+		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"s3cbcd/internal/hilbert"
 	"s3cbcd/internal/store"
 )
 
@@ -26,7 +25,7 @@ func (ix *Index) PlanRange(q []byte, eps float64) (Plan, error) {
 func (pl *planner) planRangeFloat(qf []float64, eps float64) Plan {
 	v := newRangeVisitor(qf, eps)
 	pl.curve.DescendSteps(pl.depth, v)
-	return Plan{Intervals: hilbert.MergeIntervals(v.ivs), Blocks: v.blocks,
+	return Plan{Intervals: v.ivs, Blocks: v.blocks,
 		FilterIters: 1, DescentNodes: v.nodes, Depth: pl.depth}
 }
 

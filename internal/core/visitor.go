@@ -247,9 +247,16 @@ func (v *rangeVisitor) Leave(int) {
 	v.contrib[fr.dim] = fr.contrib
 }
 
-// Leaf implements hilbert.StepVisitor.
+// Leaf implements hilbert.StepVisitor. Leaves arrive in curve order, so
+// a block that abuts the previous one extends its interval: ivs is the
+// merged plan as emitted, with no post-pass over tens of thousands of
+// p-blocks.
 func (v *rangeVisitor) Leaf(b hilbert.Block) bool {
 	v.blocks++
-	v.ivs = append(v.ivs, hilbert.Interval{Start: b.Start, End: b.End})
+	if n := len(v.ivs); n > 0 && v.ivs[n-1].End == b.Start {
+		v.ivs[n-1].End = b.End
+	} else {
+		v.ivs = append(v.ivs, hilbert.Interval{Start: b.Start, End: b.End})
+	}
 	return true
 }

@@ -7,17 +7,19 @@ import (
 	"s3cbcd/internal/obs"
 )
 
-// BlockCache is a fixed-budget LRU cache of decoded record blocks,
-// shared by every cold segment of a process: one budget bounds the
-// resident record bytes no matter how many segments the live index
-// accumulates. Blocks are curve-section-aligned runs of records (see
-// ColdFile); the cache key is (file, block index) under a process-unique
-// file id, so entries of a closed segment can be dropped precisely.
+// BlockCache is a fixed-budget LRU cache of record blocks, shared by
+// every cold segment of a process: one budget bounds the resident record
+// bytes no matter how many segments the live index accumulates. Blocks
+// are curve-section-aligned runs of rows (see ColdFile), held as the
+// bytes their read returned; the cache key is (file, block index, area)
+// under a process-unique file id, so entries of a closed segment can be
+// dropped precisely.
 //
-// Cost accounting uses the block's on-disk record bytes, which is what
-// ties the budget to the corpus size an operator can measure (10% of
-// total record bytes, say). A block larger than the whole budget still
-// caches — and is evicted as soon as the next block lands — so a
+// A block is charged the bytes it holds, which are its on-disk bytes:
+// the budget bounds what the cache keeps resident (a 64-byte header per
+// block aside) and ties it to the corpus size an operator can measure
+// (10% of total record bytes, say). A block larger than the whole budget
+// still caches — and is evicted as soon as the next block lands — so a
 // pathological section cannot wedge the cache, only thrash it.
 //
 // Concurrency: one mutex guards the map and LRU list; the disk read of a
@@ -29,7 +31,8 @@ type BlockCache struct {
 	budget int64
 
 	mu      sync.Mutex
-	used    int64
+	used    int64 // bytes held by the blocks in the LRU list
+	blocks  int   // their number
 	entries map[blockKey]*cacheEntry
 	// Intrusive LRU list of ready entries: head is most recent, tail is
 	// the eviction candidate. Loading entries are in the map (for
@@ -44,25 +47,18 @@ type BlockCache struct {
 	loadedBytes *obs.Counter
 }
 
+// blockKey names one cached block. The area namespaces a file's parallel
+// record areas: a codec-bearing cold file caches exact, lean and packed
+// code rows for the same block index side by side.
 type blockKey struct {
 	file  uint64
 	block int
-	kind  uint8
+	area  area
 }
 
-// Block kinds namespacing one file's cached areas: a codec-bearing cold
-// file caches exact chunks, lean chunks and packed code rows for the
-// same block index side by side.
-const (
-	blockExact uint8 = iota
-	blockLean
-	blockQFP
-)
-
 type cacheEntry struct {
-	key  blockKey
-	val  any // non-nil once loaded (*Chunk or []byte code rows)
-	cost int64
+	key blockKey
+	val *Chunk // non-nil once loaded; its cost is len(val.buf)
 
 	prev, next *cacheEntry
 
@@ -118,10 +114,7 @@ type CacheStats struct {
 // Stats reports the cache's counters and occupancy.
 func (c *BlockCache) Stats() CacheStats {
 	c.mu.Lock()
-	bytes, blocks := c.used, 0
-	for e := c.head; e != nil; e = e.next {
-		blocks++
-	}
+	bytes, blocks := c.used, c.blocks
 	c.mu.Unlock()
 	return CacheStats{
 		Hits:        c.hits.Value(),
@@ -140,11 +133,10 @@ func (c *BlockCache) Budget() int64 { return c.budget }
 // nextFileID allocates a process-unique id namespacing one file's blocks.
 func (c *BlockCache) nextFileID() uint64 { return c.fileSeq.Add(1) }
 
-// getOrLoad returns the cached value for key, or runs load (outside the
-// cache lock, singleflighted per key) and caches its result. load
-// returns the value and its budget cost in on-disk bytes; the value must
-// be non-nil and immutable.
-func (c *BlockCache) getOrLoad(key blockKey, load func() (any, int64, error)) (any, error) {
+// getOrLoad returns the cached block for key, or runs load (outside the
+// cache lock, singleflighted per key) and caches its result, charging
+// the bytes the block holds. Blocks are immutable.
+func (c *BlockCache) getOrLoad(key blockKey, load func() (*Chunk, error)) (*Chunk, error) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
 		if e.val != nil {
@@ -168,7 +160,7 @@ func (c *BlockCache) getOrLoad(key blockKey, load func() (any, int64, error)) (a
 	c.mu.Unlock()
 	c.misses.Inc()
 
-	val, cost, err := load()
+	val, err := load()
 	c.mu.Lock()
 	if err != nil {
 		e.err = err
@@ -181,12 +173,11 @@ func (c *BlockCache) getOrLoad(key blockKey, load func() (any, int64, error)) (a
 		close(e.ready)
 		return nil, err
 	}
-	e.val, e.cost = val, cost
-	c.loadedBytes.Add(cost)
+	e.val = val
+	c.loadedBytes.Add(e.cost())
 	if c.entries[key] == e {
 		// Still wanted (Drop may have disowned the entry mid-load).
 		c.pushFront(e)
-		c.used += cost
 		c.evictOverBudget()
 	}
 	c.mu.Unlock()
@@ -206,7 +197,6 @@ func (c *BlockCache) Drop(file uint64) {
 		delete(c.entries, key)
 		if e.val != nil {
 			c.unlink(e)
-			c.used -= e.cost
 		}
 	}
 	c.mu.Unlock()
@@ -219,13 +209,18 @@ func (c *BlockCache) evictOverBudget() {
 		e := c.tail
 		c.unlink(e)
 		delete(c.entries, e.key)
-		c.used -= e.cost
 		c.evictions.Inc()
 	}
 }
 
-// pushFront inserts a ready entry at the LRU head. Caller holds mu.
+// cost is the budget charge of a loaded entry: the bytes it holds.
+func (e *cacheEntry) cost() int64 { return int64(len(e.val.buf)) }
+
+// pushFront inserts a ready entry at the LRU head, charging it. Caller
+// holds mu.
 func (c *BlockCache) pushFront(e *cacheEntry) {
+	c.used += e.cost()
+	c.blocks++
 	e.prev, e.next = nil, c.head
 	if c.head != nil {
 		c.head.prev = e
@@ -236,8 +231,11 @@ func (c *BlockCache) pushFront(e *cacheEntry) {
 	}
 }
 
-// unlink removes an entry from the LRU list. Caller holds mu.
+// unlink removes an entry from the LRU list, refunding it. Caller holds
+// mu.
 func (c *BlockCache) unlink(e *cacheEntry) {
+	c.used -= e.cost()
+	c.blocks--
 	if e.prev != nil {
 		e.prev.next = e.next
 	} else {

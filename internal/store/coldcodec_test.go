@@ -70,18 +70,17 @@ func TestFileV4RoundTrip(t *testing.T) {
 	}
 	// Code area: stored codes must equal re-encoding the exact records.
 	qz := fl.Quantizer()
-	stored, err := fl.loadCodes(0, db.Len())
+	stored, err := fl.load(areaCodes, 0, db.Len())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cb := qz.CodeBytes(db.Dims())
-	want := make([]byte, cb)
+	want := make([]byte, qz.CodeBytes(db.Dims()))
 	for i := 0; i < db.Len(); i++ {
 		for j := range want {
 			want[j] = 0
 		}
 		qz.encode(db.FP(i), want)
-		if string(stored[i*cb:(i+1)*cb]) != string(want) {
+		if string(stored.row(i)) != string(want) {
 			t.Fatalf("code row %d differs from re-encoded fingerprint", i)
 		}
 	}

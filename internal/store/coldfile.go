@@ -227,59 +227,16 @@ func (cf *ColdFile) Close() error {
 	return nil
 }
 
-// block returns the exact chunk of block s (records [lo, hi)), through
-// the cache when one is attached.
-func (cf *ColdFile) block(s, lo, hi int) (*Chunk, error) {
+// block returns block s — rows [lo, hi) of one record area — as read
+// from disk, through the cache when one is attached. A cached block
+// costs exactly the bytes it holds.
+func (cf *ColdFile) block(a area, s, lo, hi int) (*Chunk, error) {
 	if cf.cache == nil {
-		return cf.fl.LoadRecords(lo, hi)
+		return cf.fl.load(a, lo, hi)
 	}
-	v, err := cf.cache.getOrLoad(blockKey{file: cf.id, block: s, kind: blockExact}, func() (any, int64, error) {
-		ch, err := cf.fl.LoadRecords(lo, hi)
-		if err != nil {
-			return nil, 0, err
-		}
-		return ch, int64(hi-lo) * int64(cf.fl.recSize), nil
+	return cf.cache.getOrLoad(blockKey{file: cf.id, block: s, area: a}, func() (*Chunk, error) {
+		return cf.fl.load(a, lo, hi)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*Chunk), nil
-}
-
-// leanBlock returns the fingerprint-free chunk of block s.
-func (cf *ColdFile) leanBlock(s, lo, hi int) (*Chunk, error) {
-	if cf.cache == nil {
-		return cf.fl.LoadLean(lo, hi)
-	}
-	v, err := cf.cache.getOrLoad(blockKey{file: cf.id, block: s, kind: blockLean}, func() (any, int64, error) {
-		ch, err := cf.fl.LoadLean(lo, hi)
-		if err != nil {
-			return nil, 0, err
-		}
-		return ch, int64(hi-lo) * int64(cf.fl.leanSize), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*Chunk), nil
-}
-
-// codeBlock returns the packed quantizer codes of block s.
-func (cf *ColdFile) codeBlock(s, lo, hi int) ([]byte, error) {
-	if cf.cache == nil {
-		return cf.fl.loadCodes(lo, hi)
-	}
-	v, err := cf.cache.getOrLoad(blockKey{file: cf.id, block: s, kind: blockQFP}, func() (any, int64, error) {
-		codes, err := cf.fl.loadCodes(lo, hi)
-		if err != nil {
-			return nil, 0, err
-		}
-		return codes, int64(hi-lo) * int64(cf.fl.codeSize), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.([]byte), nil
 }
 
 // sketchSkips reports whether the sketch proves block s — keys in
@@ -370,24 +327,44 @@ func (cf *ColdFile) visitBlocks(ivs []hilbert.Interval,
 	return nil
 }
 
+// selected calls fn with the chunk-local index of every row of block ch
+// that ivs[c:] select, ascending, stopping at the first interval that
+// starts at or past the block's end; it reports false once fn does.
+// Intervals are sorted and disjoint, so each search resumes where the
+// previous one ended.
+func selected(ch *Chunk, ivs []hilbert.Interval, c int, secEnd bitkey.Key, fn func(i int) bool) bool {
+	from := 0
+	for ; c < len(ivs) && ivs[c].Start.Less(secEnd); c++ {
+		lo, hi := ch.FindIntervalFrom(from, ivs[c])
+		for i := lo; i < hi; i++ {
+			if !fn(i) {
+				return false
+			}
+		}
+		from = hi
+	}
+	return true
+}
+
 // VisitIntervals implements RecordSource over the exact record area,
-// refining each touched block with per-block binary searches.
+// refining each touched block with in-place key searches.
 func (cf *ColdFile) VisitIntervals(ivs []hilbert.Interval, visit func(RecordView) bool) error {
+	return cf.visitArea(areaExact, ivs, visit)
+}
+
+// visitArea visits the intervals' records from one keyed area: exact
+// rows, or lean rows (whose views carry no fingerprint) counted against
+// the exact bytes they spared.
+func (cf *ColdFile) visitArea(a area, ivs []hilbert.Interval, visit func(RecordView) bool) error {
 	return cf.visitBlocks(ivs, func(s, lo, hi, c int, secEnd bitkey.Key) (bool, error) {
-		ch, err := cf.block(s, lo, hi)
+		ch, err := cf.block(a, s, lo, hi)
 		if err != nil {
 			return false, err
 		}
-		for cc := c; cc < len(ivs) && ivs[cc].Start.Less(secEnd); cc++ {
-			clo, chi := ch.FindInterval(ivs[cc])
-			for i := clo; i < chi; i++ {
-				if !visit(RecordView{Pos: ch.Base + i, Key: ch.keys[i], FP: ch.FP(i),
-					ID: ch.ids[i], TC: ch.tcs[i], X: ch.xs[i], Y: ch.ys[i]}) {
-					return false, nil
-				}
-			}
+		if a == areaLean {
+			cf.ctr.addLeanSaved(int64(hi-lo) * int64(cf.fl.recSize-cf.fl.leanSize))
 		}
-		return true, nil
+		return selected(ch, ivs, c, secEnd, func(i int) bool { return visit(ch.view(i)) }), nil
 	})
 }
 
@@ -403,23 +380,7 @@ func (cf *ColdFile) VisitIntervalsLean(ivs []hilbert.Interval, visit func(Record
 			return visit(rv)
 		})
 	}
-	return cf.visitBlocks(ivs, func(s, lo, hi, c int, secEnd bitkey.Key) (bool, error) {
-		ch, err := cf.leanBlock(s, lo, hi)
-		if err != nil {
-			return false, err
-		}
-		cf.ctr.addLeanSaved(int64(hi-lo) * int64(cf.fl.recSize-cf.fl.leanSize))
-		for cc := c; cc < len(ivs) && ivs[cc].Start.Less(secEnd); cc++ {
-			clo, chi := ch.FindInterval(ivs[cc])
-			for i := clo; i < chi; i++ {
-				if !visit(RecordView{Pos: ch.Base + i, Key: ch.keys[i],
-					ID: ch.ids[i], TC: ch.tcs[i], X: ch.xs[i], Y: ch.ys[i]}) {
-					return false, nil
-				}
-			}
-		}
-		return true, nil
-	})
+	return cf.visitArea(areaLean, ivs, visit)
 }
 
 // VisitIntervalsFiltered implements FilteredSource: visit every record
@@ -439,41 +400,38 @@ func (cf *ColdFile) VisitIntervalsFiltered(ivs []hilbert.Interval, qf []float64,
 	lb := cf.fl.quant.NewLowerBounder(qf)
 	var survivors []int // reused across blocks, record indices relative to lo
 	return cf.visitBlocks(ivs, func(s, lo, hi, c int, secEnd bitkey.Key) (bool, error) {
-		codes, err := cf.codeBlock(s, lo, hi)
+		codes, err := cf.block(areaCodes, s, lo, hi)
 		if err != nil {
 			return false, err
 		}
 		// Keys drive interval refinement within the block; the lean rows
 		// carry them at the smallest byte cost.
-		ch, err := cf.leanBlock(s, lo, hi)
+		ch, err := cf.block(areaLean, s, lo, hi)
 		if err != nil {
 			return false, err
 		}
 		survivors = survivors[:0]
 		rejects := int64(0)
-		for cc := c; cc < len(ivs) && ivs[cc].Start.Less(secEnd); cc++ {
-			clo, chi := ch.FindInterval(ivs[cc])
-			for i := clo; i < chi; i++ {
-				if lb.Exceeds(codes[i*cf.fl.codeSize:(i+1)*cf.fl.codeSize], boundSq) {
-					rejects++
-					continue
-				}
+		selected(ch, ivs, c, secEnd, func(i int) bool {
+			if lb.Exceeds(codes.row(i), boundSq) {
+				rejects++
+			} else {
 				survivors = append(survivors, i)
 			}
-		}
+			return true
+		})
 		n := hi - lo
 		blockBytes := int64(n) * int64(cf.fl.recSize)
 		readBytes := int64(n) * int64(cf.fl.codeSize+cf.fl.leanSize)
 		if len(survivors)*2 >= n {
 			// Dense survivors: one exact block read beats per-record preads.
-			ex, err := cf.block(s, lo, hi)
+			ex, err := cf.block(areaExact, s, lo, hi)
 			if err != nil {
 				return false, err
 			}
 			cf.ctr.addRejects(rejects, 0, -readBytes)
 			for _, i := range survivors {
-				if !visit(RecordView{Pos: ex.Base + i, Key: ex.keys[i], FP: ex.FP(i),
-					ID: ex.ids[i], TC: ex.tcs[i], X: ex.xs[i], Y: ex.ys[i]}) {
+				if !visit(ex.view(i)) {
 					return false, nil
 				}
 			}
@@ -514,7 +472,7 @@ func (cf *ColdFile) CountID(id uint32) (int, error) {
 			return 0, err
 		}
 		for i := 0; i < ch.Len(); i++ {
-			if ch.ids[i] == id {
+			if ch.ID(i) == id {
 				n++
 			}
 		}

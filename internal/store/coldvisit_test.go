@@ -1,0 +1,123 @@
+package store
+
+import (
+	"math/rand"
+	"path/filepath"
+	"testing"
+
+	"s3cbcd/internal/bitkey"
+	"s3cbcd/internal/hilbert"
+)
+
+// coldVisitFixture writes n random records on the paper's curve (D=20,
+// K=8) as a codec-bearing file and returns its path, the source DB and
+// plans synthetic query plans: each a sorted, disjoint set of short curve
+// intervals around stored keys, a few records apiece, like the p-block
+// runs of a statistical plan.
+func coldVisitFixture(tb testing.TB, n, plans int) (string, *DB, [][]hilbert.Interval) {
+	tb.Helper()
+	curve := hilbert.MustNew(20, 8)
+	r := rand.New(rand.NewSource(16))
+	db := MustBuild(curve, randRecords(r, curve, n))
+	path := filepath.Join(tb.TempDir(), "visit.s3db")
+	if err := db.WriteFileOpts(path, WriteOptions{SectionBits: 8, Sketch: true, Codec: true}); err != nil {
+		tb.Fatal(err)
+	}
+	span := bitkey.FromUint64(1).Shl(uint(curve.IndexBits() - 14))
+	out := make([][]hilbert.Interval, plans)
+	for p := range out {
+		var ivs []hilbert.Interval
+		for i := r.Intn(n / 48); i < n; i += 1 + r.Intn(n/24) {
+			ivs = append(ivs, hilbert.Interval{Start: db.Key(i), End: db.Key(i).Add(span)})
+		}
+		out[p] = hilbert.MergeIntervals(ivs)
+	}
+	return path, db, out
+}
+
+// TestColdVisitAllocs asserts the cost of a cold block instead of
+// inferring it: a lean statistical visit whose blocks are all cached
+// allocates nothing per block — no decode, no key copies — and a miss
+// allocates the row buffer and one chunk header, nothing per record.
+func TestColdVisitAllocs(t *testing.T) {
+	path, _, plans := coldVisitFixture(t, 20000, 1)
+	ivs := plans[0]
+	visited := 0
+	visit := func(rv RecordView) bool { visited++; return true }
+
+	cfs := NewCountingFS(OSFS)
+	open := func(cache *BlockCache) *ColdFile {
+		cf, err := OpenColdOptsFS(cfs, path, ColdOptions{Cache: cache, BlockRecords: 256, Codec: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cf.Close() })
+		return cf
+	}
+	run := func(cf *ColdFile) func() {
+		return func() {
+			if err := cf.VisitIntervalsLean(ivs, visit); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	warm := open(NewBlockCache(1 << 30))
+	run(warm)() // fill the cache
+	reads := cfs.ReadBytes()
+	blocks := int(warm.cache.Stats().Blocks)
+	if blocks < 16 || visited == 0 {
+		t.Fatalf("fixture touches %d blocks and %d records: too few to tell per-block from per-visit cost", blocks, visited)
+	}
+	if allocs := testing.AllocsPerRun(20, run(warm)); allocs > 2 {
+		t.Errorf("warm lean visit over %d cached blocks allocates %.0f times, want a per-visit constant of at most 2", blocks, allocs)
+	}
+	if cfs.ReadBytes() != reads {
+		t.Errorf("warm visits read %d bytes from disk", cfs.ReadBytes()-reads)
+	}
+
+	cold := open(nil)
+	if allocs := testing.AllocsPerRun(5, run(cold)); allocs > float64(2*blocks+2) {
+		t.Errorf("uncached lean visit over %d blocks allocates %.0f times, want at most a row buffer and a header per block", blocks, allocs)
+	}
+}
+
+func benchmarkColdVisit(b *testing.B, visit func(cf *ColdFile, db *DB, ivs []hilbert.Interval) error) {
+	path, db, plans := coldVisitFixture(b, 20000, 64)
+	cf, err := OpenColdOptsFS(OSFS, path, ColdOptions{Codec: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cf.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := visit(cf, db, plans[i%len(plans)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+var coldVisitSink int
+
+// BenchmarkColdVisitLean is one statistical refinement of an uncached
+// codec-bearing cold file: every touched block is read, searched in
+// place and its selected rows decoded.
+func BenchmarkColdVisitLean(b *testing.B) {
+	benchmarkColdVisit(b, func(cf *ColdFile, _ *DB, ivs []hilbert.Interval) error {
+		return cf.VisitIntervalsLean(ivs, func(rv RecordView) bool { coldVisitSink += int(rv.ID); return true })
+	})
+}
+
+// BenchmarkColdVisitFiltered is one ε-range refinement of the same file
+// through the quantized filter: code and lean blocks read, survivors
+// verified by exact reads.
+func BenchmarkColdVisitFiltered(b *testing.B) {
+	qf := make([]float64, 20)
+	benchmarkColdVisit(b, func(cf *ColdFile, db *DB, ivs []hilbert.Interval) error {
+		for j, c := range db.FP(len(ivs) % db.Len()) {
+			qf[j] = float64(c)
+		}
+		return cf.VisitIntervalsFiltered(ivs, qf, 90*90, func(rv RecordView) bool { coldVisitSink += int(rv.ID); return true })
+	})
+}

@@ -669,137 +669,79 @@ func (fl *File) SectionRecordRange(bits, idx int) (lo, hi int) {
 	return int(fl.starts[idx*per]), int(fl.starts[(idx+1)*per])
 }
 
-// LoadRecords reads records [lo, hi) into a Chunk.
-func (fl *File) LoadRecords(lo, hi int) (*Chunk, error) {
+// A file holds up to three parallel record areas sharing one order;
+// area names the one a block is read from (and namespaces the block
+// cache).
+type area uint8
+
+const (
+	areaExact area = iota // key, fingerprint, id, tc [, x, y]
+	areaLean              // key, id, tc, x, y (codec files)
+	areaCodes             // packed quantizer codes (codec files)
+)
+
+// load reads rows [lo, hi) of one area with a single ReadAt and returns
+// them as they are stored: nothing is decoded until an accessor asks.
+func (fl *File) load(a area, lo, hi int) (*Chunk, error) {
+	ch := &Chunk{Base: lo, kb: keyBytes(fl.curve), xy: true}
+	off, what := fl.dataOff, "records"
+	switch a {
+	case areaExact:
+		ch.stride, ch.dims, ch.xy = fl.recSize, fl.curve.Dims(), fl.version >= fileVersionV2
+	case areaLean:
+		off, what, ch.stride = fl.leanOff, "lean records", fl.leanSize
+	case areaCodes:
+		off, what, ch.stride, ch.kb = fl.codeOff, "codes", fl.codeSize, 0
+	}
+	if a != areaExact && fl.quant == nil {
+		return nil, fmt.Errorf("store: file carries no %s area", what)
+	}
 	if lo < 0 || hi < lo || hi > fl.count {
 		return nil, fmt.Errorf("store: record range [%d,%d) outside [0,%d)", lo, hi, fl.count)
 	}
-	n := hi - lo
-	buf := make([]byte, n*fl.recSize)
-	if n > 0 {
-		if _, err := fl.f.ReadAt(buf, fl.dataOff+int64(lo)*int64(fl.recSize)); err != nil {
-			return nil, fmt.Errorf("store: reading records [%d,%d): %w", lo, hi, err)
-		}
-	}
-	dims := fl.curve.Dims()
-	kb := keyBytes(fl.curve)
-	ch := &Chunk{
-		Base:  lo,
-		curve: fl.curve,
-		keys:  make([]bitkey.Key, n),
-		fps:   make([]byte, n*dims),
-		ids:   make([]uint32, n),
-		tcs:   make([]uint32, n),
-		xs:    make([]uint16, n),
-		ys:    make([]uint16, n),
-	}
-	for i := 0; i < n; i++ {
-		rec := buf[i*fl.recSize : (i+1)*fl.recSize]
-		ch.keys[i] = bitkey.FromBytes(rec[:kb], kb)
-		copy(ch.fps[i*dims:], rec[kb:kb+dims])
-		ch.ids[i] = binary.LittleEndian.Uint32(rec[kb+dims:])
-		ch.tcs[i] = binary.LittleEndian.Uint32(rec[kb+dims+4:])
-		if fl.version >= 2 {
-			ch.xs[i] = binary.LittleEndian.Uint16(rec[kb+dims+8:])
-			ch.ys[i] = binary.LittleEndian.Uint16(rec[kb+dims+10:])
+	ch.buf = make([]byte, (hi-lo)*ch.stride)
+	if hi > lo {
+		if _, err := fl.f.ReadAt(ch.buf, off+int64(lo)*int64(ch.stride)); err != nil {
+			return nil, fmt.Errorf("store: reading %s [%d,%d): %w", what, lo, hi, err)
 		}
 	}
 	return ch, nil
 }
+
+// LoadRecords reads records [lo, hi) into a Chunk.
+func (fl *File) LoadRecords(lo, hi int) (*Chunk, error) { return fl.load(areaExact, lo, hi) }
 
 // LoadLean reads lean rows [lo, hi) into a Chunk whose fingerprints are
-// absent (FP must not be called on it). Only files carrying the cold
-// codec have a lean area; statistical refinement reads these at
-// leanSize/recSize of the exact bytes.
-func (fl *File) LoadLean(lo, hi int) (*Chunk, error) {
-	if fl.quant == nil {
-		return nil, fmt.Errorf("store: file carries no lean record area")
-	}
-	if lo < 0 || hi < lo || hi > fl.count {
-		return nil, fmt.Errorf("store: record range [%d,%d) outside [0,%d)", lo, hi, fl.count)
-	}
-	n := hi - lo
-	buf := make([]byte, n*fl.leanSize)
-	if n > 0 {
-		if _, err := fl.f.ReadAt(buf, fl.leanOff+int64(lo)*int64(fl.leanSize)); err != nil {
-			return nil, fmt.Errorf("store: reading lean records [%d,%d): %w", lo, hi, err)
-		}
-	}
-	kb := keyBytes(fl.curve)
-	ch := &Chunk{
-		Base:  lo,
-		curve: fl.curve,
-		keys:  make([]bitkey.Key, n),
-		ids:   make([]uint32, n),
-		tcs:   make([]uint32, n),
-		xs:    make([]uint16, n),
-		ys:    make([]uint16, n),
-	}
-	for i := 0; i < n; i++ {
-		rec := buf[i*fl.leanSize : (i+1)*fl.leanSize]
-		ch.keys[i] = bitkey.FromBytes(rec[:kb], kb)
-		ch.ids[i] = binary.LittleEndian.Uint32(rec[kb:])
-		ch.tcs[i] = binary.LittleEndian.Uint32(rec[kb+4:])
-		ch.xs[i] = binary.LittleEndian.Uint16(rec[kb+8:])
-		ch.ys[i] = binary.LittleEndian.Uint16(rec[kb+10:])
-	}
-	return ch, nil
-}
-
-// loadCodes reads the packed quantizer codes of records [lo, hi); code
-// row i-lo starts at byte (i-lo)*codeSize.
-func (fl *File) loadCodes(lo, hi int) ([]byte, error) {
-	if fl.quant == nil {
-		return nil, fmt.Errorf("store: file carries no code area")
-	}
-	if lo < 0 || hi < lo || hi > fl.count {
-		return nil, fmt.Errorf("store: record range [%d,%d) outside [0,%d)", lo, hi, fl.count)
-	}
-	n := hi - lo
-	buf := make([]byte, n*fl.codeSize)
-	if n > 0 {
-		if _, err := fl.f.ReadAt(buf, fl.codeOff+int64(lo)*int64(fl.codeSize)); err != nil {
-			return nil, fmt.Errorf("store: reading codes [%d,%d): %w", lo, hi, err)
-		}
-	}
-	return buf, nil
-}
+// absent (FP returns nil). Only files carrying the cold codec have a lean
+// area; statistical refinement reads these at leanSize/recSize of the
+// exact bytes.
+func (fl *File) LoadLean(lo, hi int) (*Chunk, error) { return fl.load(areaLean, lo, hi) }
 
 // ReadRecordView reads one exact record — the codec path's fallback for
 // candidates that survive the quantized filter. The view's FP aliases a
 // fresh allocation and stays valid after return.
 func (fl *File) ReadRecordView(i int) (RecordView, error) {
-	if i < 0 || i >= fl.count {
-		return RecordView{}, fmt.Errorf("store: record %d outside [0,%d)", i, fl.count)
+	ch, err := fl.load(areaExact, i, i+1)
+	if err != nil {
+		return RecordView{}, err
 	}
-	buf := make([]byte, fl.recSize)
-	if _, err := fl.f.ReadAt(buf, fl.dataOff+int64(i)*int64(fl.recSize)); err != nil {
-		return RecordView{}, fmt.Errorf("store: reading record %d: %w", i, err)
-	}
-	kb := keyBytes(fl.curve)
-	dims := fl.curve.Dims()
-	rv := RecordView{
-		Pos: i,
-		Key: bitkey.FromBytes(buf[:kb], kb),
-		FP:  buf[kb : kb+dims : kb+dims],
-		ID:  binary.LittleEndian.Uint32(buf[kb+dims:]),
-		TC:  binary.LittleEndian.Uint32(buf[kb+dims+4:]),
-	}
-	if fl.version >= 2 {
-		rv.X = binary.LittleEndian.Uint16(buf[kb+dims+8:])
-		rv.Y = binary.LittleEndian.Uint16(buf[kb+dims+10:])
-	}
-	return rv, nil
+	return ch.view(0), nil
 }
 
-// LoadAll reads the whole file into an in-memory DB.
+// LoadAll reads the whole file into an in-memory DB: the one reader that
+// wants columns decodes the record image once, straight into them.
 func (fl *File) LoadAll() (*DB, error) {
-	ch, err := fl.LoadRecords(0, fl.count)
+	ch, err := fl.load(areaExact, 0, fl.count)
 	if err != nil {
 		return nil, err
 	}
-	return &DB{curve: fl.curve, keys: ch.keys, fps: ch.fps,
-		ids: ch.ids, tcs: ch.tcs, xs: ch.xs, ys: ch.ys}, nil
+	db := newDB(fl.curve, fl.count)
+	for i := range db.keys {
+		db.keys[i] = ch.Key(i)
+		copy(db.FP(i), ch.FP(i))
+		db.ids[i], db.tcs[i], db.xs[i], db.ys[i] = ch.ID(i), ch.TC(i), ch.X(i), ch.Y(i)
+	}
+	return db, nil
 }
 
 // ReadFile opens path and loads the complete database.
@@ -815,44 +757,74 @@ func ReadFileFS(fsys FS, path string) (*DB, error) {
 	return fl.LoadAll()
 }
 
-// Chunk is a contiguous run of records loaded from a File. Record i of
-// the chunk is record Base+i of the database.
+// Chunk is a contiguous run of rows of one record area, held as the
+// bytes one read returned: a view, not a decoded copy. Record i of the
+// chunk is record Base+i of the database; accessors decode that one
+// record on demand, and interval searches compare the stored keys in
+// place. Keys are stored big-endian, so byte order is key order. Every
+// offset is a multiple of the stride plus a field offset the layout
+// fixes, bounded by the buffer length.
 type Chunk struct {
-	Base  int
-	curve *hilbert.Curve
-	keys  []bitkey.Key
-	fps   []byte
-	ids   []uint32
-	tcs   []uint32
-	xs    []uint16
-	ys    []uint16
+	Base   int
+	buf    []byte // Len() rows of stride bytes
+	stride int
+	kb     int  // key bytes, the row prefix (0 in a code chunk)
+	dims   int  // fingerprint bytes after the key (0 outside the exact area)
+	xy     bool // rows end in x, y (every layout but format version 1)
 }
 
 // Len returns the number of records in the chunk.
-func (c *Chunk) Len() int { return len(c.keys) }
+func (c *Chunk) Len() int { return len(c.buf) / c.stride }
+
+// row returns the stored bytes of chunk-local record i.
+func (c *Chunk) row(i int) []byte { return c.buf[i*c.stride : (i+1)*c.stride] }
+
+// tail returns what follows the key and fingerprint of record i: id, tc
+// and, when stored, x and y.
+func (c *Chunk) tail(i int) []byte { return c.row(i)[c.kb+c.dims:] }
 
 // Key returns the Hilbert key of chunk-local record i.
-func (c *Chunk) Key(i int) bitkey.Key { return c.keys[i] }
+func (c *Chunk) Key(i int) bitkey.Key { return bitkey.FromBytes(c.row(i), c.kb) }
 
-// FP returns the fingerprint of chunk-local record i.
+// FP returns the fingerprint of chunk-local record i, aliasing the
+// chunk's buffer; nil in a lean chunk.
 func (c *Chunk) FP(i int) []byte {
-	d := c.curve.Dims()
-	return c.fps[i*d : (i+1)*d : (i+1)*d]
+	if c.dims == 0 {
+		return nil
+	}
+	return c.row(i)[c.kb : c.kb+c.dims : c.kb+c.dims]
 }
 
 // ID returns the identifier of chunk-local record i.
-func (c *Chunk) ID(i int) uint32 { return c.ids[i] }
+func (c *Chunk) ID(i int) uint32 { return binary.LittleEndian.Uint32(c.tail(i)) }
 
 // TC returns the time code of chunk-local record i.
-func (c *Chunk) TC(i int) uint32 { return c.tcs[i] }
+func (c *Chunk) TC(i int) uint32 { return binary.LittleEndian.Uint32(c.tail(i)[4:]) }
 
 // X returns the interest point x position of chunk-local record i.
-func (c *Chunk) X(i int) uint16 { return c.xs[i] }
+func (c *Chunk) X(i int) uint16 {
+	if !c.xy {
+		return 0
+	}
+	return binary.LittleEndian.Uint16(c.tail(i)[8:])
+}
 
 // Y returns the interest point y position of chunk-local record i.
-func (c *Chunk) Y(i int) uint16 { return c.ys[i] }
+func (c *Chunk) Y(i int) uint16 {
+	if !c.xy {
+		return 0
+	}
+	return binary.LittleEndian.Uint16(c.tail(i)[10:])
+}
+
+// view returns chunk-local record i as a RecordView; FP aliases the
+// chunk's buffer.
+func (c *Chunk) view(i int) RecordView {
+	return RecordView{Pos: c.Base + i, Key: c.Key(i), FP: c.FP(i),
+		ID: c.ID(i), TC: c.TC(i), X: c.X(i), Y: c.Y(i)}
+}
 
 // FindInterval returns the chunk-local index range whose keys fall in iv.
 func (c *Chunk) FindInterval(iv hilbert.Interval) (lo, hi int) {
-	return findInterval(c.keys, 0, iv)
+	return c.FindIntervalFrom(0, iv)
 }

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"s3cbcd/internal/bitkey"
 	"s3cbcd/internal/hilbert"
 )
 
@@ -46,11 +47,13 @@ func FuzzOpen(f *testing.F) {
 			n = 16
 		}
 		if ch, err := fl.LoadRecords(0, n); err == nil {
+			// The chunk is the file's bytes: every accessor and the in-place
+			// key search (over keys no writer sorted) must stay in bounds.
 			for i := 0; i < ch.Len(); i++ {
-				_ = ch.FP(i)
-				_ = ch.ID(i)
-				_ = ch.TC(i)
+				rv := ch.view(i)
+				ch.FindIntervalFrom(i/2, hilbert.Interval{Start: rv.Key, End: rv.Key.Inc()})
 			}
+			ch.FindInterval(hilbert.Interval{End: bitkey.FromUint64(1).Shl(uint(fl.Curve().IndexBits()))})
 		}
 	})
 }

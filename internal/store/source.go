@@ -77,11 +77,14 @@ var (
 )
 
 // VisitIntervals implements RecordSource over the in-memory columns:
-// binary-search each interval, scan the range. It never returns a
-// non-nil error.
+// binary-search each interval from where the previous one ended (they
+// are sorted and disjoint), scan the range. It never returns a non-nil
+// error.
 func (db *DB) VisitIntervals(ivs []hilbert.Interval, visit func(RecordView) bool) error {
+	from := 0
 	for _, iv := range ivs {
-		lo, hi := db.FindInterval(iv)
+		lo, hi := db.FindIntervalFrom(from, iv)
+		from = hi
 		for i := lo; i < hi; i++ {
 			if !visit(RecordView{Pos: i, Key: db.keys[i], FP: db.FP(i),
 				ID: db.ids[i], TC: db.tcs[i], X: db.xs[i], Y: db.ys[i]}) {

@@ -8,6 +8,7 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 
@@ -82,15 +83,7 @@ func Build(curve *hilbert.Curve, recs []Record) (*DB, error) {
 		}
 		return recordLess(&recs[keyedRecs[a].idx], &recs[keyedRecs[b].idx])
 	})
-	db := &DB{
-		curve: curve,
-		keys:  make([]bitkey.Key, len(recs)),
-		fps:   make([]byte, len(recs)*dims),
-		ids:   make([]uint32, len(recs)),
-		tcs:   make([]uint32, len(recs)),
-		xs:    make([]uint16, len(recs)),
-		ys:    make([]uint16, len(recs)),
-	}
+	db := newDB(curve, len(recs))
 	for i, kr := range keyedRecs {
 		r := recs[kr.idx]
 		db.keys[i] = kr.key
@@ -101,6 +94,19 @@ func Build(curve *hilbert.Curve, recs []Record) (*DB, error) {
 		db.ys[i] = r.Y
 	}
 	return db, nil
+}
+
+// newDB returns a database of n zero records for the caller to fill.
+func newDB(curve *hilbert.Curve, n int) *DB {
+	return &DB{
+		curve: curve,
+		keys:  make([]bitkey.Key, n),
+		fps:   make([]byte, n*curve.Dims()),
+		ids:   make([]uint32, n),
+		tcs:   make([]uint32, n),
+		xs:    make([]uint16, n),
+		ys:    make([]uint16, n),
+	}
 }
 
 // recordLess is the canonical tie-break among records with equal Hilbert
@@ -189,6 +195,44 @@ func findInterval(keys []bitkey.Key, from int, iv hilbert.Interval) (lo, hi int)
 func lowerBound(keys []bitkey.Key, lo, hi int, k bitkey.Key) int {
 	for lo < hi {
 		if mid := int(uint(lo+hi) >> 1); keys[mid].Less(k) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// FindIntervalFrom is DB.FindIntervalFrom on the stored keys in place:
+// the bounds are serialized to key bytes and compared with the row
+// prefixes bytewise — keys are stored big-endian, so byte order is key
+// order — and no record is decoded. A bound too large for the key width
+// (the one-past-the-curve key) lies past every stored key: such an End
+// selects to the end of the chunk, such a Start nothing.
+func (c *Chunk) FindIntervalFrom(from int, iv hilbert.Interval) (lo, hi int) {
+	n := c.Len()
+	if iv.Start.BitLen() > 8*c.kb {
+		return n, n
+	}
+	var start, end [bitkey.MaxBits / 8]byte
+	iv.Start.PutBytes(start[:], c.kb)
+	lo = c.lowerBound(from, n, start[:c.kb])
+	if iv.End.BitLen() > 8*c.kb {
+		return lo, n
+	}
+	iv.End.PutBytes(end[:], c.kb)
+	first, bound := lo, lo // every key before first is below End
+	for step := 1; bound < n && bytes.Compare(c.row(bound)[:c.kb], end[:c.kb]) < 0; step <<= 1 {
+		first, bound = bound+1, bound+step
+	}
+	return lo, c.lowerBound(first, min(bound, n), end[:c.kb])
+}
+
+// lowerBound returns the first row in [lo, hi] whose stored key is not
+// below k, or hi.
+func (c *Chunk) lowerBound(lo, hi int, k []byte) int {
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); bytes.Compare(c.row(mid)[:c.kb], k) < 0 {
 			lo = mid + 1
 		} else {
 			hi = mid
