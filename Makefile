@@ -1,11 +1,12 @@
 GO ?= go
 
-# Packages touched by the sharded query engine; they get the extra -race
-# pass because they exercise real concurrency. internal/obs rides along:
-# its counters and histograms are written from every engine goroutine.
+# Packages that run queries, ingest or scatter on several goroutines;
+# they get the extra -race pass because they exercise real concurrency.
+# internal/obs rides along: its counters and histograms are written from
+# every one of those goroutines.
 RACE_PKGS = . ./internal/core ./internal/store ./internal/httpapi ./internal/cbcd ./internal/obs ./internal/router
 
-.PHONY: check vet build test race check-bench loc cover bench bench-plan bench-plancache bench-router bench-obs faults chaos-router
+.PHONY: check vet build test race check-bench loc cover bench bench-plan bench-plancache bench-router faults chaos-router
 
 # check is the full verification gate: static checks, build, all tests,
 # the race detector over the engine packages, then the bench/ module.
@@ -33,8 +34,9 @@ race:
 check-bench:
 	cd bench && $(GO) vet ./... && $(GO) build -o /dev/null ./... && $(GO) test ./...
 
-# loc prints the size metric ROADMAP aim 2 reports: non-test Go lines
-# outside bench/, total and per package.
+# loc prints the size ledger ROADMAP aim 2 reports: non-test Go lines
+# outside bench/ (total and per package), test Go lines, flag
+# definitions under cmd/ and exported metric families.
 loc:
 	sh scripts/loc.sh
 
@@ -91,10 +93,3 @@ bench-plancache:
 # answers).
 bench-router:
 	$(GO) test -run TestRouterBenchSweep -bench-router -timeout 30m .
-
-# bench-obs regenerates BENCH_obs.json (span tracing overhead on the
-# statistical query path over the 500k fingerprint corpus; asserts <=5%
-# throughput loss at 1% sampling and zero allocations on the untraced
-# plan path).
-bench-obs:
-	$(GO) test -run TestObsBenchSweep -bench-obs -timeout 30m .

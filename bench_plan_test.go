@@ -24,8 +24,8 @@ import (
 
 // BenchmarkPlanStat measures the production (frontier) filtering step.
 func BenchmarkPlanStat(b *testing.B) {
-	_, ix, queries := sharedShardDB(b)
-	sq := shardBenchQuery()
+	_, ix, queries := sharedCorpusDB(b)
+	sq := corpusBenchQuery()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := ix.PlanStat(queries[i%len(queries)], sq); err != nil {
@@ -36,8 +36,8 @@ func BenchmarkPlanStat(b *testing.B) {
 
 // BenchmarkPlanStatLegacy measures the retained multi-descent search.
 func BenchmarkPlanStatLegacy(b *testing.B) {
-	_, ix, queries := sharedShardDB(b)
-	sq := shardBenchQuery()
+	_, ix, queries := sharedCorpusDB(b)
+	sq := corpusBenchQuery()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := ix.PlanStatLegacy(queries[i%len(queries)], sq); err != nil {
@@ -50,9 +50,9 @@ func BenchmarkPlanStatLegacy(b *testing.B) {
 // query methods use (Index.PlanStat above allocates its scratch per
 // call; the engine draws it from a per-worker pool).
 func BenchmarkEnginePlanStat(b *testing.B) {
-	_, ix, queries := sharedShardDB(b)
-	eng := core.NewEngine(ix, 1, 1)
-	sq := shardBenchQuery()
+	_, ix, queries := sharedCorpusDB(b)
+	eng := core.NewEngine(ix, 1)
+	sq := corpusBenchQuery()
 	ctx := context.Background()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -75,8 +75,8 @@ func planAllocEngine(tb testing.TB) (*core.Engine, [][]byte) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	queries, _ := experiments.DistortedQueries(db, 8, shardBenchSigma, 2)
-	return core.NewEngine(ix, 1, 1), queries
+	queries, _ := experiments.DistortedQueries(db, 8, corpusBenchSigma, 2)
+	return core.NewEngine(ix, 1), queries
 }
 
 // TestPlanStatNoAllocsUntraced pins the cost contract of the
@@ -89,7 +89,7 @@ func TestPlanStatNoAllocsUntraced(t *testing.T) {
 		t.Skip("race instrumentation allocates; the guard runs in the non-race pass")
 	}
 	eng, queries := planAllocEngine(t)
-	sq := shardBenchQuery()
+	sq := corpusBenchQuery()
 	ctx := context.Background()
 	for _, q := range queries { // warm the scratch pool
 		if _, err := eng.PlanStat(ctx, q, sq); err != nil {
@@ -126,7 +126,7 @@ func TestPlanStatNoAllocsCacheHit(t *testing.T) {
 	}
 	eng, queries := planAllocEngine(t)
 	eng.EnablePlanCache(0)
-	sq := shardBenchQuery()
+	sq := corpusBenchQuery()
 	ctx := context.Background()
 	for _, q := range queries { // warm the scratch pool and populate the cache
 		if _, err := eng.PlanStat(ctx, q, sq); err != nil {

@@ -36,7 +36,7 @@ import (
 var (
 	benchPlanCacheFlag = flag.Bool("bench-plancache", false,
 		"run the plan cache comparison and write BENCH_plancache.json")
-	benchPlanCacheRecords = flag.Int("bench-plancache-records", shardBenchRecords,
+	benchPlanCacheRecords = flag.Int("bench-plancache-records", corpusBenchRecords,
 		"corpus size for -bench-plancache")
 )
 
@@ -56,8 +56,8 @@ func TestPlanCacheBenchSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	queries, _ := experiments.DistortedQueries(db, planCacheBenchQueries, shardBenchSigma, 2)
-	sq := shardBenchQuery()
+	queries, _ := experiments.DistortedQueries(db, planCacheBenchQueries, corpusBenchSigma, 2)
+	sq := corpusBenchQuery()
 
 	eng := core.NewEngineOpts(ix, core.EngineOptions{Workers: 1, PlanCache: true})
 	cached := context.Background()
@@ -158,8 +158,8 @@ func TestPlanCacheBenchSweep(t *testing.T) {
 			"dims":    fingerprint.D,
 			"queries": len(queries),
 			"rounds":  rounds,
-			"alpha":   shardBenchAlpha,
-			"sigma":   shardBenchSigma,
+			"alpha":   corpusBenchAlpha,
+			"sigma":   corpusBenchSigma,
 		},
 		"host": map[string]interface{}{
 			"num_cpu":    runtime.NumCPU(),
@@ -195,9 +195,9 @@ func TestPlanCacheBenchSweep(t *testing.T) {
 // (compare BenchmarkEnginePlanStat in bench_plan_test.go for the
 // uncached pooled path on the shared corpus).
 func BenchmarkPlanStatCached(b *testing.B) {
-	_, ix, queries := sharedShardDB(b)
+	_, ix, queries := sharedCorpusDB(b)
 	eng := core.NewEngineOpts(ix, core.EngineOptions{Workers: 1, PlanCache: true})
-	sq := shardBenchQuery()
+	sq := corpusBenchQuery()
 	ctx := context.Background()
 	for _, q := range queries {
 		if _, err := eng.PlanStat(ctx, q, sq); err != nil {

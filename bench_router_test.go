@@ -110,7 +110,7 @@ func TestRouterBenchSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	queries, _ := experiments.DistortedQueries(global, routerBenchQueries, shardBenchSigma, 2)
+	queries, _ := experiments.DistortedQueries(global, routerBenchQueries, corpusBenchSigma, 2)
 
 	// Two contiguous key-range groups, each with two replicas of the
 	// same chunk DB; group 0's second replica is the slow one.
@@ -129,7 +129,7 @@ func TestRouterBenchSweep(t *testing.T) {
 		db := chunk(bounds[0], bounds[1])
 		grp := make([]string, 0, 2)
 		for rep := 0; rep < 2; rep++ {
-			api, err := httpapi.New(db, httpapi.Options{Shards: 2, Workers: 2})
+			api, err := httpapi.New(db, httpapi.Options{Workers: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -166,7 +166,7 @@ func TestRouterBenchSweep(t *testing.T) {
 			fp[j] = int(b)
 		}
 		raw, err := json.Marshal(map[string]interface{}{
-			"fingerprint": fp, "alpha": shardBenchAlpha, "sigma": shardBenchSigma,
+			"fingerprint": fp, "alpha": corpusBenchAlpha, "sigma": corpusBenchSigma,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -254,8 +254,8 @@ func TestRouterBenchSweep(t *testing.T) {
 			"queries":  len(queries),
 			"groups":   2,
 			"replicas": 2,
-			"alpha":    shardBenchAlpha,
-			"sigma":    shardBenchSigma,
+			"alpha":    corpusBenchAlpha,
+			"sigma":    corpusBenchSigma,
 		},
 		"slow_replica_delay_ms": float64(routerBenchSlow) / float64(time.Millisecond),
 		"host": map[string]interface{}{

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	s3serve -db archive.s3db -addr :8080 -shards 8
+//	s3serve -db archive.s3db -addr :8080
 //
 //	curl localhost:8080/healthz
 //	curl localhost:8080/stats
@@ -76,8 +76,7 @@ func main() {
 		order          = flag.Int("order", 8, "bits per component (live mode)")
 		addr           = flag.String("addr", ":8080", "listen address")
 		depth          = flag.Int("depth", 0, "partition depth p (0 = auto)")
-		shards         = flag.Int("shards", 0, "keyspace shards (0 = file manifest or 1)")
-		workers        = flag.Int("workers", 0, "engine worker bound (0 = GOMAXPROCS)")
+		workers        = flag.Int("workers", 0, "batch-search worker bound (0 = GOMAXPROCS)")
 		maxInFlight    = flag.Int("max-inflight", 0, "concurrent searches bound (0 = default, <0 = unlimited)")
 		compactBackoff = flag.Duration("compact-backoff", 0,
 			"base delay between persistence/compaction retries, live mode (0 = default)")
@@ -196,18 +195,14 @@ func main() {
 			fl.Close()
 			fatal(logger, "load database", err)
 		}
-		nShards := *shards
-		if starts := fl.ShardStarts(); nShards == 0 && starts != nil {
-			nShards = len(starts) - 1
-		}
 		fl.Close()
-		opt.Depth, opt.Shards, opt.Workers = *depth, nShards, *workers
+		opt.Depth, opt.Workers = *depth, *workers
 		srv, err = httpapi.New(db, opt)
 		if err != nil {
 			fatal(logger, "build index", err)
 		}
 		logger.Info("serving static database", "path", *dbPath, "records", db.Len(),
-			"dims", db.Dims(), "shards", srv.Engine().Shards(),
+			"dims", db.Dims(), "workers", srv.Engine().Workers(),
 			"planCache", *planCache, "autotune", *autotune)
 	}
 

@@ -32,8 +32,8 @@ func TestColdSketchCodecHalveUncachedBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qs, _ := experiments.DistortedQueries(db, queries, shardBenchSigma, 2)
-	sq := core.StatQuery{Alpha: shardBenchAlpha, Model: core.IsoNormal{D: fingerprint.D, Sigma: shardBenchSigma}}
+	qs, _ := experiments.DistortedQueries(db, queries, corpusBenchSigma, 2)
+	sq := core.StatQuery{Alpha: corpusBenchAlpha, Model: core.IsoNormal{D: fingerprint.D, Sigma: corpusBenchSigma}}
 	ctx := context.Background()
 
 	// serve seals the corpus, reopens it cold and uncached, and returns every answer, the disk bytes the searches read

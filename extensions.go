@@ -95,20 +95,20 @@ func (v *VAFile) RangeSearch(q []byte, eps float64) ([]Match, VAFileStats, error
 // MergeIndexes combines two indexes over the same geometry into one, with
 // a linear merge of their curve-ordered records. depth <= 0 selects the
 // default heuristic for the combined size. The merged index inherits a's
-// engine layout (shard count and worker bound).
+// worker bound.
 func MergeIndexes(a, b *Index, depth int) (*Index, error) {
 	db, err := store.Merge(a.db, b.db)
 	if err != nil {
 		return nil, err
 	}
-	return newIndex(db, IndexOptions{Depth: depth, Shards: a.eng.Shards(), Workers: a.eng.Workers()})
+	return newIndex(db, IndexOptions{Depth: depth, Workers: a.eng.Workers()})
 }
 
 // FilterIndex returns a new index containing only the records the
 // predicate keeps — the withdrawal path for removing content from a
 // static archive. depth <= 0 selects the default heuristic. The filtered
-// index inherits x's engine layout.
+// index inherits x's worker bound.
 func FilterIndex(x *Index, keep func(id, tc uint32) bool, depth int) (*Index, error) {
 	db := store.Filter(x.db, keep)
-	return newIndex(db, IndexOptions{Depth: depth, Shards: x.eng.Shards(), Workers: x.eng.Workers()})
+	return newIndex(db, IndexOptions{Depth: depth, Workers: x.eng.Workers()})
 }

@@ -47,14 +47,8 @@ type Config struct {
 	// Workers bounds the number of concurrent statistical queries during
 	// detection. 0 or 1 searches serially; the index itself is safe for
 	// concurrent queries, so each candidate fingerprint is an independent
-	// unit of work. The same pool also serves intra-query shard
-	// refinement, so index-level and detector-level parallelism compose
-	// instead of oversubscribing each other.
+	// unit of work.
 	Workers int
-	// Shards is the number of keyspace shards the detector's query engine
-	// splits the index into (core.Engine). 0 or 1 keeps the monolithic
-	// layout; results are identical at any value.
-	Shards int
 }
 
 func (c Config) withDefaults() Config {
@@ -136,9 +130,9 @@ func (in *Indexer) Build() (*Detector, error) {
 }
 
 // Detector runs copy detection queries against a built database. All
-// per-fingerprint statistical queries go through one shared sharded query
-// engine (core.Engine), whose worker pool serves both the fan-out over a
-// clip's fingerprints and any intra-query shard refinement.
+// per-fingerprint statistical queries go through one shared query engine
+// (core.Engine), whose worker pool serves the fan-out over a clip's
+// fingerprints.
 type Detector struct {
 	cfg    Config
 	index  *core.Index  // nil for live detectors
@@ -163,7 +157,7 @@ func NewDetector(db *store.DB, cfg Config) (*Detector, error) {
 	if workers < 1 {
 		workers = 1
 	}
-	eng := core.NewEngine(ix, cfg.Shards, workers)
+	eng := core.NewEngine(ix, workers)
 	return &Detector{cfg: cfg, index: ix, engine: eng, search: eng}, nil
 }
 

@@ -60,15 +60,16 @@ func TestParallelSearchMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestShardedSearchMatchesSerial adds keyspace sharding on top of worker
-// parallelism and requires byte-identical voting candidates — the detector
-// now routes per-fingerprint queries through the shared query engine.
+// TestShardedSearchMatchesSerial (the name predates the removal of the
+// engine's shard option) repeats the comparison on another clip at a
+// worker count that does not divide the candidates evenly: the detector
+// routes per-fingerprint queries through the shared query engine, whose
+// answers must not depend on how they are spread over goroutines.
 func TestShardedSearchMatchesSerial(t *testing.T) {
 	refs := refCorpus(4, 180)
 	serial := buildDetector(t, refs, DefaultConfig())
 	scfg := DefaultConfig()
-	scfg.Workers = 4
-	scfg.Shards = 4
+	scfg.Workers = 3
 	in := NewIndexer(scfg)
 	for i, seq := range refs {
 		in.AddSequence(uint32(i+1), seq)
@@ -77,8 +78,8 @@ func TestShardedSearchMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sharded.Engine().Shards(); got != 4 {
-		t.Fatalf("detector engine has %d shards, want 4", got)
+	if got := sharded.Engine().Workers(); got != 3 {
+		t.Fatalf("detector engine has %d workers, want 3", got)
 	}
 
 	clip := clip(refs[2], 20, 140)

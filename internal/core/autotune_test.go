@@ -126,7 +126,7 @@ func TestAutoTuneDisabledReproducesDefaults(t *testing.T) {
 		name string
 		tn   tuning
 	}{
-		{"engine", NewEngine(ix, 1, 1).tuning()},
+		{"engine", NewEngine(ix, 1).tuning()},
 		{"engine+cache", NewEngineOpts(ix, EngineOptions{PlanCache: true}).tuning()},
 		{"planner", ix.defaultTuning()},
 	}

@@ -9,13 +9,10 @@ import (
 
 // Engine serves a static database: it is the executor (executor.go)
 // bound to a fixed view of one resident segment at generation 0, so it
-// holds no plan, refine or trace logic of its own. The database's
-// keyspace is cut into shards — the partition-by-curve-interval idea of
-// the pseudo-disk strategy (Section IV-B), applied across cores — over
-// which a single query's refinement fans out, while batch searches fan
-// out across queries; both draw on the same bounded worker count.
-// Results are byte-identical, order included, to the sequential Index
-// path.
+// holds no plan, refine or trace logic of its own. A single query runs
+// on its caller's goroutine; batch searches fan out across queries (the
+// batching of eq. 5) on a bounded worker count. Results are
+// byte-identical, order included, to the sequential Index path.
 //
 // An Engine is safe for concurrent use.
 type Engine struct {
@@ -25,10 +22,10 @@ type Engine struct {
 }
 
 // EngineOptions configures NewEngineOpts; the zero value reproduces
-// NewEngine(ix, 0, 0).
+// NewEngine(ix, 0).
 type EngineOptions struct {
-	// Shards and Workers are NewEngine's parameters.
-	Shards, Workers int
+	// Workers is NewEngine's parameter.
+	Workers int
 	// PlanCache enables the bounded statistical-plan cache (see
 	// plancache.go); answers are byte-identical with it on or off.
 	PlanCache bool
@@ -39,27 +36,12 @@ type EngineOptions struct {
 	AutoTune AutoTuneOptions
 }
 
-// NewEngine builds an engine over ix with nShards key-range shards and at
-// most workers concurrent goroutines per call. nShards <= 0 or 1 selects
-// the degenerate single-shard layout (still valid, just sequential);
-// workers <= 0 selects GOMAXPROCS. workers == 1 executes everything on
-// the calling goroutine, which is the seed's single-threaded behavior.
-func NewEngine(ix *Index, nShards, workers int) *Engine {
-	if nShards <= 0 {
-		nShards = 1
-	}
-	return NewEngineShards(ix, ix.db.Shards(nShards), workers)
-}
-
-// NewEngineShards is NewEngine with an explicit shard layout, e.g. one
-// loaded from a file's shard manifest. The ranges must partition the
-// database (store.DB.ShardsAt validates that); none selects one shard.
-func NewEngineShards(ix *Index, shards []store.ShardRange, workers int) *Engine {
+// NewEngine builds an engine over ix running a batch search on at most
+// workers goroutines. workers <= 0 selects GOMAXPROCS; workers == 1
+// executes everything on the calling goroutine.
+func NewEngine(ix *Index, workers int) *Engine {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
-	}
-	if len(shards) == 0 {
-		shards = ix.db.Shards(1)
 	}
 	return &Engine{
 		executor: executor{pl: &ix.planner, workers: workers, qmet: newQueryMetrics()},
@@ -67,13 +49,13 @@ func NewEngineShards(ix *Index, shards []store.ShardRange, workers int) *Engine 
 		// The database is static, so the view never changes and the plan
 		// cache generation is constant; depth changes are covered by the
 		// tuning component of the cache key.
-		view: view{segs: []segment{{src: ix.db, shards: shards}}},
+		view: view{segs: []segment{{src: ix.db}}},
 	}
 }
 
 // NewEngineOpts is NewEngine with the plan cache and auto-tuner knobs.
 func NewEngineOpts(ix *Index, opt EngineOptions) *Engine {
-	e := NewEngine(ix, opt.Shards, opt.Workers)
+	e := NewEngine(ix, opt.Workers)
 	if opt.PlanCache {
 		e.EnablePlanCache(opt.PlanCacheEntries)
 	}
@@ -112,9 +94,6 @@ func (e *Engine) Index() *Index { return e.ix }
 // Len returns the number of records served.
 func (e *Engine) Len() int { return e.ix.db.Len() }
 
-// Shards returns the number of keyspace shards.
-func (e *Engine) Shards() int { return len(e.view.segs[0].shards) }
-
 // PlanStat computes the filtering-step plan for q without refining it —
 // the statistical-query hot path up to (but excluding) the record scan.
 // The returned plan's Intervals alias pooled buffers reused by later
@@ -125,8 +104,7 @@ func (e *Engine) PlanStat(ctx context.Context, q []byte, sq StatQuery) (Plan, er
 	return e.planStatAliased(ctx, e.view.gen, q, sq)
 }
 
-// SearchStat executes a complete statistical query: one plan against
-// the global curve, refinement fanned out across shards. Results are
+// SearchStat executes a complete statistical query. Results are
 // byte-identical to Index.SearchStat.
 func (e *Engine) SearchStat(ctx context.Context, q []byte, sq StatQuery) ([]Match, Plan, error) {
 	return e.searchStat(ctx, e.view, q, sq)

@@ -9,38 +9,30 @@ import (
 	"testing/quick"
 )
 
-// newEngineFixture builds one index plus engines at several shard counts
-// over the same database.
-func newEngineFixture(t *testing.T, dims, n int, seed int64, shardCounts []int) (*Index, map[int]*Engine) {
+// newEngineFixture builds one index plus engines at several worker
+// bounds over the same database.
+func newEngineFixture(t *testing.T, dims, n int, seed int64, workerCounts []int) (*Index, map[int]*Engine) {
 	t.Helper()
 	db := testDB(t, dims, n, seed)
 	ix, err := NewIndex(db, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	engines := make(map[int]*Engine, len(shardCounts))
-	for _, n := range shardCounts {
-		engines[n] = NewEngine(ix, n, 4)
+	engines := make(map[int]*Engine, len(workerCounts))
+	for _, w := range workerCounts {
+		engines[w] = NewEngine(ix, w)
 	}
 	return ix, engines
 }
 
-// forceParallelRefine drops the cutoff so every sharded refinement takes
-// the concurrent path, restoring it when the test ends.
-func forceParallelRefine(t *testing.T) {
-	t.Helper()
-	old := refineParallelCutoff
-	refineParallelCutoff = 0
-	t.Cleanup(func() { refineParallelCutoff = old })
-}
-
-// TestEngineShardedIdentityQuick is the property test of the sharding
-// invariant: for every query and every shard count, the engine's
-// statistical, range and k-NN results are byte-identical — including
-// order — to the unsharded Index path.
+// TestEngineShardedIdentityQuick is the property test of the engine's
+// identity invariant (the name predates the removal of the shard
+// fan-out): for every query and every worker bound, the engine's
+// statistical, range, k-NN and batch results are byte-identical —
+// order and nil-for-no-match included — to the sequential Index
+// reference, which shares the planner but none of the refinement.
 func TestEngineShardedIdentityQuick(t *testing.T) {
-	forceParallelRefine(t)
-	ix, engines := newEngineFixture(t, 6, 2500, 41, []int{2, 3, 8})
+	ix, engines := newEngineFixture(t, 6, 2500, 41, []int{1, 4})
 	db := ix.DB()
 	r := rand.New(rand.NewSource(42))
 	ctx := context.Background()
@@ -71,7 +63,7 @@ func TestEngineShardedIdentityQuick(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(gotStat, wantStat) || !reflect.DeepEqual(gotPlan, wantPlan) {
-				t.Logf("shards=%d alpha=%v sigma=%v: stat mismatch (%d vs %d matches)",
+				t.Logf("workers=%d alpha=%v sigma=%v: stat mismatch (%d vs %d matches)",
 					n, alpha, sigma, len(gotStat), len(wantStat))
 				return false
 			}
@@ -80,7 +72,7 @@ func TestEngineShardedIdentityQuick(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(gotRange, wantRange) || !reflect.DeepEqual(gotRPlan, wantRPlan) {
-				t.Logf("shards=%d eps=%v: range mismatch (%d vs %d matches)",
+				t.Logf("workers=%d eps=%v: range mismatch (%d vs %d matches)",
 					n, eps, len(gotRange), len(wantRange))
 				return false
 			}
@@ -89,7 +81,15 @@ func TestEngineShardedIdentityQuick(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(gotKNN, wantKNN) || gotKStats != wantKStats {
-				t.Logf("shards=%d k=%d: knn mismatch", n, k)
+				t.Logf("workers=%d k=%d: knn mismatch", n, k)
+				return false
+			}
+			batch, err := e.SearchStatBatch(ctx, [][]byte{q, q}, sq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(batch, [][]Match{wantStat, wantStat}) {
+				t.Logf("workers=%d alpha=%v sigma=%v: batch mismatch", n, alpha, sigma)
 				return false
 			}
 		}
@@ -104,7 +104,6 @@ func TestEngineShardedIdentityQuick(t *testing.T) {
 // queries selecting nothing must return nil (not an empty slice) exactly
 // like the sequential path, so reflect.DeepEqual holds there too.
 func TestEngineEmptyResultIdentity(t *testing.T) {
-	forceParallelRefine(t)
 	ix, engines := newEngineFixture(t, 6, 400, 7, []int{4})
 	q := make([]byte, 6) // origin corner; tiny radius finds nothing
 	want, _, err := ix.SearchRange(q, 0.25)
@@ -119,7 +118,7 @@ func TestEngineEmptyResultIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got != nil {
-		t.Fatalf("sharded empty range result is %#v, want nil", got)
+		t.Fatalf("engine empty range result is %#v, want nil", got)
 	}
 }
 
@@ -155,7 +154,6 @@ func TestEngineBatchMatchesSequential(t *testing.T) {
 // TestEngineConcurrentUse hammers one engine from many goroutines; run
 // under -race it proves queries share no mutable state.
 func TestEngineConcurrentUse(t *testing.T) {
-	forceParallelRefine(t)
 	ix, engines := newEngineFixture(t, 6, 1200, 21, []int{4})
 	e := engines[4]
 	db := ix.DB()

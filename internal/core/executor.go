@@ -53,9 +53,6 @@ type segment struct {
 	masked func(uint32) bool
 	// sketch, when non-nil, can prove a plan misses the segment.
 	sketch *store.Sketch
-	// shards are the key ranges a single query's resident refinement may
-	// fan out over; at most one means no fan-out.
-	shards []store.ShardRange
 	// name labels refinement errors (a segment file name; "" in memory).
 	name string
 }
@@ -131,8 +128,8 @@ func (x *executor) Curve() *hilbert.Curve { return x.pl.curve }
 // Depth returns the partition depth p of the filtering step.
 func (x *executor) Depth() int { return x.pl.depth }
 
-// Workers returns the concurrency bound of batch searches and of a
-// single query's shard fan-out.
+// Workers returns the concurrency bound of batch searches; a single
+// query runs on its caller's goroutine.
 func (x *executor) Workers() int { return x.workers }
 
 // DescentNodes returns the cumulative number of partition-tree nodes
@@ -208,9 +205,8 @@ func (b ball) statistical() bool { return b.qf == nil }
 
 // run plans and refines one validated query against v: statistical when
 // sq is non-nil, ε-range otherwise. single marks a query executed on its
-// own — it gets plan/refine spans when traced and may fan its refinement
-// out over shards; queries inside a batch do neither (the batch already
-// occupies the workers).
+// own, which gets plan/refine spans when traced; queries inside a batch
+// do not.
 func (x *executor) run(ctx context.Context, v view, q []byte, sq *StatQuery, eps float64, single bool) ([]Match, Plan, error) {
 	ps := x.pl.getScratch()
 	defer x.pl.scratch.Put(ps)
@@ -236,7 +232,7 @@ func (x *executor) run(ctx context.Context, v view, q []byte, sq *StatQuery, eps
 		tr.Annotate(id, "descentNodes", strconv.Itoa(plan.DescentNodes))
 	}
 	t1 := time.Now()
-	matches, candidates, skipped, err := x.refine(ctx, v, plan, b, single)
+	matches, candidates, skipped, err := x.refine(ctx, v, plan, b)
 	if err != nil {
 		return nil, Plan{}, err
 	}
@@ -262,17 +258,13 @@ func (x *executor) run(ctx context.Context, v view, q []byte, sq *StatQuery, eps
 // of one unmasked *store.DB reads its columns directly; anything else —
 // several segments, tombstones, cold files — visits records through the
 // store.RecordSource seam and merges by key.
-func (x *executor) refine(ctx context.Context, v view, plan Plan, b ball, fanOut bool) (matches []Match, candidates, skipped int, err error) {
+func (x *executor) refine(ctx context.Context, v view, plan Plan, b ball) (matches []Match, candidates, skipped int, err error) {
 	defer x.qmet.refineSeconds.ObserveSince(time.Now())
 	if err := ctx.Err(); err != nil {
 		return nil, 0, 0, err
 	}
 	if db, ok := v.resident(); ok {
-		shards := v.segs[0].shards
-		if !fanOut || x.workers <= 1 {
-			shards = nil
-		}
-		matches, candidates, err = refineResident(ctx, db, shards, x.workers, plan, b)
+		matches, candidates = refineResident(db, plan, b)
 	} else {
 		lists := make([][]segMatch, len(v.segs))
 		for i := range v.segs {
@@ -293,9 +285,6 @@ func (x *executor) refine(ctx context.Context, v view, plan Plan, b ball, fanOut
 			candidates += n
 		}
 		matches = mergeCanonical(lists)
-	}
-	if err != nil {
-		return nil, 0, 0, err
 	}
 	x.qmet.candidates.Add(int64(candidates))
 	obs.FromContext(ctx).AddCandidates(int64(candidates))
@@ -321,38 +310,15 @@ func (x *executor) skip(s *segment, plan Plan, b ball) bool {
 	return true
 }
 
-// refineParallelCutoff is the number of selected records below which a
-// single query's refinement is not worth fanning out across shards. A
-// variable so tests can force the parallel path on small fixtures.
-var refineParallelCutoff = 4096
-
-// piece is the record range [lo, hi) a plan interval maps to, plus the
-// offset of its first record among all the plan's records.
-type piece struct {
-	lo, hi, off int
-}
-
-// clip calls fn for the part of every piece that falls in sh.
-func clip(pieces []piece, sh store.ShardRange, fn func(lo, hi, off int)) {
-	for _, p := range pieces {
-		lo, hi := max(p.lo, sh.Lo), min(p.hi, sh.Hi)
-		if lo < hi {
-			fn(lo, hi, p.off+lo-p.lo)
-		}
-	}
-}
-
 // refineResident is the in-memory arm of refinement: one binary search
 // per plan interval — the same searches the sequential Index path
-// performs — then direct column reads. Statistical refinement knows its
-// result size up front and fills one pre-sized slice; range refinement
-// appends. With more than one shard and enough selected records each
-// shard refines its record range concurrently — shard boundaries are
-// snapped to stored keys (store.ShardRange), so the per-shard parts laid
-// end to end in shard order are byte-identical, order included, to the
-// sequential scan.
-func refineResident(ctx context.Context, db *store.DB, shards []store.ShardRange, workers int, plan Plan, b ball) ([]Match, int, error) {
-	pieces := make([]piece, 0, len(plan.Intervals))
+// performs — then direct column reads, all on the calling goroutine.
+// Statistical refinement knows its result size once the intervals are
+// located and fills one pre-sized slice; range refinement appends. It
+// returns the matches and the number of records the plan selected.
+func refineResident(db *store.DB, plan Plan, b ball) ([]Match, int) {
+	type span struct{ lo, hi int }
+	spans := make([]span, 0, len(plan.Intervals))
 	total, from := 0, 0
 	for _, iv := range plan.Intervals {
 		// Plan intervals are sorted and disjoint: each search starts
@@ -360,66 +326,34 @@ func refineResident(ctx context.Context, db *store.DB, shards []store.ShardRange
 		lo, hi := db.FindIntervalFrom(from, iv)
 		from = hi
 		if lo < hi {
-			pieces = append(pieces, piece{lo: lo, hi: hi, off: total})
+			spans = append(spans, span{lo, hi})
 			total += hi - lo
 		}
 	}
 	if total == 0 {
 		// nil, not an empty slice: byte-identical to the sequential path.
-		return nil, 0, nil
+		return nil, 0
 	}
-	whole := store.ShardRange{Lo: 0, Hi: db.Len()}
-	fanOut := len(shards) > 1 && total >= refineParallelCutoff
 	if b.statistical() {
-		out := make([]Match, total)
-		fill := func(sh store.ShardRange) {
-			clip(pieces, sh, func(lo, hi, off int) {
-				for i := lo; i < hi; i++ {
-					out[off+i-lo] = Match{Pos: i, ID: db.ID(i), TC: db.TC(i), X: db.X(i), Y: db.Y(i), Dist: -1}
-				}
-			})
+		out := make([]Match, 0, total)
+		for _, sp := range spans {
+			for i := sp.lo; i < sp.hi; i++ {
+				out = append(out, Match{Pos: i, ID: db.ID(i), TC: db.TC(i), X: db.X(i), Y: db.Y(i), Dist: -1})
+			}
 		}
-		if !fanOut {
-			fill(whole)
-			return out, total, nil
-		}
-		err := forEach(ctx, workers, len(shards), func(s int) error {
-			fill(shards[s])
-			return nil
-		})
-		if err != nil {
-			return nil, 0, err
-		}
-		return out, total, nil
+		return out, total
 	}
 	epsSq := b.eps * b.eps
-	scan := func(sh store.ShardRange) (out []Match) {
-		clip(pieces, sh, func(lo, hi, _ int) {
-			for i := lo; i < hi; i++ {
-				if d := distSqToFP(b.qf, db.FP(i)); d <= epsSq {
-					out = append(out, Match{Pos: i, ID: db.ID(i), TC: db.TC(i), X: db.X(i), Y: db.Y(i), Dist: math.Sqrt(d)})
-				}
-			}
-		})
-		return out
-	}
-	if !fanOut {
-		return scan(whole), total, nil
-	}
-	parts := make([][]Match, len(shards))
-	err := forEach(ctx, workers, len(shards), func(s int) error {
-		parts[s] = scan(shards[s])
-		return nil
-	})
-	if err != nil {
-		return nil, 0, err
-	}
 	// Appending to nil keeps "no match" nil, like the sequential scan.
 	var out []Match
-	for _, p := range parts {
-		out = append(out, p...)
+	for _, sp := range spans {
+		for i := sp.lo; i < sp.hi; i++ {
+			if d := distSqToFP(b.qf, db.FP(i)); d <= epsSq {
+				out = append(out, Match{Pos: i, ID: db.ID(i), TC: db.TC(i), X: db.X(i), Y: db.Y(i), Dist: math.Sqrt(d)})
+			}
+		}
 	}
-	return out, total, nil
+	return out, total
 }
 
 // searchStat executes a complete statistical query against v.
@@ -474,10 +408,10 @@ func (x *executor) searchStatBatch(ctx context.Context, v view, queries [][]byte
 // searchKNN answers a k-nearest-neighbor query against v: an exact (or,
 // with maxLeaves > 0, per-segment early-stopped) best-first traversal
 // of each segment skipping masked records. The traversal is inherently
-// sequential — each expansion depends on the current k-th distance — so
-// it is never sharded. A one-segment view returns that traversal's
-// answer as is; across segments the candidates are merged by distance,
-// ties ordered by (ID, TC, X, Y).
+// sequential — each expansion depends on the current k-th distance. A
+// one-segment view returns that traversal's answer as is; across
+// segments the candidates are merged by distance, ties ordered by
+// (ID, TC, X, Y).
 func (x *executor) searchKNN(ctx context.Context, v view, q []byte, k, maxLeaves int) ([]Match, KNNStats, error) {
 	if k < 1 {
 		return nil, KNNStats{}, fmt.Errorf("core: k = %d must be >= 1", k)

@@ -226,7 +226,7 @@ func TestPlanWorkCountsGolden(t *testing.T) {
 func TestEngineDescentNodesCounter(t *testing.T) {
 	db := testDB(t, 3, 2000, 31)
 	ix, _ := NewIndex(db, 0)
-	e := NewEngine(ix, 4, 2)
+	e := NewEngine(ix, 2)
 	sq := StatQuery{Alpha: 0.9, Model: IsoNormal{D: 3, Sigma: 10}}
 	r := rand.New(rand.NewSource(32))
 	var want int64

@@ -6,7 +6,7 @@ package core
 // growing TV-archive scenario the paper's deployment implies but its
 // static structure cannot serve.
 //
-// The design exploits the same property the sharded engine does: a plan
+// The design exploits the property the paper's filtering step has: a plan
 // (statistical or geometric) depends only on the curve geometry and the
 // partition depth, never on the record data. One plan per query is
 // therefore valid against every segment, and refinement fans out across

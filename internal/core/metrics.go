@@ -74,8 +74,6 @@ func (x *executor) registerMetrics(r *obs.Registry) {
 // its static shape, into r. Call at most once per registry.
 func (e *Engine) RegisterMetrics(r *obs.Registry) {
 	e.registerMetrics(r)
-	r.GaugeFunc("s3_engine_shards", "keyspace shard count",
-		func() float64 { return float64(e.Shards()) })
 	r.GaugeFunc("s3_engine_records", "records in the served database",
 		func() float64 { return float64(e.ix.db.Len()) })
 }

@@ -41,7 +41,7 @@ func fuzzPlanEngine(tb testing.TB) *Engine {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		eng := NewEngine(ix, 1, 1)
+		eng := NewEngine(ix, 1)
 		// Tiny capacity so fuzz inputs also churn the LRU/eviction path.
 		eng.EnablePlanCache(64)
 		fuzzPlanState.eng = eng

@@ -32,7 +32,7 @@ func TestPlanCacheSingleflightBurst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := NewEngine(ix, 1, 0)
+	eng := NewEngine(ix, 0)
 	eng.EnablePlanCache(0)
 
 	const n = 16

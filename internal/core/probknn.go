@@ -64,7 +64,7 @@ func (ix *Index) SearchKNNProb(q []byte, k int, confidence float64, m Model) ([]
 	rootMass := blockMass(m, qf, make([]uint32, ix.dims()), fullHi(ix.dims(), side), side, 0)
 
 	var stats KNNProbStats
-	best := make(resultHeap, 0, k)
+	best := make(resultHeap, 0, min(k, ix.db.Len())) // as in searchKNNSource
 	kth := func() float64 {
 		if len(best) < k {
 			return math.Inf(1)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -54,6 +55,25 @@ func TestSearchKNNProbCheaperThanExact(t *testing.T) {
 	}
 	if probStats.Scanned >= exactStats.Scanned {
 		t.Fatalf("probabilistic scanned %d, exact %d — no saving", probStats.Scanned, exactStats.Scanned)
+	}
+}
+
+// TestSearchKNNProbHugeK: the result heap is bounded by the database, so
+// an absurd k costs nothing and returns what a sufficient k returns.
+func TestSearchKNNProbHugeK(t *testing.T) {
+	db := testDB(t, 6, 300, 77)
+	ix, _ := NewIndex(db, 0)
+	m := IsoNormal{D: 6, Sigma: 8}
+	want, _, err := ix.SearchKNNProb(db.FP(5), db.Len(), 0.9, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := ix.SearchKNNProb(db.FP(5), 1<<40, 0.9, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("k = 2^40 returned %d matches, k = Len %d", len(got), len(want))
 	}
 }
 

@@ -73,8 +73,6 @@ type BatchStats struct {
 // the budget, the finest partition is returned (the caller's budget is
 // then best-effort, mirroring the paper where r <= p).
 func (di *DiskIndex) ChooseSectionBits(budget int) int {
-	// The selection now lives on store.File, where the serving cold tier
-	// (store.ColdFile) picks its block granularity by the same rule.
 	return di.file.ChooseSectionBits(budget)
 }
 

@@ -104,7 +104,9 @@ func searchKNNSource(curve *hilbert.Curve, depth int, src store.RecordSource, q 
 		return nil, KNNStats{}, err
 	}
 	var stats KNNStats
-	best := make(resultHeap, 0, k)
+	// A k-NN holds at most every record: k comes off the wire, and sizing
+	// the heap by it alone lets one request allocate without bound.
+	best := make(resultHeap, 0, min(k, src.Len()))
 	kth := func() float64 {
 		if len(best) < k {
 			return math.Inf(1)

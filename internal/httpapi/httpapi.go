@@ -5,7 +5,7 @@
 //
 // Endpoints:
 //
-//	GET  /healthz                    liveness plus shard/segment/record counts
+//	GET  /healthz                    liveness plus segment/record counts
 //	GET  /stats                      database and index facts
 //	GET  /metrics                    Prometheus text exposition of every registered metric
 //	POST /search/statistical         {"fingerprint": [..], "alpha": 0.8, "sigma": 20}
@@ -42,8 +42,8 @@
 // and ingest bodies are capped (Options.MaxIngestBytes) so concurrent
 // large ingests cannot consume unbounded memory.
 //
-// Searches run through the core.Searcher surface — a sharded query
-// engine (core.Engine) for a static archive, a core.LiveIndex for a
+// Searches run through the core.Searcher surface — a query engine
+// (core.Engine) for a static archive, a core.LiveIndex for a
 // growing one. Every request executes under its own context (client
 // disconnects cancel the search) and the number of requests concurrently
 // searching is bounded by a semaphore, so a traffic burst queues instead
@@ -85,7 +85,9 @@ const DefaultMaxInFlight = 64
 type Options struct {
 	// Depth is the index partition depth p; 0 selects the heuristic.
 	Depth int
-	// Shards is the engine's keyspace shard count; 0 or 1 is monolithic.
+	// Shards is ignored. The per-query shard fan-out it selected is gone
+	// (DESIGN §3.5b); the field outlives it only until bench/adapter.go,
+	// which still sets it, can be edited.
 	Shards int
 	// Workers bounds the engine's concurrency; 0 selects GOMAXPROCS.
 	Workers int
@@ -182,7 +184,7 @@ func New(db *store.DB, opt Options) (*Server, error) {
 		return nil, err
 	}
 	eng := core.NewEngineOpts(ix, core.EngineOptions{
-		Shards: opt.Shards, Workers: opt.Workers,
+		Workers:   opt.Workers,
 		PlanCache: opt.PlanCache, PlanCacheEntries: opt.PlanCacheEntries,
 		AutoTune: opt.AutoTune,
 	})
@@ -193,9 +195,8 @@ func New(db *store.DB, opt Options) (*Server, error) {
 }
 
 // NewLive returns a handler over a live segmented index, additionally
-// exposing the ingest and delete endpoints. Options.Depth and Shards are
-// ignored (the live index carries its own depth; segments play the role
-// of shards).
+// exposing the ingest and delete endpoints. Options.Depth is ignored
+// (the live index carries its own depth).
 func NewLive(li *core.LiveIndex, opt Options) *Server {
 	s := newServer(opt)
 	s.search, s.live, s.dims = li, li, li.Curve().Dims()
@@ -640,7 +641,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		}
 	} else {
 		body = map[string]interface{}{
-			"shards":  s.eng.Shards(),
 			"records": s.eng.Len(),
 			// Cumulative partition-tree nodes visited by every plan this
 			// engine has computed: the filtering-side work counter that the
@@ -687,7 +687,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			"dims":    s.dims,
 			"order":   s.eng.Curve().Order(),
 			"depth":   s.eng.Depth(),
-			"shards":  s.eng.Shards(),
 			"workers": s.eng.Workers(),
 		}
 	}

@@ -27,7 +27,7 @@ func testServer(t *testing.T) (*Server, *store.DB) {
 		recs[i] = store.Record{FP: fp, ID: uint32(i), TC: uint32(2 * i), X: uint16(i), Y: uint16(i + 1)}
 	}
 	db := store.MustBuild(curve, recs)
-	s, err := New(db, Options{Shards: 4, Workers: 4})
+	s, err := New(db, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,6 +145,34 @@ func TestRangeAndKNNEndpoints(t *testing.T) {
 	}
 }
 
+// TestKNNHugeK: k comes off the wire, so it must not size an allocation.
+// k = 2^40 (a 32 TB result heap if taken at its word) answers with every
+// record the server holds, static and live.
+func TestKNNHugeK(t *testing.T) {
+	static, db := testServer(t)
+	live, li := liveTestServer(t)
+	for i := 0; i < 10; i++ {
+		if err := li.Ingest([]store.Record{{FP: []byte{byte(i), 2, 3, 4}, ID: 1, TC: uint32(i)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		s    *Server
+		fp   []int
+		want int
+	}{{static, fpOf(db, 10), db.Len()}, {live, []int{1, 2, 3, 4}, 10}} {
+		ts := httptest.NewServer(c.s)
+		resp, out := post(t, ts, "/search/knn", map[string]interface{}{"fingerprint": c.fp, "k": int64(1) << 40})
+		ts.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("knn status %d: %+v", resp.StatusCode, out)
+		}
+		if n := len(out["matches"].([]interface{})); n != c.want {
+			t.Fatalf("knn with k = 2^40 returned %d matches, want all %d", n, c.want)
+		}
+	}
+}
+
 func TestBadRequests(t *testing.T) {
 	s, db := testServer(t)
 	ts := httptest.NewServer(s)
@@ -207,9 +235,6 @@ func TestHealthzEndpoint(t *testing.T) {
 	}
 	if out["status"] != "ok" {
 		t.Errorf("status %v", out["status"])
-	}
-	if out["shards"].(float64) != 4 {
-		t.Errorf("shards %v, want 4", out["shards"])
 	}
 	if int(out["records"].(float64)) != db.Len() {
 		t.Errorf("records %v, want %d", out["records"], db.Len())
@@ -370,7 +395,7 @@ func TestConcurrentRequests(t *testing.T) {
 
 func TestInFlightBound(t *testing.T) {
 	_, db := testServer(t)
-	s, err := New(db, Options{Shards: 2, Workers: 2, MaxInFlight: 1})
+	s, err := New(db, Options{Workers: 2, MaxInFlight: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,7 @@ func testServerOpt(t *testing.T, opt Options) *Server {
 		}
 		recs[i] = store.Record{FP: fp, ID: uint32(i), TC: uint32(2 * i), X: uint16(i), Y: uint16(i + 1)}
 	}
-	opt.Shards, opt.Workers = 4, 4
+	opt.Workers = 4
 	s, err := New(store.MustBuild(curve, recs), opt)
 	if err != nil {
 		t.Fatal(err)

@@ -29,8 +29,8 @@ import (
 //
 // Span records come from the orchestrating goroutine of a query or its
 // attempt goroutines (the span list is mutex-guarded); the work counters
-// are atomic so concurrent shard/segment refinement workers can add to a
-// shared trace.
+// are atomic so the concurrent queries of a batch can add to a shared
+// trace.
 type Trace struct {
 	t0      time.Time
 	traceID uint64
@@ -325,7 +325,7 @@ func (t *Trace) AddCandidates(n int64) {
 	}
 }
 
-// AddSegments accumulates segments (or shards) visited by refinement.
+// AddSegments accumulates segments visited by refinement.
 func (t *Trace) AddSegments(n int64) {
 	if t != nil {
 		t.segments.Add(n)

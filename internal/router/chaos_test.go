@@ -99,7 +99,7 @@ func (f *flaky) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 func apiHandler(tb testing.TB, curve *hilbert.Curve, recs []store.Record) http.Handler {
 	tb.Helper()
 	db := store.MustBuild(curve, recs)
-	s, err := httpapi.New(db, httpapi.Options{Depth: testDepth, Shards: 2, Workers: 2})
+	s, err := httpapi.New(db, httpapi.Options{Depth: testDepth, Workers: 2})
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -74,7 +74,7 @@ func sortedRecords(db *store.DB) []store.Record {
 func apiServer(tb testing.TB, curve *hilbert.Curve, recs []store.Record) *httptest.Server {
 	tb.Helper()
 	db := store.MustBuild(curve, recs)
-	s, err := httpapi.New(db, httpapi.Options{Depth: testDepth, Shards: 2, Workers: 2})
+	s, err := httpapi.New(db, httpapi.Options{Depth: testDepth, Workers: 2})
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -39,8 +39,8 @@ func writeV1(t *testing.T, v2path string, curve *hilbert.Curve, sectionBits int)
 // TestChunkViewMatchesColumns checks the raw-image Chunk against an
 // oracle that shares none of its code: the in-memory DB's decoded
 // columns and DB.FindInterval. For seeded random databases written in
-// every format version (1 synthesized, 2 plain, 3 sharded, 4 with lean
-// and code areas), on a curve whose one-past-the-end key fits the stored
+// every format version (1 and 3 synthesized, 2 plain, 4 with lean and
+// code areas), on a curve whose one-past-the-end key fits the stored
 // key width and one where it does not, every accessor of an exact and a
 // lean chunk over a random record range equals the DB's column, and
 // plain and from-hinted interval searches equal the DB's range clipped
@@ -67,7 +67,7 @@ func TestChunkViewMatchesColumns(t *testing.T) {
 		paths := make([]string, fileVersion+1)
 		for v, opt := range []WriteOptions{
 			fileVersionV2: {SectionBits: sectionBits},
-			fileVersionV3: {SectionBits: sectionBits, Shards: 2},
+			fileVersionV3: {SectionBits: sectionBits},
 			fileVersionV4: {SectionBits: sectionBits, Sketch: true, Codec: true},
 		} {
 			if v < fileVersionV2 {
@@ -79,6 +79,7 @@ func TestChunkViewMatchesColumns(t *testing.T) {
 			}
 		}
 		paths[fileVersionV1] = writeV1(t, paths[fileVersionV2], curve, sectionBits)
+		AddShardManifest(t, paths[fileVersionV3], 0, uint64(db.Len()/2), uint64(db.Len()))
 
 		ok := true
 		for v := fileVersionV1; v <= fileVersion; v++ {

@@ -9,18 +9,20 @@ import (
 	"s3cbcd/internal/hilbert"
 )
 
-// v4TestFile writes a random database as a format-4 file carrying both a
-// sketch and the quantized codec, returning its path and source DB.
+// v4TestFile writes a random database as a format-4 file carrying every
+// optional section — sketch, quantized codec and a spliced-in legacy
+// shard manifest — returning its path and source DB.
 func v4TestFile(t *testing.T, seed int64, n, sectionBits int) (string, *DB) {
 	t.Helper()
 	curve := hilbert.MustNew(6, 4)
 	db := MustBuild(curve, randRecords(rand.New(rand.NewSource(seed)), curve, n))
 	path := filepath.Join(t.TempDir(), "v4.s3db")
 	if err := db.WriteFileOpts(path, WriteOptions{
-		SectionBits: sectionBits, Shards: 3, Sketch: true, Codec: true,
+		SectionBits: sectionBits, Sketch: true, Codec: true,
 	}); err != nil {
 		t.Fatal(err)
 	}
+	AddShardManifest(t, path, 0, uint64(n/3), uint64(n/3), uint64(n))
 	return path, db
 }
 

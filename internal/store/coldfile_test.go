@@ -57,19 +57,23 @@ func randIntervals(r *rand.Rand, curve *hilbert.Curve, n int) []hilbert.Interval
 	return hilbert.MergeIntervals(ivs)
 }
 
-// coldTestFile writes a random database file and returns its path plus
-// the in-memory DB it was written from.
+// coldTestFile writes a random database file — with a legacy shard
+// manifest spliced in when shards > 1 — and returns its path plus the
+// in-memory DB it was written from.
 func coldTestFile(t *testing.T, seed int64, n, sectionBits, shards int) (string, *DB) {
 	t.Helper()
 	curve := hilbert.MustNew(6, 4)
 	db := MustBuild(curve, randRecords(rand.New(rand.NewSource(seed)), curve, n))
 	path := filepath.Join(t.TempDir(), "cold.s3db")
-	if shards > 1 {
-		if err := db.WriteFileSharded(path, sectionBits, shards); err != nil {
-			t.Fatal(err)
-		}
-	} else if err := db.WriteFile(path, sectionBits); err != nil {
+	if err := db.WriteFile(path, sectionBits); err != nil {
 		t.Fatal(err)
+	}
+	if shards > 1 {
+		starts := make([]uint64, shards+1)
+		for i := range starts {
+			starts[i] = uint64(n * i / shards)
+		}
+		AddShardManifest(t, path, starts...)
 	}
 	return path, db
 }

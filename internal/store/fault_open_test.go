@@ -35,7 +35,8 @@ func scriptRead(target faultfs.Op, n int, act faultfs.Action) faultfs.Injector {
 	}
 }
 
-// writeTestFile builds a small sharded database file and returns its
+// writeTestFile builds a small database file carrying a legacy shard
+// manifest (so opening it reads every header section) and returns its
 // path.
 func writeTestFile(t *testing.T) string {
 	t.Helper()
@@ -52,9 +53,10 @@ func writeTestFile(t *testing.T) string {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "db.s3db")
-	if err := db.WriteFileSharded(path, 4, 3); err != nil {
+	if err := db.WriteFile(path, 4); err != nil {
 		t.Fatal(err)
 	}
+	store.AddShardManifest(t, path, 0, 13, 26, 40)
 	return path
 }
 

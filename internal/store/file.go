@@ -20,7 +20,7 @@ import (
 //	secBits uint32
 //	flags   uint32                            (version 4 only)
 //	table   (2^secBits + 1) × uint64   record start index per curve section
-//	shards  uint32, (shards + 1) × uint64     (version 3; version 4 when flagged)
+//	shards  uint32, (shards + 1) × uint64     (legacy: version 3; version 4 when flagged)
 //	sketch  see sketch.go                     (version 4, flagShardSketch)
 //	codec   see quant.go                      (version 4, flagCodec)
 //	records count × (keyBytes + dims + 4 + 4 [+ 2 + 2])
@@ -33,13 +33,14 @@ import (
 // is the paper's index table: it locates any curve section's record range
 // without touching the record area, which is what lets the pseudo-disk
 // strategy load one section at a time. Version 3 additionally stores a
-// shard manifest — the record start index of each equi-populated,
-// key-snapped shard (see ShardStarts) — so an opener can map shards
-// without scanning the record area; versions 1 and 2 remain readable and
-// simply carry no manifest.
+// shard manifest — record start indices of a key-range partition. It is
+// a legacy, read-only section: nothing consumes it and no writer emits
+// it any more, but files carrying one still open, and because the
+// sections behind it are located by its length it is validated like any
+// other untrusted input before being skipped.
 //
-// Version 4 adds a flags word selecting optional sections: the shard
-// manifest (flagShards), a segment occupancy sketch consulted to skip
+// Version 4 adds a flags word selecting optional sections: the legacy
+// shard manifest (flagShards), a segment occupancy sketch consulted to skip
 // the whole file or individual blocks at query time (flagSketch,
 // sketch.go), and the cold codec (flagCodec, quant.go) — a quantizer
 // table plus two parallel record areas sharing the exact area's order
@@ -61,7 +62,7 @@ const (
 
 // Version-4 flags word bits.
 const (
-	fileFlagShards uint32 = 1 << 0 // shard manifest present
+	fileFlagShards uint32 = 1 << 0 // legacy shard manifest present (read, never written)
 	fileFlagSketch uint32 = 1 << 1 // occupancy sketch section present
 	fileFlagCodec  uint32 = 1 << 2 // quantizer table + lean and code areas present
 )
@@ -93,9 +94,6 @@ type WriteOptions struct {
 	// SectionBits is the section-table granularity; must be in
 	// [0, IndexBits]. 12 is a good default for the paper's configuration.
 	SectionBits int
-	// Shards embeds the manifest of a partition into that many
-	// equi-populated shards (see ShardStarts); 0 omits it.
-	Shards int
 	// Sketch embeds an occupancy sketch section (format version 4): a
 	// Bloom filter over the blocks of a 2^SketchBits curve partition plus
 	// per-dimension component envelopes, letting readers skip the file —
@@ -117,9 +115,8 @@ type WriteOptions struct {
 
 // WriteFile serializes the database with a 2^sectionBits-entry section
 // table. sectionBits must be in [0, IndexBits]; 12 is a good default for
-// the paper's configuration. The file carries no shard manifest (format
-// version 2); use WriteFileSharded to embed one, or WriteFileOpts for
-// the version-4 sections.
+// the paper's configuration. The file is format version 2; use
+// WriteFileOpts for the version-4 sections.
 func (db *DB) WriteFile(path string, sectionBits int) error {
 	return db.writeFile(OSFS, path, WriteOptions{SectionBits: sectionBits})
 }
@@ -127,16 +124,6 @@ func (db *DB) WriteFile(path string, sectionBits int) error {
 // WriteFileFS is WriteFile through an explicit filesystem seam.
 func (db *DB) WriteFileFS(fsys FS, path string, sectionBits int) error {
 	return db.writeFile(fsys, path, WriteOptions{SectionBits: sectionBits})
-}
-
-// WriteFileSharded serializes the database like WriteFile and embeds the
-// manifest of a partition into shards equi-populated shards (format
-// version 3), so openers can map the shards without scanning records.
-func (db *DB) WriteFileSharded(path string, sectionBits, shards int) error {
-	if shards < 1 {
-		return fmt.Errorf("store: shard count %d must be >= 1", shards)
-	}
-	return db.writeFile(OSFS, path, WriteOptions{SectionBits: sectionBits, Shards: shards})
 }
 
 // WriteFileOpts serializes the database with the selected optional
@@ -153,9 +140,6 @@ func (db *DB) WriteFileOptsFS(fsys FS, path string, opt WriteOptions) error {
 func (db *DB) writeFile(fsys FS, path string, opt WriteOptions) error {
 	if opt.SectionBits < 0 || opt.SectionBits > db.curve.IndexBits() {
 		return fmt.Errorf("store: sectionBits %d outside [0,%d]", opt.SectionBits, db.curve.IndexBits())
-	}
-	if opt.Shards < 0 {
-		return fmt.Errorf("store: shard count %d must be >= 0", opt.Shards)
 	}
 	f, err := fsys.Create(path)
 	if err != nil {
@@ -182,20 +166,10 @@ func (db *DB) writeFile(fsys FS, path string, opt WriteOptions) error {
 }
 
 func (db *DB) writeTo(w io.Writer, opt WriteOptions) error {
-	var shardStarts []int
-	if opt.Shards > 0 {
-		shardStarts = db.ShardStarts(opt.Shards)
-	}
 	version := fileVersionV2
-	if shardStarts != nil {
-		version = fileVersionV3
-	}
 	var flags uint32
 	if opt.Sketch || opt.Codec {
 		version = fileVersionV4
-		if shardStarts != nil {
-			flags |= fileFlagShards
-		}
 		if opt.Sketch {
 			flags |= fileFlagSketch
 		}
@@ -236,18 +210,6 @@ func (db *DB) writeTo(w io.Writer, opt WriteOptions) error {
 		binary.LittleEndian.PutUint64(buf[:], uint64(s))
 		if _, err := w.Write(buf[:]); err != nil {
 			return err
-		}
-	}
-	if shardStarts != nil {
-		binary.LittleEndian.PutUint32(buf[:4], uint32(len(shardStarts)-1))
-		if _, err := w.Write(buf[:4]); err != nil {
-			return err
-		}
-		for _, s := range shardStarts {
-			binary.LittleEndian.PutUint64(buf[:], uint64(s))
-			if _, err := w.Write(buf[:]); err != nil {
-				return err
-			}
 		}
 	}
 	if opt.Sketch {
@@ -610,10 +572,9 @@ func (fl *File) SketchBytes() int {
 	return fl.sketch.EncodedSize()
 }
 
-// ShardStarts returns the stored shard manifest (record start index per
-// shard plus a final entry equal to Count), or nil when the file predates
-// format version 3. The returned slice is shared; callers must not modify
-// it.
+// ShardStarts returns the legacy shard manifest as the reader parsed it
+// (record start index per shard plus a final entry equal to Count), or
+// nil when the file carries none. Nothing in this module consumes it.
 func (fl *File) ShardStarts() []int { return fl.shardStarts }
 
 // Close releases the underlying file.

@@ -13,7 +13,8 @@ import (
 // FuzzOpen feeds arbitrary bytes to the file parser: it must never panic
 // and must never return a File whose advertised geometry is unusable.
 func FuzzOpen(f *testing.F) {
-	// Seed corpus: a valid file, its truncations, and noise.
+	// Seed corpus: a valid file, the same with a legacy shard manifest,
+	// truncations, and noise.
 	curve := hilbert.MustNew(4, 4)
 	db := MustBuild(curve, randRecords(rand.New(rand.NewSource(1)), curve, 8))
 	dir := f.TempDir()
@@ -27,6 +28,11 @@ func FuzzOpen(f *testing.F) {
 	}
 	f.Add(data)
 	f.Add(data[:20])
+	AddShardManifest(f, valid, 0, 3, 8)
+	if data, err = os.ReadFile(valid); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
 	f.Add([]byte("S3DB"))
 	f.Add([]byte{})
 

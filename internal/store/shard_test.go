@@ -2,11 +2,11 @@ package store
 
 import (
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
-	"s3cbcd/internal/bitkey"
 	"s3cbcd/internal/hilbert"
 )
 
@@ -17,192 +17,104 @@ func shardTestDB(t *testing.T, dims, n int, seed int64) *DB {
 	return MustBuild(curve, randRecords(r, curve, n))
 }
 
-// checkShardInvariants asserts the partition invariants every layout must
-// satisfy: shards cover the record range and the whole keyspace exactly
-// once, key ranges are contiguous, every record falls in its shard's key
-// range, and no key straddles a boundary.
-func checkShardInvariants(t *testing.T, db *DB, shards []ShardRange) {
+// manifestLayouts are the two layouts a legacy shard manifest can ride
+// on: version 2 (becoming 3) and version 4.
+var manifestLayouts = []struct {
+	opt     WriteOptions
+	version int // once the manifest is spliced in
+}{
+	{WriteOptions{}, fileVersionV3},
+	{WriteOptions{Sketch: true, Codec: true}, fileVersionV4},
+}
+
+// manifestFile writes db with opt and splices in the manifest starts.
+func manifestFile(t *testing.T, db *DB, opt WriteOptions, starts ...uint64) string {
 	t.Helper()
-	if len(shards) == 0 {
-		t.Fatal("no shards")
-	}
-	end := curveEnd(db.Curve().IndexBits())
-	if !shards[0].Start.IsZero() {
-		t.Errorf("first shard starts at %v, want zero", shards[0].Start)
-	}
-	if shards[len(shards)-1].End != end {
-		t.Errorf("last shard ends at %v, want curve end", shards[len(shards)-1].End)
-	}
-	if shards[0].Lo != 0 || shards[len(shards)-1].Hi != db.Len() {
-		t.Errorf("record coverage [%d,%d), want [0,%d)", shards[0].Lo, shards[len(shards)-1].Hi, db.Len())
-	}
-	for i, sh := range shards {
-		if sh.Lo > sh.Hi {
-			t.Errorf("shard %d has inverted record range [%d,%d)", i, sh.Lo, sh.Hi)
-		}
-		if i > 0 {
-			if shards[i-1].End != sh.Start {
-				t.Errorf("key gap between shard %d and %d", i-1, i)
-			}
-			if shards[i-1].Hi != sh.Lo {
-				t.Errorf("record gap between shard %d and %d", i-1, i)
-			}
-		}
-		for j := sh.Lo; j < sh.Hi; j++ {
-			k := db.Key(j)
-			if k.Less(sh.Start) || !k.Less(sh.End) {
-				t.Fatalf("record %d key outside shard %d range", j, i)
-			}
-		}
-		// Boundary snapping: the key just before a non-degenerate interior
-		// boundary must differ from the key at the boundary.
-		if i > 0 && sh.Lo > 0 && sh.Lo < db.Len() {
-			if db.Key(sh.Lo-1) == db.Key(sh.Lo) {
-				t.Errorf("equal keys straddle shard boundary %d", i)
-			}
-		}
-	}
-}
-
-func TestShardsPartitionAndBalance(t *testing.T) {
-	db := shardTestDB(t, 6, 1000, 3)
-	for _, n := range []int{1, 2, 3, 4, 8, 16} {
-		shards := db.Shards(n)
-		if len(shards) != n {
-			t.Fatalf("Shards(%d) returned %d shards", n, len(shards))
-		}
-		checkShardInvariants(t, db, shards)
-		// Random 6-byte fingerprints are effectively collision-free, so
-		// snapping moves boundaries at most a hair: populations should be
-		// within one of the exact quota.
-		quota := db.Len() / n
-		for i, sh := range shards {
-			if size := sh.Hi - sh.Lo; size < quota-1 || size > quota+2 {
-				t.Errorf("n=%d shard %d holds %d records, quota %d", n, i, size, quota)
-			}
-		}
-	}
-}
-
-func TestShardsDuplicateHeavyKey(t *testing.T) {
-	// 900 of 1000 records share one fingerprint: every interior boundary
-	// snaps below the heavy run, leaving empty shards but never splitting
-	// the equal-key run.
-	curve := hilbert.MustNew(4, 8)
-	r := rand.New(rand.NewSource(9))
-	recs := make([]Record, 1000)
-	heavy := []byte{7, 7, 7, 7}
-	for i := range recs {
-		fp := heavy
-		if i%10 == 0 {
-			fp = []byte{byte(r.Intn(256)), byte(r.Intn(256)), byte(r.Intn(256)), byte(r.Intn(256))}
-		}
-		recs[i] = Record{FP: fp, ID: uint32(i), TC: uint32(i)}
-	}
-	db := MustBuild(curve, recs)
-	shards := db.Shards(4)
-	if len(shards) != 4 {
-		t.Fatalf("got %d shards", len(shards))
-	}
-	checkShardInvariants(t, db, shards)
-	heavyKey := db.Curve().Encode([]uint32{7, 7, 7, 7})
-	owner := -1
-	for i, sh := range shards {
-		for j := sh.Lo; j < sh.Hi; j++ {
-			if db.Key(j) == heavyKey {
-				if owner >= 0 && owner != i {
-					t.Fatalf("heavy key split across shards %d and %d", owner, i)
-				}
-				owner = i
-			}
-		}
-	}
-	if owner < 0 {
-		t.Fatal("heavy key not found in any shard")
-	}
-}
-
-func TestShardsEmptyAndTinyDB(t *testing.T) {
-	curve := hilbert.MustNew(4, 8)
-	empty := MustBuild(curve, nil)
-	shards := empty.Shards(4)
-	checkShardInvariants(t, empty, shards)
-	one := MustBuild(curve, []Record{{FP: []byte{1, 2, 3, 4}}})
-	checkShardInvariants(t, one, one.Shards(4))
-	checkShardInvariants(t, one, one.Shards(1))
-}
-
-func TestShardsAtValidation(t *testing.T) {
-	db := shardTestDB(t, 4, 100, 5)
-	if _, err := db.ShardsAt([]int{0, 50}); err == nil {
-		t.Error("starts not spanning Len accepted")
-	}
-	if _, err := db.ShardsAt([]int{5, 100}); err == nil {
-		t.Error("starts not beginning at 0 accepted")
-	}
-	if _, err := db.ShardsAt([]int{0}); err == nil {
-		t.Error("single-entry starts accepted")
-	}
-	if _, err := db.ShardsAt([]int{0, 60, 40, 100}); err == nil {
-		t.Error("decreasing starts accepted")
-	}
-	got, err := db.ShardsAt(db.ShardStarts(3))
-	if err != nil {
+	path := filepath.Join(t.TempDir(), "manifest.s3db")
+	if err := db.WriteFileOpts(path, opt); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, db.Shards(3)) {
-		t.Error("ShardsAt(ShardStarts(n)) differs from Shards(n)")
-	}
+	AddShardManifest(t, path, starts...)
+	return path
 }
 
+// TestWriteFileShardedRoundTrip: no writer emits the legacy shard
+// manifest any more, but a file carrying one (version 3, or version 4
+// with the flag — both synthesized here) still opens, reports the
+// manifest as stored, and reads back every record behind it.
 func TestWriteFileShardedRoundTrip(t *testing.T) {
 	db := shardTestDB(t, 6, 800, 13)
-	path := filepath.Join(t.TempDir(), "sharded.s3db")
-	if err := db.WriteFileSharded(path, 10, 4); err != nil {
-		t.Fatal(err)
-	}
-	fl, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fl.Close()
-	if fl.Version() != 3 {
-		t.Fatalf("version %d, want 3", fl.Version())
-	}
-	if got, want := fl.ShardStarts(), db.ShardStarts(4); !reflect.DeepEqual(got, want) {
-		t.Fatalf("manifest %v, want %v", got, want)
-	}
-	// The manifest shifts the record area; everything after it must still
-	// read back exactly.
-	got, err := fl.LoadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != db.Len() {
-		t.Fatalf("reloaded %d records, want %d", got.Len(), db.Len())
-	}
-	for i := 0; i < db.Len(); i++ {
-		if got.Key(i) != db.Key(i) || !reflect.DeepEqual(got.FP(i), db.FP(i)) ||
-			got.ID(i) != db.ID(i) || got.TC(i) != db.TC(i) ||
-			got.X(i) != db.X(i) || got.Y(i) != db.Y(i) {
-			t.Fatalf("record %d differs after v3 round-trip", i)
+	for _, l := range manifestLayouts {
+		l.opt.SectionBits = 10
+		fl, err := Open(manifestFile(t, db, l.opt, 0, 200, 200, 555, 800))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fl.Close()
+		if fl.Version() != l.version {
+			t.Fatalf("version %d, want %d", fl.Version(), l.version)
+		}
+		if got, want := fl.ShardStarts(), []int{0, 200, 200, 555, 800}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("manifest %v, want %v", got, want)
+		}
+		// The manifest shifts the record area; everything after it must still
+		// read back exactly.
+		got, err := fl.LoadAll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Len() != db.Len() {
+			t.Fatalf("reloaded %d records, want %d", got.Len(), db.Len())
+		}
+		for i := 0; i < db.Len(); i++ {
+			if got.Key(i) != db.Key(i) || !reflect.DeepEqual(got.FP(i), db.FP(i)) ||
+				got.ID(i) != db.ID(i) || got.TC(i) != db.TC(i) ||
+				got.X(i) != db.X(i) || got.Y(i) != db.Y(i) {
+				t.Fatalf("record %d differs after manifest round-trip", i)
+			}
+		}
+		// Partial loads must honor the shifted data offset too.
+		ch, err := fl.LoadRecords(100, 130)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < ch.Len(); i++ {
+			if ch.Key(i) != db.Key(100+i) {
+				t.Fatalf("chunk record %d differs", i)
+			}
 		}
 	}
-	// Partial loads must honor the shifted data offset too.
-	ch, err := fl.LoadRecords(100, 130)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < ch.Len(); i++ {
-		if ch.Key(i) != db.Key(100+i) {
-			t.Fatalf("chunk record %d differs", i)
+}
+
+// TestOpenRejectsCorruptShardManifest: the sections behind the manifest
+// are located by its length, so it is validated before being skipped.
+func TestOpenRejectsCorruptShardManifest(t *testing.T) {
+	db := shardTestDB(t, 6, 100, 5)
+	for _, l := range manifestLayouts {
+		for name, starts := range map[string][]uint64{
+			"no shards":       {0},
+			"more than count": make([]uint64, 103),
+			"not from zero":   {5, 100},
+			"short of count":  {0, 50},
+			"past count":      {0, 101},
+			"decreasing":      {0, 60, 40, 100},
+			"negative as int": {0, 1 << 63, 100},
+		} {
+			if fl, err := Open(manifestFile(t, db, l.opt, starts...)); err == nil {
+				fl.Close()
+				t.Errorf("version %d: manifest %q accepted", l.version, name)
+			}
+		}
+		// A manifest cut short by the end of the file.
+		path := manifestFile(t, db, l.opt, 0, 50, 100)
+		if err := os.Truncate(path, 28+4+8*2+4+12); err != nil {
+			t.Fatal(err)
+		}
+		if fl, err := Open(path); err == nil {
+			fl.Close()
+			t.Errorf("version %d: truncated manifest accepted", l.version)
 		}
 	}
-	ranges, err := got.ShardsAt(fl.ShardStarts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkShardInvariants(t, got, ranges)
 }
 
 func TestWriteFileUnshardedStaysV2(t *testing.T) {
@@ -221,27 +133,5 @@ func TestWriteFileUnshardedStaysV2(t *testing.T) {
 	}
 	if fl.ShardStarts() != nil {
 		t.Fatalf("v2 file reports manifest %v", fl.ShardStarts())
-	}
-	if err := db.WriteFileSharded(filepath.Join(t.TempDir(), "bad.s3db"), 8, 0); err == nil {
-		t.Error("WriteFileSharded accepted shard count 0")
-	}
-}
-
-func TestShardKeyRangesMatchBitkeys(t *testing.T) {
-	// Interior shard starts must equal the key of their first record, so
-	// key-range intersection and record-range intersection agree.
-	db := shardTestDB(t, 6, 500, 19)
-	shards := db.Shards(5)
-	for i := 1; i < len(shards); i++ {
-		sh := shards[i]
-		if sh.Lo == sh.Hi {
-			continue
-		}
-		if sh.Start != db.Key(sh.Lo) {
-			t.Errorf("shard %d starts at %v, first record key %v", i, sh.Start, db.Key(sh.Lo))
-		}
-	}
-	if end := curveEnd(db.Curve().IndexBits()); end != bitkey.FromUint64(1).Shl(uint(db.Curve().IndexBits())) {
-		t.Errorf("curveEnd mismatch: %v", end)
 	}
 }

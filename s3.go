@@ -115,13 +115,9 @@ type IndexOptions struct {
 	// Depth is the curve partition depth p; 0 selects a heuristic that
 	// Index.Tune can refine.
 	Depth int
-	// Shards is the number of contiguous Hilbert key-range shards the
-	// query engine splits the index into; plans computed against the
-	// global curve are refined concurrently across shards. 0 or 1 keeps
-	// the monolithic layout. Results are identical at any shard count.
-	Shards int
-	// Workers bounds the engine's concurrency (shard refinement and batch
-	// fan-out). 0 selects GOMAXPROCS; 1 is fully sequential.
+	// Workers bounds the goroutines a batch search (SearchStatBatch)
+	// spreads its queries over; a single query always runs on its
+	// caller's goroutine. 0 selects GOMAXPROCS; 1 is fully sequential.
 	Workers int
 	// PlanCache enables the engine's bounded plan cache: repeated or
 	// near-identical queries reuse the filtering step's Plan instead of
@@ -134,9 +130,9 @@ type IndexOptions struct {
 	AutoTune AutoTuneOptions
 }
 
-// Index is the in-memory S³ index. Queries execute through a sharded
-// query engine (see IndexOptions.Shards); with the default options the
-// engine degenerates to the sequential single-shard path.
+// Index is the in-memory S³ index. Queries execute through a query
+// engine whose answers are byte-identical to the sequential reference
+// path at any IndexOptions.Workers.
 type Index struct {
 	ix  *core.Index
 	db  *store.DB
@@ -149,20 +145,11 @@ func newIndex(db *store.DB, opt IndexOptions) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng := core.NewEngine(ix, opt.Shards, opt.Workers)
-	applyEngineOptions(eng, opt)
+	eng := core.NewEngineOpts(ix, core.EngineOptions{
+		Workers: opt.Workers, PlanCache: opt.PlanCache,
+		PlanCacheEntries: opt.PlanCacheEntries, AutoTune: opt.AutoTune,
+	})
 	return &Index{ix: ix, db: db, eng: eng}, nil
-}
-
-// applyEngineOptions enables the optional plan cache and auto-tuner on a
-// freshly constructed engine, before it serves any query.
-func applyEngineOptions(eng *core.Engine, opt IndexOptions) {
-	if opt.PlanCache {
-		eng.EnablePlanCache(opt.PlanCacheEntries)
-	}
-	if opt.AutoTune.Enabled {
-		eng.EnableAutoTune(opt.AutoTune)
-	}
 }
 
 // BuildIndex sorts the records along the Hilbert curve and returns the
@@ -183,15 +170,13 @@ func BuildIndex(dims int, recs []Record, opt IndexOptions) (*Index, error) {
 }
 
 // OpenIndex loads a database file written by Save entirely into memory.
-// Files carrying a shard manifest (format v3) reopen with that shard
-// layout; v1/v2 files open monolithic.
+// Every format version opens; a legacy shard manifest (format v3) is
+// validated and ignored.
 func OpenIndex(path string, depth int) (*Index, error) {
 	return OpenIndexOptions(path, IndexOptions{Depth: depth})
 }
 
-// OpenIndexOptions is OpenIndex with full engine options. When
-// opt.Shards is 0 and the file stores a shard manifest, the manifest's
-// layout is used; an explicit opt.Shards recomputes the partition.
+// OpenIndexOptions is OpenIndex with full engine options.
 func OpenIndexOptions(path string, opt IndexOptions) (*Index, error) {
 	fl, err := store.Open(path)
 	if err != nil {
@@ -202,33 +187,13 @@ func OpenIndexOptions(path string, opt IndexOptions) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	ix, err := core.NewIndex(db, opt.Depth)
-	if err != nil {
-		return nil, err
-	}
-	if starts := fl.ShardStarts(); starts != nil && opt.Shards == 0 {
-		ranges, err := db.ShardsAt(starts)
-		if err != nil {
-			return nil, fmt.Errorf("s3: %s: %w", path, err)
-		}
-		eng := core.NewEngineShards(ix, ranges, opt.Workers)
-		applyEngineOptions(eng, opt)
-		return &Index{ix: ix, db: db, eng: eng}, nil
-	}
-	eng := core.NewEngine(ix, opt.Shards, opt.Workers)
-	applyEngineOptions(eng, opt)
-	return &Index{ix: ix, db: db, eng: eng}, nil
+	return newIndex(db, opt)
 }
 
 // Save writes the index's database to a file with a 2^sectionBits section
 // table (12 is a good default; larger values give the pseudo-disk finer
-// loading granularity). An index running with a sharded engine embeds its
-// shard manifest (format v3) so OpenIndex restores the same layout;
-// otherwise the file stays at format v2.
+// loading granularity). The file is format v2.
 func (x *Index) Save(path string, sectionBits int) error {
-	if n := x.eng.Shards(); n > 1 {
-		return x.db.WriteFileSharded(path, sectionBits, n)
-	}
 	return x.db.WriteFile(path, sectionBits)
 }
 
@@ -243,9 +208,6 @@ func (x *Index) Depth() int { return x.ix.Depth() }
 
 // SetDepth changes the partition depth p. It panics outside [1, K*D].
 func (x *Index) SetDepth(p int) { x.ix.SetDepth(p) }
-
-// Shards returns the number of keyspace shards the query engine uses.
-func (x *Index) Shards() int { return x.eng.Shards() }
 
 // Engine exposes the index's query engine (e.g. to share it with a
 // serving layer).

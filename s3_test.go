@@ -2,7 +2,9 @@ package s3
 
 import (
 	"context"
+	"encoding/binary"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -178,6 +180,30 @@ func TestNewDetectorDimsCheck(t *testing.T) {
 	}
 }
 
+// addShardManifestV3 rewrites a format-v2 file as Save once wrote a
+// sharded index: version 3, with the shard count and record starts after
+// the 2^sectionBits+1-entry section table (docs/FORMAT.md).
+func addShardManifestV3(t *testing.T, path string, sectionBits int, starts ...uint64) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := 28 + 8*(1<<sectionBits+1)
+	binary.LittleEndian.PutUint32(raw[4:], 3)
+	sec := binary.LittleEndian.AppendUint32(nil, uint32(len(starts)-1))
+	for _, s := range starts {
+		sec = binary.LittleEndian.AppendUint64(sec, s)
+	}
+	if err := os.WriteFile(path, append(append(raw[:head:head], sec...), raw[head:]...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestShardedIndexLifecycle (the name predates the removal of the shard
+// option) walks one index through its life: answers do not depend on the
+// worker bound, survive Save → OpenIndex, and are the same from a file
+// carrying a legacy shard manifest, in memory and through the disk index.
 func TestShardedIndexLifecycle(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	recs := randomRecords(r, 8, 1200)
@@ -185,12 +211,9 @@ func TestShardedIndexLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := BuildIndex(8, recs, IndexOptions{Shards: 4, Workers: 4})
+	sharded, err := BuildIndex(8, recs, IndexOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if sharded.Shards() != 4 {
-		t.Fatalf("Shards() = %d, want 4", sharded.Shards())
 	}
 	sq := StatQuery{Alpha: 0.8, Model: IsoNormal{D: 8, Sigma: 10}}
 	queries := make([][]byte, 25)
@@ -211,40 +234,43 @@ func TestShardedIndexLifecycle(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("query %d: sharded StatSearch differs from unsharded", i)
+			t.Fatalf("query %d: 4-worker StatSearch differs from default", i)
 		}
 		if !reflect.DeepEqual(batch[i], want) {
-			t.Fatalf("query %d: SearchStatBatch differs from unsharded", i)
+			t.Fatalf("query %d: SearchStatBatch differs from StatSearch", i)
 		}
 	}
 
-	// Save embeds the shard manifest; OpenIndex restores the layout.
+	// Save → reopen answers identically, and so does the same file once it
+	// carries the legacy shard manifest older Saves embedded (format v3).
 	path := filepath.Join(t.TempDir(), "sharded.s3db")
 	if err := sharded.Save(path, 8); err != nil {
 		t.Fatal(err)
 	}
-	reopened, err := OpenIndex(path, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reopened.Shards() != 4 {
-		t.Fatalf("reopened Shards() = %d, want 4", reopened.Shards())
-	}
-	for i, q := range queries {
-		want, _, err := plain.StatSearch(q, sq)
+	for _, manifest := range []bool{false, true} {
+		if manifest {
+			addShardManifestV3(t, path, 8, 0, 300, 600, 900, 1200)
+		}
+		reopened, err := OpenIndex(path, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := reopened.StatSearch(q, sq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("query %d: reopened sharded index differs", i)
+		for i, q := range queries {
+			want, _, err := plain.StatSearch(q, sq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := reopened.StatSearch(q, sq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("query %d: reopened index (manifest %v) differs", i, manifest)
+			}
 		}
 	}
 
-	// The sharded file still works for the disk index path.
+	// The manifest-bearing file still works for the disk index path.
 	d, err := OpenDiskIndex(path, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -260,16 +286,7 @@ func TestShardedIndexLifecycle(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(dres[i], want) {
-			t.Fatalf("query %d: disk index over sharded file differs", i)
+			t.Fatalf("query %d: disk index over manifest-bearing file differs", i)
 		}
-	}
-
-	// An explicit shard option overrides the stored manifest.
-	re2, err := OpenIndexOptions(path, IndexOptions{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if re2.Shards() != 2 {
-		t.Fatalf("override Shards() = %d, want 2", re2.Shards())
 	}
 }
