@@ -1,6 +1,7 @@
 package router
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -177,33 +178,37 @@ func TestTraceHeaderPropagatedToBackends(t *testing.T) {
 	}
 }
 
-// TestTracedResponseBodyIdentical pins byte-identity: apart from the
-// appended "trace" member, a traced response is byte-identical to the
-// untraced one.
+// TestTracedResponseBodyIdentical pins byte-identity on every search
+// route, complete and degraded: a traced merged body is the untraced one
+// with a "trace" member appended before the closing brace, and nothing
+// else changed.
 func TestTracedResponseBodyIdentical(t *testing.T) {
-	_, rts, fp := traceTwoGroupFixture(t, Options{})
-	body := fmt.Sprintf(`{"fingerprint":%s,"alpha":0.8,"sigma":10}`, fpJSON(fp))
-	_, plain, _ := postBytes(t, rts.URL, "/search/statistical", body)
-	_, traced, _ := postBytes(t, rts.URL, "/search/statistical?trace=1", body)
-	var m map[string]json.RawMessage
-	if err := json.Unmarshal(traced, &m); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := m["trace"]; !ok {
-		t.Fatalf("traced response has no trace member: %s", traced)
-	}
-	delete(m, "trace")
-	stripped, err := json.Marshal(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ref map[string]json.RawMessage
-	if err := json.Unmarshal(plain, &ref); err != nil {
-		t.Fatal(err)
-	}
-	refRound, _ := json.Marshal(ref)
-	if string(stripped) != string(refRound) {
-		t.Fatalf("traced body diverged:\n  traced-sans-trace %s\n  untraced          %s", stripped, refRound)
+	groups, a, b, r := wireFleet(t)
+	_, rts := startRouter(t, Options{Groups: groups, ProbeInterval: -1})
+	dead := httptest.NewServer(nil)
+	dead.Close()
+	_, degraded := startRouter(t, Options{
+		Groups:  [][]string{groups[0], {dead.URL}},
+		Partial: PartialDegrade, Retries: -1, ProbeInterval: -1, Logger: obs.NopLogger(),
+	})
+	for _, ts := range []*httptest.Server{rts, degraded} {
+		for _, c := range wireCases(a, b, r) {
+			_, plain, _ := postBytes(t, ts.URL, c[0], c[1])
+			_, traced, _ := postBytes(t, ts.URL, c[0]+"?trace=1", c[1])
+			head := bytes.TrimSuffix(plain, []byte("}\n"))
+			rest, ok := bytes.CutPrefix(traced, head)
+			if len(head) == len(plain) || !ok {
+				t.Fatalf("%s: traced body does not extend the untraced one:\nuntraced %s\ntraced   %s", c[0], plain, traced)
+			}
+			tr, ok := bytes.CutPrefix(rest, []byte(`,"trace":`))
+			if !ok || !bytes.HasSuffix(tr, []byte("}\n")) {
+				t.Fatalf("%s: traced body adds more than a trailing trace member: %s", c[0], rest)
+			}
+			var rep obs.TraceReport
+			if err := json.Unmarshal(tr[:len(tr)-2], &rep); err != nil || len(findSpans(rep.Spans, "group")) != 2 {
+				t.Fatalf("%s: trace member is not the assembled two-group tree (%v): %s", c[0], err, tr)
+			}
+		}
 	}
 }
 
