@@ -6,17 +6,15 @@ package obs
 // wrong tool: a histogram never forgets, so a backend that was slow an
 // hour ago would keep triggering hedges long after it recovered. The
 // window holds the most recent Size observations and computes exact
-// quantiles over them by copy-and-sort, which at hedging's window sizes
-// (tens to a few hundred samples) costs microseconds per decision.
+// quantiles over them by selection in scratch space the window owns, so
+// a hedging decision — made per replica, per group, per request —
+// neither allocates nor sorts.
 //
 // A Window is safe for concurrent use. It is an estimator, not a
 // Metric: it does not render into a Registry (register a GaugeFunc over
 // Quantile for that).
 
-import (
-	"sort"
-	"sync"
-)
+import "sync"
 
 // DefaultWindowSize is the observation capacity NewWindow(0) selects:
 // large enough that one outlier cannot drag a tail quantile, small
@@ -26,10 +24,11 @@ const DefaultWindowSize = 128
 
 // Window is a concurrency-safe sliding window of observations.
 type Window struct {
-	mu   sync.Mutex
-	buf  []float64
-	next int // ring write position
-	n    int // live observations, <= len(buf)
+	mu      sync.Mutex
+	buf     []float64
+	next    int       // ring write position
+	n       int       // live observations, <= len(buf)
+	scratch []float64 // Quantile's selection space, guarded by mu
 }
 
 // NewWindow returns a window retaining the size most recent
@@ -38,7 +37,7 @@ func NewWindow(size int) *Window {
 	if size <= 0 {
 		size = DefaultWindowSize
 	}
-	return &Window{buf: make([]float64, size)}
+	return &Window{buf: make([]float64, size), scratch: make([]float64, size)}
 }
 
 // Observe records one observation, evicting the oldest when full.
@@ -62,26 +61,65 @@ func (w *Window) Count() int {
 
 // Quantile returns the exact q-quantile (0 <= q <= 1, nearest-rank) of
 // the retained observations, or 0 when the window is empty. q is
-// clamped into [0, 1].
+// clamped into [0, 1]. The value is the one sort.Float64s would put at
+// rank q·n (NaNs ordered first), found by selection.
 func (w *Window) Quantile(q float64) float64 {
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	if w.n == 0 {
-		w.mu.Unlock()
 		return 0
 	}
-	s := make([]float64, w.n)
-	copy(s, w.buf[:w.n])
-	w.mu.Unlock()
-	sort.Float64s(s)
-	if q < 0 {
+	if !(q > 0) { // NaN too
 		q = 0
 	}
-	if q > 1 {
-		q = 1
+	k := min(int(min(q, 1)*float64(w.n)), w.n-1)
+	s := w.scratch[:w.n]
+	copy(s, w.buf[:w.n])
+	return selectRank(s, k)
+}
+
+// less is sort.Float64s' order: ascending, NaNs first.
+func less(a, b float64) bool { return a < b || (a != a && b == b) }
+
+// selectRank reorders s so that s[k] holds the value of rank k and
+// returns it (quickselect with a median-of-three pivot).
+func selectRank(s []float64, k int) float64 {
+	lo, hi := 0, len(s)-1
+	for lo < hi {
+		m := lo + (hi-lo)/2
+		if less(s[m], s[lo]) {
+			s[m], s[lo] = s[lo], s[m]
+		}
+		if less(s[hi], s[lo]) {
+			s[hi], s[lo] = s[lo], s[hi]
+		}
+		if less(s[hi], s[m]) {
+			s[hi], s[m] = s[m], s[hi]
+		}
+		p := s[m]
+		i, j := lo, hi
+		for i <= j {
+			for less(s[i], p) {
+				i++
+			}
+			for less(p, s[j]) {
+				j--
+			}
+			if i <= j {
+				s[i], s[j] = s[j], s[i]
+				i++
+				j--
+			}
+		}
+		// s[lo..j] <= p <= s[i..hi], and anything between equals p.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return s[k]
+		}
 	}
-	i := int(q * float64(len(s)))
-	if i >= len(s) {
-		i = len(s) - 1
-	}
-	return s[i]
+	return s[k]
 }

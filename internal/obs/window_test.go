@@ -1,6 +1,9 @@
 package obs
 
 import (
+	"math"
+	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 )
@@ -80,5 +83,57 @@ func TestWindowConcurrent(t *testing.T) {
 	wg.Wait()
 	if w.Count() != 32 {
 		t.Fatalf("count = %d, want 32", w.Count())
+	}
+}
+
+// TestWindowQuantileMatchesSort checks selection against the definition
+// — sort a copy, take rank int(q·n) — on random windows with heavy ties,
+// partial fill, wrapped rings and NaNs.
+func TestWindowQuantileMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 2000; trial++ {
+		size := 1 + rng.Intn(130)
+		w := NewWindow(size)
+		var kept []float64
+		for i, n := 0, rng.Intn(3*size); i < n; i++ {
+			v := float64(rng.Intn(1 + rng.Intn(20))) // ties
+			switch rng.Intn(20) {
+			case 0:
+				v = math.NaN()
+			case 1:
+				v = rng.NormFloat64()
+			}
+			w.Observe(v)
+			if kept = append(kept, v); len(kept) > size {
+				kept = kept[1:]
+			}
+		}
+		sorted := append([]float64(nil), kept...)
+		sort.Float64s(sorted)
+		for _, q := range []float64{0, 0.5, 0.9, 1} {
+			got := w.Quantile(q)
+			if len(sorted) == 0 {
+				if got != 0 {
+					t.Fatalf("empty window: Quantile(%v) = %v", q, got)
+				}
+				continue
+			}
+			want := sorted[min(int(q*float64(len(sorted))), len(sorted)-1)]
+			if got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
+				t.Fatalf("size %d, %d kept, q %v: selection %v, sort %v (window %v)", size, len(kept), q, got, want, kept)
+			}
+		}
+	}
+}
+
+// The hedging path calls Quantile once per replica per group per
+// request: it must not allocate.
+func TestWindowQuantileNoAllocs(t *testing.T) {
+	w := NewWindow(0)
+	for i := 0; i < 3*DefaultWindowSize; i++ {
+		w.Observe(float64(i % 17))
+	}
+	if a := testing.AllocsPerRun(100, func() { w.Quantile(0.9) }); a != 0 {
+		t.Fatalf("Quantile allocates %.1f per call", a)
 	}
 }

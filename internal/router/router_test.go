@@ -411,10 +411,10 @@ func TestRouterBodyTooLarge(t *testing.T) {
 	be := apiServer(t, curve, ordered)
 	_, rts := startRouter(t, Options{Groups: [][]string{{be.URL}}, ProbeInterval: -1})
 
-	big := `{"fingerprint":[` + strings.Repeat("1,", maxRequestBody/2) + `1]}`
+	big := `{"fingerprint":[` + strings.Repeat("1,", httpapi.MaxRequestBody/2) + `1]}`
 	code, raw, _ := postBytes(t, rts.URL, "/search/statistical", big)
-	if code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized body: status %d (%.120s), want 413", code, raw)
+	if code != http.StatusRequestEntityTooLarge || string(raw) != `{"error":"request body exceeds 8388608 bytes"}`+"\n" {
+		t.Fatalf("oversized body: status %d (%.120s), want 413 with s3serve's body", code, raw)
 	}
 }
 

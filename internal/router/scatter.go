@@ -4,8 +4,8 @@ package router
 // against its replica set with deadline propagation, capped-exponential
 // retries against siblings, latency-quantile hedging, and the circuit
 // breaker / in-flight budget in front of every launch. groupDo returns
-// the first successful decoded response; every other in-flight attempt
-// is canceled the moment a winner lands.
+// the first successful located reply; every other in-flight attempt is
+// canceled the moment a winner lands.
 
 import (
 	"bytes"
@@ -37,13 +37,13 @@ func (e *backendError) Error() string {
 	return e.msg
 }
 
-// maxBackendBody caps a decoded backend response (64 MiB): a berserk
+// maxBackendBody caps a backend response body (64 MiB): a berserk
 // backend must not OOM the coordinator.
 const maxBackendBody = 64 << 20
 
 // attemptResult is one replica attempt's outcome.
 type attemptResult struct {
-	out   any
+	out   *reply
 	err   error
 	be    *backend
 	hedge bool
@@ -111,10 +111,11 @@ func traceSkip(tr *obs.Trace, parent obs.SpanID, be *backend, reason string) {
 // metadata paths) with the context deadline propagated via
 // X-S3-Deadline — and, for traced requests, the trace context via
 // X-S3-Trace, so the backend traces the subquery and returns its report
-// in-band for grafting under span. The response is decoded into a fresh
-// newOut value. Torn or non-JSON bodies are retryable failures — a
-// half-written response must never be half-merged.
-func (r *Router) attempt(ctx context.Context, be *backend, method, path string, body []byte, newOut func() any, tr *obs.Trace, span obs.SpanID) (any, error) {
+// in-band for grafting under span. The body is read whole, checked with
+// json.Valid and located by parse. Torn or non-JSON bodies, and replies
+// parse rejects, are retryable failures — a half-written response must
+// never be half-merged.
+func (r *Router) attempt(ctx context.Context, be *backend, method, path string, body []byte, parse func([]byte) (*reply, error), tr *obs.Trace, span obs.SpanID) (*reply, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
@@ -139,7 +140,7 @@ func (r *Router) attempt(ctx context.Context, be *backend, method, path string, 
 		be.reqSeconds.ObserveSince(t0)
 		return nil, &backendError{msg: err.Error(), retryable: true}
 	}
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxBackendBody))
+	raw, err := readBody(resp)
 	resp.Body.Close()
 	elapsed := time.Since(t0)
 	be.reqSeconds.Observe(elapsed.Seconds())
@@ -158,23 +159,45 @@ func (r *Router) attempt(ctx context.Context, be *backend, method, path string, 
 			retryable: resp.StatusCode >= 500,
 		}
 	}
-	out := newOut()
-	if err := json.Unmarshal(raw, out); err != nil {
-		return nil, &backendError{msg: fmt.Sprintf("torn response: %v", err), retryable: true}
+	out, err := located(raw, parse)
+	if err != nil {
+		return nil, err
 	}
-	if tr != nil {
-		if tb, ok := out.(traced); ok {
-			if rawTrace := tb.traceRaw(); len(rawTrace) > 0 {
-				// Grafting failure is already counted and leaves an error
-				// placeholder in the tree; the answer itself is fine.
-				_ = tr.AttachRemote(span, rawTrace)
-			}
-		}
+	if tr != nil && len(out.trace) > 0 {
+		// Grafting failure is already counted and leaves an error
+		// placeholder in the tree; the answer itself is fine.
+		_ = tr.AttachRemote(span, out.trace)
 	}
-	// Only clean, complete, decoded exchanges feed the latency window:
+	// Only clean, complete, located exchanges feed the latency window:
 	// hedge delays should track service time, not failure modes.
 	be.lat.Observe(elapsed.Seconds())
 	return out, nil
+}
+
+// located validates a 200 body once and hands it to parse. A body that
+// is not JSON — torn mid-write — or not of the route's shape is a
+// retryable failure.
+func located(raw []byte, parse func([]byte) (*reply, error)) (*reply, error) {
+	if !json.Valid(raw) {
+		return nil, &backendError{msg: fmt.Sprintf("torn response: %d-byte body is not JSON", len(raw)), retryable: true}
+	}
+	out, err := parse(raw)
+	if err != nil {
+		return nil, &backendError{msg: fmt.Sprintf("torn response: %v", err), retryable: true}
+	}
+	return out, nil
+}
+
+// readBody reads a response body in one read when its length is
+// declared, capped at maxBackendBody either way.
+func readBody(resp *http.Response) ([]byte, error) {
+	n := resp.ContentLength
+	if n < 0 || n > maxBackendBody {
+		return io.ReadAll(io.LimitReader(resp.Body, maxBackendBody))
+	}
+	raw := make([]byte, n)
+	_, err := io.ReadFull(resp.Body, raw)
+	return raw, err
 }
 
 // errorMessage pulls the {"error": ...} body the backends send, falling
@@ -268,7 +291,7 @@ func (r *Router) backoff(n int) time.Duration {
 // dawdles past its latency quantile, back off and retry siblings on
 // retryable failures, and cancel every loser once a winner lands. The
 // error, when every budgeted attempt failed, is the last failure.
-func (r *Router) groupDo(ctx context.Context, g int, method, path string, body []byte, newOut func() any) (any, error) {
+func (r *Router) groupDo(ctx context.Context, g int, method, path string, body []byte, parse func([]byte) (*reply, error)) (*reply, error) {
 	gctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -336,7 +359,7 @@ func (r *Router) groupDo(ctx context.Context, g int, method, path string, body [
 			}
 			go func() {
 				defer be.release()
-				out, err := r.attempt(gctx, be, method, path, body, newOut, tr, aspan)
+				out, err := r.attempt(gctx, be, method, path, body, parse, tr, aspan)
 				switch {
 				case err == nil:
 					be.br.success()
