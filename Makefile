@@ -6,7 +6,7 @@ GO ?= go
 # every one of those goroutines.
 RACE_PKGS = . ./internal/core ./internal/store ./internal/httpapi ./internal/cbcd ./internal/obs ./internal/router
 
-.PHONY: check vet build test race check-bench loc cover bench bench-plan bench-plancache bench-router faults chaos-router
+.PHONY: check vet build test race check-bench loc cover bench bench-plan bench-plancache faults chaos-router
 
 # check is the full verification gate: static checks, build, all tests,
 # the race detector over the engine packages, then the bench/ module.
@@ -58,12 +58,14 @@ faults:
 # a randomized schedule seed: flaky backends serving 503s, torn
 # responses, hangs and slow replies behind the coordinator, asserting
 # zero user-visible 5xx on strict queries, byte-identical merged
-# answers, and metrics that account for every injected failure. Rerun a
-# failure with FAULT_SEED=<seed> make chaos-router.
+# answers, and metrics that account for every injected failure — plus
+# the hedge rescue of a uniformly slow replica (hedged p99 at most half
+# the unhedged, byte-identical bodies). Rerun a failure with
+# FAULT_SEED=<seed> make chaos-router.
 chaos-router:
 	@echo "router chaos with FAULT_SEED=$(FAULT_SEED)"
 	FAULT_SEED=$(FAULT_SEED) $(GO) test -race -count=1 \
-		-run 'TestChaos' ./internal/router
+		-run 'TestChaos|TestHedgeRescuesSlowReplica' ./internal/router
 
 # cover prints per-package statement coverage (and leaves cover.out for
 # `go tool cover -html=cover.out`).
@@ -86,10 +88,3 @@ bench-plan:
 # hit rate at byte-identical answers).
 bench-plancache:
 	$(GO) test -run TestPlanCacheBenchSweep -bench-plancache -timeout 30m .
-
-# bench-router regenerates BENCH_router.json (hedged vs unhedged tail
-# latency through the scatter/gather coordinator with one uniformly
-# slow replica; asserts >=2x better hedged p99 at byte-identical
-# answers).
-bench-router:
-	$(GO) test -run TestRouterBenchSweep -bench-router -timeout 30m .

@@ -24,8 +24,9 @@
 // Robustness: an active prober classifies each backend
 // healthy/degraded/down from /healthz; failed or slow subqueries are
 // retried with capped exponential backoff and hedged against sibling
-// replicas at a recent latency quantile; a consecutive-failure circuit
-// breaker and a bounded in-flight budget front every backend; excess
+// replicas once they outlive the fastest replica's recent latency
+// fence; a consecutive-failure circuit breaker and a bounded in-flight
+// budget front every backend; excess
 // client load is shed immediately with 503 + Retry-After. -partial
 // picks what an unreachable shard group does to a response: strict
 // fails it, degrade returns the reachable groups plus a missingShards
@@ -89,7 +90,7 @@ func main() {
 		retries         = flag.Int("retries", 0, "sibling retries per shard group (0 = default, <0 = none)")
 		retryBackoff    = flag.Duration("retry-backoff", 0, "base retry backoff, doubling per retry (0 = default)")
 		maxRetryBackoff = flag.Duration("max-retry-backoff", 0, "retry backoff cap (0 = default)")
-		hedgeQuantile   = flag.Float64("hedge-quantile", 0, "latency quantile that triggers a hedged request (0 = default, <0 = off)")
+		hedgeQuantile   = flag.Float64("hedge-quantile", 0, "latency quantile the hedge fence starts from: hedge once an attempt outlives Q + 3*IQR of the fastest replica's recent latencies (0 = default 0.95, <0 = off)")
 		hedgeMin        = flag.Duration("hedge-min", 0, "hedge delay floor (0 = default)")
 		requestTimeout  = flag.Duration("request-timeout", 0, "end-to-end client request budget (0 = default, <0 = none)")
 		breakerThresh   = flag.Int("breaker-threshold", 0, "consecutive failures tripping a backend breaker (0 = default, <0 = off)")

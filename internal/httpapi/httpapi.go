@@ -49,9 +49,11 @@
 // disconnects cancel the search) and the number of requests concurrently
 // searching is bounded by a semaphore, so a traffic burst queues instead
 // of spawning unbounded concurrent scans. A request queued past its
-// context's life is shed with 503 + Retry-After — the same shape
-// degraded mode answers — so upstream routers treat both saturation
-// signals uniformly.
+// deadline is shed with 503 + Retry-After — the same shape degraded
+// mode answers — so upstream routers treat both saturation signals
+// uniformly. A request whose caller went away (a disconnected client, a
+// router's canceled hedge) is recorded as 499 with no body, never as a
+// server error.
 //
 // An inbound X-S3-Deadline header (unix milliseconds) bounds the
 // request context: a coordinator scattering a query propagates its
@@ -408,11 +410,29 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // quick re-probe is appropriate — unlike the longer degraded-mode hint.
 const shedRetryAfter = 1
 
+// statusClientClosedRequest is nginx's 499, recorded for a request
+// whose caller went away: a disconnected client, or a router canceling
+// a losing hedge. It lands in the route's 4xx counter, not 5xx.
+const statusClientClosedRequest = 499
+
+// clientGone writes statusClientClosedRequest, and no body since nobody
+// reads it, when the request's own context was canceled — the caller
+// left. An expired deadline is not that: the caller still waits for an
+// answer it may retry elsewhere.
+func clientGone(w http.ResponseWriter, r *http.Request) bool {
+	if !errors.Is(r.Context().Err(), context.Canceled) {
+		return false
+	}
+	w.WriteHeader(statusClientClosedRequest)
+	return true
+}
+
 // bounded gates a handler on the in-flight semaphore. A request whose
-// client goes away — or whose propagated deadline expires — while
-// queued is shed with 503 + Retry-After without touching the engine,
-// the same shape degraded mode uses, so an upstream router treats both
-// saturation signals uniformly.
+// propagated deadline expires while queued is shed with 503 +
+// Retry-After without touching the engine, the same shape degraded
+// mode uses, so an upstream router treats both saturation signals
+// uniformly; one whose client goes away while queued is recorded as
+// statusClientClosedRequest.
 func (s *Server) bounded(h http.HandlerFunc) http.HandlerFunc {
 	if s.sem == nil {
 		return h
@@ -422,6 +442,9 @@ func (s *Server) bounded(h http.HandlerFunc) http.HandlerFunc {
 		case s.sem <- struct{}{}:
 			defer func() { <-s.sem }()
 		case <-r.Context().Done():
+			if clientGone(w, r) {
+				return
+			}
 			w.Header().Set("Retry-After", strconv.Itoa(shedRetryAfter))
 			httpError(w, http.StatusServiceUnavailable, "request shed while queued: %v", r.Context().Err())
 			return
@@ -484,13 +507,17 @@ func reply(w http.ResponseWriter, v interface{}) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// searchError maps a search failure to its HTTP shape. A context
-// error — the client went away, or a propagated X-S3-Deadline budget
-// expired mid-refine — answers 503 + Retry-After: the query was valid
-// and sheddable load, not a client mistake, and a coordinator may
-// usefully retry it against a sibling replica (with a fresh budget).
-// Anything else is a request defect: 400.
-func searchError(w http.ResponseWriter, err error) {
+// searchError maps a search failure to its HTTP shape. A caller that
+// went away is recorded as statusClientClosedRequest. Any other context
+// error — a propagated X-S3-Deadline budget expired mid-refine —
+// answers 503 + Retry-After: the query was valid and sheddable load,
+// not a client mistake, and a coordinator may usefully retry it against
+// a sibling replica (with a fresh budget). Anything else is a request
+// defect: 400.
+func searchError(w http.ResponseWriter, r *http.Request, err error) {
+	if clientGone(w, r) {
+		return
+	}
 	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 		w.Header().Set("Retry-After", strconv.Itoa(shedRetryAfter))
 		httpError(w, http.StatusServiceUnavailable, "search aborted: %v", err)
@@ -710,7 +737,7 @@ func (s *Server) handleStat(w http.ResponseWriter, r *http.Request) {
 	matches, plan, err := s.search.SearchStat(ctx, fp, sq)
 	if err != nil {
 		s.finishTrace("/search/statistical", tr, err)
-		searchError(w, err)
+		searchError(w, r, err)
 		return
 	}
 	out := NewBody(0)
@@ -746,7 +773,7 @@ func (s *Server) handleStatBatch(w http.ResponseWriter, r *http.Request) {
 	results, err := s.search.SearchStatBatch(ctx, queries, sq)
 	if err != nil {
 		s.finishTrace("/search/statistical/batch", tr, err)
-		searchError(w, err)
+		searchError(w, r, err)
 		return
 	}
 	out := NewBody(0)
@@ -775,7 +802,7 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 	matches, plan, err := s.search.SearchRange(ctx, fp, req.Epsilon)
 	if err != nil {
 		s.finishTrace("/search/range", tr, err)
-		searchError(w, err)
+		searchError(w, r, err)
 		return
 	}
 	out := NewBody(0)
@@ -798,7 +825,7 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 	matches, stats, err := s.search.SearchKNN(ctx, fp, req.K, req.MaxLeaves)
 	if err != nil {
 		s.finishTrace("/search/knn", tr, err)
-		searchError(w, err)
+		searchError(w, r, err)
 		return
 	}
 	out := NewBody(0)

@@ -64,18 +64,49 @@ func (w *Window) Count() int {
 // clamped into [0, 1]. The value is the one sort.Float64s would put at
 // rank q·n (NaNs ordered first), found by selection.
 func (w *Window) Quantile(q float64) float64 {
+	var v [1]float64
+	w.Quantiles(v[:], []float64{q})
+	return v[0]
+}
+
+// Quantiles writes into dst[i] what Quantile(qs[i]) would return, for
+// every i, from one copy of the window taken under one lock: a caller
+// that needs several ranks of the same window (a quantile plus its
+// quartiles) pays one copy and sees one consistent snapshot. Each
+// selection leaves the scratch partitioned around its rank, so a later
+// rank is selected only between the nearest ranks already placed. dst
+// must be at least as long as qs.
+func (w *Window) Quantiles(dst, qs []float64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.n == 0 {
-		return 0
+		clear(dst[:len(qs)])
+		return
 	}
+	s := w.scratch[:w.n]
+	copy(s, w.buf[:w.n])
+	for i, q := range qs {
+		k := w.rank(q)
+		lo, hi := 0, w.n
+		for _, p := range qs[:i] {
+			switch j := w.rank(p); {
+			case j <= k && j > lo:
+				lo = j
+			case j > k && j < hi:
+				hi = j
+			}
+		}
+		dst[i] = selectRank(s[lo:hi], k-lo)
+	}
+}
+
+// rank is the nearest-rank index of quantile q over the n live
+// observations; q is clamped into [0, 1] (NaN selects 0). w.mu held.
+func (w *Window) rank(q float64) int {
 	if !(q > 0) { // NaN too
 		q = 0
 	}
-	k := min(int(min(q, 1)*float64(w.n)), w.n-1)
-	s := w.scratch[:w.n]
-	copy(s, w.buf[:w.n])
-	return selectRank(s, k)
+	return min(int(min(q, 1)*float64(w.n)), w.n-1)
 }
 
 // less is sort.Float64s' order: ascending, NaNs first.

@@ -88,9 +88,12 @@ func TestWindowConcurrent(t *testing.T) {
 
 // TestWindowQuantileMatchesSort checks selection against the definition
 // — sort a copy, take rank int(q·n) — on random windows with heavy ties,
-// partial fill, wrapped rings and NaNs.
+// partial fill, wrapped rings and NaNs. Quantiles is held to the same
+// definition for random rank lists in random order, repeats included.
 func TestWindowQuantileMatchesSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
+	qs := make([]float64, 0, 6)
+	got := make([]float64, 6)
 	for trial := 0; trial < 2000; trial++ {
 		size := 1 + rng.Intn(130)
 		w := NewWindow(size)
@@ -111,23 +114,45 @@ func TestWindowQuantileMatchesSort(t *testing.T) {
 		sorted := append([]float64(nil), kept...)
 		sort.Float64s(sorted)
 		for _, q := range []float64{0, 0.5, 0.9, 1} {
-			got := w.Quantile(q)
-			if len(sorted) == 0 {
-				if got != 0 {
-					t.Fatalf("empty window: Quantile(%v) = %v", q, got)
-				}
-				continue
+			if v, want := w.Quantile(q), sortedRank(sorted, q); !sameFloat(v, want) {
+				t.Fatalf("size %d, %d kept, q %v: selection %v, sort %v (window %v)", size, len(kept), q, v, want, kept)
 			}
-			want := sorted[min(int(q*float64(len(sorted))), len(sorted)-1)]
-			if got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
-				t.Fatalf("size %d, %d kept, q %v: selection %v, sort %v (window %v)", size, len(kept), q, got, want, kept)
+		}
+		qs = qs[:0]
+		for i, n := 0, 1+rng.Intn(cap(qs)); i < n; i++ {
+			q := rng.Float64()
+			switch rng.Intn(6) {
+			case 0:
+				q = float64(rng.Intn(5)) / 4 // 0, quartiles, 1
+			case 1:
+				if i > 0 {
+					q = qs[rng.Intn(i)] // a rank already placed
+				}
+			}
+			qs = append(qs, q)
+		}
+		w.Quantiles(got, qs)
+		for i, q := range qs {
+			if want := sortedRank(sorted, q); !sameFloat(got[i], want) {
+				t.Fatalf("size %d, %d kept, Quantiles(%v)[%d]: selection %v, sort %v (window %v)", size, len(kept), qs, i, got[i], want, kept)
 			}
 		}
 	}
 }
 
-// The hedging path calls Quantile once per replica per group per
-// request: it must not allocate.
+// sortedRank is the definition Quantile selects: rank int(q·n) of the
+// sorted observations, 0 when there are none.
+func sortedRank(sorted []float64, q float64) float64 {
+	if len(sorted) == 0 {
+		return 0
+	}
+	return sorted[min(int(q*float64(len(sorted))), len(sorted)-1)]
+}
+
+func sameFloat(a, b float64) bool { return a == b || (math.IsNaN(a) && math.IsNaN(b)) }
+
+// The hedging path reads every replica's window per group per request:
+// neither Quantile nor Quantiles may allocate.
 func TestWindowQuantileNoAllocs(t *testing.T) {
 	w := NewWindow(0)
 	for i := 0; i < 3*DefaultWindowSize; i++ {
@@ -135,5 +160,9 @@ func TestWindowQuantileNoAllocs(t *testing.T) {
 	}
 	if a := testing.AllocsPerRun(100, func() { w.Quantile(0.9) }); a != 0 {
 		t.Fatalf("Quantile allocates %.1f per call", a)
+	}
+	var dst [3]float64
+	if a := testing.AllocsPerRun(100, func() { w.Quantiles(dst[:], []float64{0.95, 0.25, 0.75}) }); a != 0 {
+		t.Fatalf("Quantiles allocates %.1f per call", a)
 	}
 }

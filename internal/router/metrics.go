@@ -36,7 +36,7 @@ func newRouterMetrics(reg *obs.Registry) routerMetrics {
 		retries: reg.Counter("s3_router_retries_total",
 			"attempts re-driven against a sibling replica after a retryable failure"),
 		hedges: reg.Counter("s3_router_hedges_total",
-			"hedge attempts fired because the primary exceeded its latency quantile"),
+			"hedge attempts launched because the in-flight attempt outlived the group's latency fence"),
 		hedgeWins: reg.Counter("s3_router_hedge_wins_total",
 			"hedge attempts that produced the winning response"),
 		breakerTrips: reg.Counter("s3_router_breaker_trips_total",

@@ -7,13 +7,14 @@
 // A search request is scattered to every group, each group's subquery
 // driven against its replica set with per-request deadline propagation
 // (X-S3-Deadline), capped-exponential-backoff retries against sibling
-// replicas, hedged requests once the in-flight attempt exceeds a recent
-// latency quantile, and a consecutive-failure circuit breaker plus
-// bounded in-flight budget in front of every backend. Results merge
-// byte-identically to a single-node engine holding the whole corpus:
-// the store's canonical record order makes stat/range/batch merging pure
-// concatenation in group-index order, and k-NN a k-way merge by
-// distance. So the router never decodes a match (wire.go): a backend
+// replicas, hedged requests once the in-flight attempt outlives the
+// fastest replica's recent latency fence, and a consecutive-failure
+// circuit breaker plus bounded in-flight budget in front of every
+// backend. Results merge byte-identically to a single-node engine
+// holding the whole corpus: the store's canonical record order makes
+// stat/range/batch merging pure concatenation in group-index order,
+// and k-NN a k-way merge by distance. So the router never decodes a
+// match (wire.go): a backend
 // body is validated once with json.Valid, its members are located as
 // raw slices, the groups' match arrays are copied into the reply as
 // bytes, and a k-NN element is read only for its distance. When a
@@ -61,7 +62,7 @@ const (
 	DefaultRetries          = 2
 	DefaultRetryBackoff     = 5 * time.Millisecond
 	DefaultMaxRetryBackoff  = 100 * time.Millisecond
-	DefaultHedgeQuantile    = 0.9
+	DefaultHedgeQuantile    = 0.95
 	DefaultHedgeMin         = time.Millisecond
 	DefaultRequestTimeout   = 10 * time.Second
 	DefaultBreakerThreshold = 5
@@ -106,14 +107,15 @@ type Options struct {
 	RetryBackoff    time.Duration
 	MaxRetryBackoff time.Duration
 
-	// HedgeQuantile is the recent-latency quantile an in-flight attempt
-	// must exceed before a hedge fires at a sibling (0 =
-	// DefaultHedgeQuantile, < 0 = hedging off).
+	// HedgeQuantile is the recent-latency quantile the hedge fence
+	// starts from: a hedge fires at a sibling once the in-flight attempt
+	// outlives Q(HedgeQuantile) + 3·IQR of the fastest replica's window
+	// (0 = DefaultHedgeQuantile, < 0 = hedging off).
 	HedgeQuantile float64
 	// HedgeMin floors the hedge delay (0 = DefaultHedgeMin).
 	HedgeMin time.Duration
 	// LatencyWindow is the per-backend latency window size feeding the
-	// hedge quantile (0 = obs.DefaultWindowSize).
+	// hedge fence (0 = obs.DefaultWindowSize).
 	LatencyWindow int
 
 	// RequestTimeout caps a client request end to end, tightened

@@ -2,7 +2,7 @@ package router
 
 // Per-group request execution: one shard group's query is driven
 // against its replica set with deadline propagation, capped-exponential
-// retries against siblings, latency-quantile hedging, and the circuit
+// retries against siblings, latency-fence hedging, and the circuit
 // breaker / in-flight budget in front of every launch. groupDo returns
 // the first successful located reply; every other in-flight attempt is
 // canceled the moment a winner lands.
@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"time"
 
@@ -246,23 +247,34 @@ func (r *Router) replicaOrder(g int) []*backend {
 	return order
 }
 
+// hedgeFenceK is Tukey's far-out multiplier: hedgeDelay's fence sits
+// hedgeFenceK interquartile ranges above the HedgeQuantile latency.
+const hedgeFenceK = 3
+
 // hedgeDelay is how long groupDo waits on an in-flight attempt before
-// firing a hedge at a sibling: the smallest recent latency quantile
-// across the group's replicas — "a sibling could have answered by now".
-// Keying on the best sibling rather than the attempted backend's own
-// window matters when one replica is uniformly slow: its own quantile
-// IS the slowness, and would never trigger the hedge that rescues its
-// queries. HedgeMin floors the delay so a microsecond-fast fixture
-// can't hedge every request; with too few observations to trust a tail
-// estimate anywhere, the delay falls back to HedgeMin * 8.
+// firing a hedge at a sibling: the smallest outlier fence across the
+// group's replicas, Q(HedgeQuantile) + hedgeFenceK·IQR of each one's
+// recent latencies — "this attempt is an outlier even for the fastest
+// sibling". A fixed quantile would hedge a fixed share of healthy
+// traffic, mostly queries that are just as slow on every replica; the
+// fence scales with the spread the window shows. Keying on the best
+// sibling rather than the attempted backend's own window matters when
+// one replica is uniformly slow: its own fence IS the slowness, and
+// would never trigger the hedge that rescues its queries. HedgeMin
+// floors the delay so a microsecond-fast fixture can't hedge every
+// request; with too few observations to trust a tail estimate
+// anywhere, the delay falls back to HedgeMin * 8.
 func (r *Router) hedgeDelay(replicas []*backend) time.Duration {
 	const minSamples = 8
+	qs := [3]float64{r.opt.HedgeQuantile, 0.25, 0.75}
+	var v [3]float64
 	best := time.Duration(-1)
 	for _, be := range replicas {
 		if be.lat.Count() < minSamples {
 			continue
 		}
-		d := time.Duration(be.lat.Quantile(r.opt.HedgeQuantile) * float64(time.Second))
+		be.lat.Quantiles(v[:], qs[:])
+		d := time.Duration((v[0] + hedgeFenceK*(v[2]-v[1])) * float64(time.Second))
 		if best < 0 || d < best {
 			best = d
 		}
@@ -288,7 +300,7 @@ func (r *Router) backoff(n int) time.Duration {
 
 // groupDo resolves one shard group's subquery: walk the ordered
 // replicas launching attempts, hedge when the in-flight attempt
-// dawdles past its latency quantile, back off and retry siblings on
+// outlives the hedge fence (hedgeDelay), back off and retry siblings on
 // retryable failures, and cancel every loser once a winner lands. The
 // error, when every budgeted attempt failed, is the last failure.
 func (r *Router) groupDo(ctx context.Context, g int, method, path string, body []byte, parse func([]byte) (*reply, error)) (*reply, error) {
@@ -327,20 +339,29 @@ func (r *Router) groupDo(ctx context.Context, g int, method, path string, body [
 	}
 	resc := make(chan attemptResult, len(order)+1)
 	next := 0
-	inflight := 0
+	// running holds the backend of every attempt of this group still in
+	// flight, once per attempt.
+	var running []*backend
 
-	// launch starts an attempt on the next admissible replica. The
-	// in-flight slot is claimed before the breaker is consulted — allow
-	// may consume the half-open probe slot, and a full budget discovered
-	// afterwards would strand it. The attempt's breaker outcome is
-	// resolved in its own goroutine, exactly once per launch, no matter
-	// how groupDo exits: a loser abandoned when a sibling wins and an
-	// attempt killed by the deadline must still report, or a half-open
-	// breaker waits forever for a verdict that never comes and the
-	// backend is blackholed until restart.
+	// launch starts an attempt on the next admissible replica. A hedge
+	// passes over replicas in running: doubling up on the replica that
+	// holds the slow attempt races the query against itself. Those
+	// entries stay in the candidate list for a retry, which may reuse a
+	// replica. The in-flight slot is claimed before the breaker is
+	// consulted — allow may consume the half-open probe slot, and a full
+	// budget discovered afterwards would strand it. The attempt's breaker
+	// outcome is resolved in its own goroutine, exactly once per launch,
+	// no matter how groupDo exits: a loser abandoned when a sibling wins
+	// and an attempt killed by the deadline must still report, or a
+	// half-open breaker waits forever for a verdict that never comes and
+	// the backend is blackholed until restart.
 	launch := func(hedge bool, retry int) *backend {
-		for next < len(order) {
-			be := order[next]
+		for i := next; i < len(order); i++ {
+			be := order[i]
+			if hedge && slices.Contains(running, be) {
+				continue
+			}
+			order[next], order[i] = be, order[next]
 			next++
 			if !be.tryAcquire() {
 				traceSkip(tr, gspan, be, "budget")
@@ -352,7 +373,7 @@ func (r *Router) groupDo(ctx context.Context, g int, method, path string, body [
 				traceSkip(tr, gspan, be, "breaker")
 				continue
 			}
-			inflight++
+			running = append(running, be)
 			aspan := traceAttemptStart(tr, gspan, be, hedge, retry)
 			if tr != nil {
 				openSpans = append(openSpans, aspan)
@@ -415,7 +436,8 @@ func (r *Router) groupDo(ctx context.Context, g int, method, path string, body [
 	for {
 		select {
 		case res := <-resc:
-			inflight--
+			i := slices.Index(running, res.be)
+			running = slices.Delete(running, i, i+1)
 			if tr != nil {
 				for i, id := range openSpans {
 					if id == res.span {
@@ -448,12 +470,12 @@ func (r *Router) groupDo(ctx context.Context, g int, method, path string, body [
 			}
 			failures++
 			if failures > r.opt.Retries || next >= len(order) {
-				if inflight > 0 {
+				if len(running) > 0 {
 					continue // a hedge is still running; it may yet win
 				}
 				return nil, lastErr
 			}
-			if retryC == nil && inflight == 0 {
+			if retryC == nil && len(running) == 0 {
 				// Nothing in flight: schedule the backoff-spaced retry.
 				retryTimer = time.NewTimer(r.backoff(failures))
 				retryC = retryTimer.C
@@ -463,7 +485,7 @@ func (r *Router) groupDo(ctx context.Context, g int, method, path string, body [
 			retryC = nil
 			r.met.retries.Inc()
 			if be := launch(false, failures); be == nil {
-				if inflight == 0 {
+				if len(running) == 0 {
 					return nil, lastErr
 				}
 			} else if hedgeArmed && hedgeTimer != nil {
@@ -482,8 +504,10 @@ func (r *Router) groupDo(ctx context.Context, g int, method, path string, body [
 
 		case <-hedgeC:
 			hedgeC = nil
-			r.met.hedges.Inc()
-			launch(true, 0)
+			// Only a hedge that found an admissible replica is counted.
+			if launch(true, 0) != nil {
+				r.met.hedges.Inc()
+			}
 
 		case <-ctx.Done():
 			return nil, ctx.Err()
