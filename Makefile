@@ -6,7 +6,7 @@ GO ?= go
 # every one of those goroutines.
 RACE_PKGS = . ./internal/core ./internal/store ./internal/httpapi ./internal/cbcd ./internal/obs ./internal/router
 
-.PHONY: check vet build test race check-bench loc cover bench bench-plan bench-plancache faults chaos-router
+.PHONY: check vet build test race check-bench loc cover bench bench-plan faults chaos-router
 
 # check is the full verification gate: static checks, build, all tests,
 # the race detector over the engine packages, then the bench/ module.
@@ -77,14 +77,7 @@ bench:
 	$(GO) test -bench=. -benchmem .
 
 # bench-plan prints benchstat-ready samples of the planner
-# micro-benchmarks (frontier, legacy, and the engine's pooled plan path)
-# over the 500k fingerprint corpus.
+# micro-benchmarks (frontier, legacy, the engine's pooled plan path and
+# the plan cache's hit path) over the 500k fingerprint corpus.
 bench-plan:
 	$(GO) test -run '^$$' -bench 'PlanStat' -benchmem -count 10 -cpu 1 .
-
-# bench-plancache regenerates BENCH_plancache.json (plan cache vs
-# uncached planning on a repeated-query monitoring workload over the
-# 500k fingerprint corpus; asserts >=2x plans/sec and >=90% steady-state
-# hit rate at byte-identical answers).
-bench-plancache:
-	$(GO) test -run TestPlanCacheBenchSweep -bench-plancache -timeout 30m .

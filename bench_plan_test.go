@@ -2,8 +2,9 @@ package s3
 
 // Planner micro-benchmarks: the filtering step of a statistical query at
 // α=0.8, σ=18 over the 500k fingerprint corpus, planned by the
-// incremental frontier planner and by the legacy multi-descent threshold
-// search, plus the zero-allocation guards of the pooled plan path.
+// incremental frontier planner, by the legacy multi-descent threshold
+// search and through the plan cache, plus the zero-allocation guards of
+// the pooled and cached plan paths.
 //
 //	make bench-plan
 //
@@ -12,6 +13,7 @@ package s3
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"s3cbcd/internal/core"
@@ -55,6 +57,27 @@ func BenchmarkEnginePlanStat(b *testing.B) {
 	sq := corpusBenchQuery()
 	ctx := context.Background()
 	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.PlanStat(ctx, queries[i%len(queries)], sq); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPlanStatCached measures the steady-state cache-hit plan path
+// (compare BenchmarkEnginePlanStat for the uncached pooled path).
+func BenchmarkPlanStatCached(b *testing.B) {
+	_, ix, queries := sharedCorpusDB(b)
+	eng := core.NewEngineOpts(ix, core.EngineOptions{Workers: 1, PlanCache: true})
+	sq := corpusBenchQuery()
+	ctx := context.Background()
+	for _, q := range queries {
+		if _, err := eng.PlanStat(ctx, q, sq); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := eng.PlanStat(ctx, queries[i%len(queries)], sq); err != nil {
 			b.Fatal(err)
@@ -119,30 +142,77 @@ func TestPlanStatNoAllocsUntraced(t *testing.T) {
 // TestPlanStatNoAllocsCacheHit extends the guard to the plan cache: a
 // hit returns the shared cached plan — hash the key, bump the LRU,
 // return — without allocating. The compute closure the engine hands the
-// cache must not escape to the heap on the hit path.
+// cache must not escape to the heap on the hit path. Around the guard it
+// pins the cache's accounting exactly: a repeated pass over the queries
+// is all hits, and a depth change (Index.SetDepth, what Index.Tune does
+// on a serving engine) is one miss that plans at the new depth, never a
+// stale plan, while changing back hits the entry planned before.
 func TestPlanStatNoAllocsCacheHit(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates; the guard runs in the non-race pass")
-	}
 	eng, queries := planAllocEngine(t)
 	eng.EnablePlanCache(0)
 	sq := corpusBenchQuery()
 	ctx := context.Background()
+	plan := func(q []byte) core.Plan {
+		t.Helper()
+		p, err := eng.PlanStat(ctx, q, sq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	stats := func() core.PlanCacheStats {
+		t.Helper()
+		st, ok := eng.PlanCacheStats()
+		if !ok {
+			t.Fatal("plan cache reported disabled")
+		}
+		return st
+	}
+	// expect checks the hit and miss counts added since st0.
+	expect := func(step string, st0 core.PlanCacheStats, hits, misses int64) {
+		t.Helper()
+		st := stats()
+		if dh, dm := st.Hits-st0.Hits, st.Misses-st0.Misses; dh != hits || dm != misses {
+			t.Errorf("%s: %d hits, %d misses; want %d, %d", step, dh, dm, hits, misses)
+		}
+	}
+
 	for _, q := range queries { // warm the scratch pool and populate the cache
-		if _, err := eng.PlanStat(ctx, q, sq); err != nil {
-			t.Fatal(err)
+		plan(q)
+	}
+	st0 := stats()
+	for _, q := range queries {
+		plan(q)
+	}
+	expect("second pass", st0, int64(len(queries)), 0)
+
+	if !raceEnabled { // race instrumentation allocates
+		avg := testing.AllocsPerRun(200, func() { plan(queries[0]) })
+		if avg != 0 {
+			t.Errorf("cache-hit PlanStat allocates %.1f objects per call, want 0", avg)
 		}
 	}
-	avg := testing.AllocsPerRun(200, func() {
-		if _, err := eng.PlanStat(ctx, queries[0], sq); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if avg != 0 {
-		t.Errorf("cache-hit PlanStat allocates %.1f objects per call, want 0", avg)
+
+	q := queries[0]
+	d := eng.Index().Depth()
+	if p := plan(q); p.Depth != d {
+		t.Fatalf("plan at depth %d reports Depth %d", d, p.Depth)
 	}
-	st, ok := eng.PlanCacheStats()
-	if !ok || st.Hits == 0 {
-		t.Fatalf("guard did not exercise the hit path: stats %+v ok=%v", st, ok)
+	d2 := d + 1
+	eng.Index().SetDepth(d2)
+	st0 = stats()
+	got := plan(q)
+	expect("after SetDepth", st0, 0, 1)
+	if got.Depth != d2 {
+		t.Errorf("plan after SetDepth(%d) reports Depth %d", d2, got.Depth)
 	}
+	if want, err := eng.PlanStat(core.WithoutPlanCache(ctx), q, sq); err != nil {
+		t.Fatal(err)
+	} else if !reflect.DeepEqual(got, want) {
+		t.Errorf("cached plan at depth %d differs from uncached:\n got %+v\nwant %+v", d2, got, want)
+	}
+	eng.Index().SetDepth(d)
+	st0 = stats()
+	plan(q)
+	expect("after restoring the depth", st0, 1, 0)
 }

@@ -32,6 +32,13 @@
 // status "degraded" with the last persistence error — until a retry
 // commits.
 //
+// The partition depth p is fixed for the life of the process (-depth).
+// Learn p_min = argmin T_f(p) + T_r(p) offline, as the paper does at the
+// start of the retrieval stage (s3.Index.Tune, examples/tuning), and
+// pass it here. Filtering-step plans are cached (-plan-cache, on by
+// default; a request bypasses the cache with ?nocache=1), so a
+// statistical answer depends only on the query, never on load history.
+//
 // Observability: GET /metrics serves Prometheus text covering the
 // engine or live index, store I/O (every byte and fsync crossing the
 // filesystem seam) and per-route HTTP latency/status series. A search
@@ -94,12 +101,6 @@ func main() {
 			"cache filtering-step plans for repeated/near-identical queries (answers are identical; ?nocache=1 bypasses per request)")
 		planCacheEntries = flag.Int("plan-cache-entries", 0,
 			"plan cache capacity in plans (0 = default)")
-		autotune = flag.Bool("autotune", false,
-			"re-fit the cost model T(p) online from observed plan/refine timings and adapt planner parameters")
-		autotuneInterval = flag.Int("autotune-interval", 0,
-			"queries between cost-model refits (0 = default)")
-		autotuneDepth = flag.Bool("autotune-depth", true,
-			"let the auto-tuner move the partition depth p (static mode; live indexes keep their shared depth)")
 		traceRate = flag.Float64("trace-rate", 0,
 			"fraction of searches carrying a stage-level trace (0 = only ?trace=1 requests)")
 		traceSeed  = flag.Int64("trace-seed", 0, "trace sampler seed (reproducible sampling)")
@@ -125,11 +126,6 @@ func main() {
 	cfs := store.NewCountingFS(store.OSFS)
 	reg := obs.NewRegistry()
 	cfs.RegisterMetrics(reg)
-	tuneOpt := core.AutoTuneOptions{
-		Enabled:   *autotune,
-		Interval:  *autotuneInterval,
-		TuneDepth: *autotuneDepth,
-	}
 	opt := httpapi.Options{
 		MaxInFlight:      *maxInFlight,
 		Metrics:          reg,
@@ -140,7 +136,6 @@ func main() {
 		Logger:           logger,
 		PlanCache:        *planCache,
 		PlanCacheEntries: *planCacheEntries,
-		AutoTune:         tuneOpt,
 	}
 
 	var srv *httpapi.Server
@@ -162,7 +157,6 @@ func main() {
 
 			PlanCache:        *planCache,
 			PlanCacheEntries: *planCacheEntries,
-			AutoTune:         tuneOpt,
 		}
 		if *coldRecords > 0 {
 			cache := store.NewBlockCache(int64(*cacheMB) << 20)
@@ -184,7 +178,7 @@ func main() {
 			"dims", *dims, "gen", st.Gen, "segments", st.Segments,
 			"coldSegments", st.ColdSegments, "cacheBudgetBytes", st.Cache.BudgetBytes,
 			"sketchSegments", st.SketchSegments, "codecSegments", st.CodecSegments,
-			"degraded", st.Degraded, "planCache", *planCache, "autotune", *autotune)
+			"degraded", st.Degraded, "planCache", *planCache)
 	} else {
 		fl, err := store.OpenFS(cfs, *dbPath)
 		if err != nil {
@@ -203,7 +197,7 @@ func main() {
 		}
 		logger.Info("serving static database", "path", *dbPath, "records", db.Len(),
 			"dims", db.Dims(), "workers", srv.Engine().Workers(),
-			"planCache", *planCache, "autotune", *autotune)
+			"planCache", *planCache)
 	}
 
 	if *debugAddr != "" {

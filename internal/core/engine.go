@@ -32,8 +32,6 @@ type EngineOptions struct {
 	// PlanCacheEntries bounds the cache; 0 selects
 	// DefaultPlanCacheEntries.
 	PlanCacheEntries int
-	// AutoTune enables online threshold-search tuning.
-	AutoTune AutoTuneOptions
 }
 
 // NewEngine builds an engine over ix running a batch search on at most
@@ -47,20 +45,17 @@ func NewEngine(ix *Index, workers int) *Engine {
 		executor: executor{pl: &ix.planner, workers: workers, qmet: newQueryMetrics()},
 		ix:       ix,
 		// The database is static, so the view never changes and the plan
-		// cache generation is constant; depth changes are covered by the
-		// tuning component of the cache key.
+		// cache generation is constant; depth changes (Index.SetDepth) are
+		// covered by the depth component of the cache key.
 		view: view{segs: []segment{{src: ix.db}}},
 	}
 }
 
-// NewEngineOpts is NewEngine with the plan cache and auto-tuner knobs.
+// NewEngineOpts is NewEngine with the plan cache knobs.
 func NewEngineOpts(ix *Index, opt EngineOptions) *Engine {
 	e := NewEngine(ix, opt.Workers)
 	if opt.PlanCache {
 		e.EnablePlanCache(opt.PlanCacheEntries)
-	}
-	if opt.AutoTune.Enabled {
-		e.EnableAutoTune(opt.AutoTune)
 	}
 	return e
 }
@@ -77,15 +72,6 @@ func (e *Engine) EnablePlanCache(entries int) {
 		qz, _ = store.UniformQuantizer(e.ix.db.Dims(), store.DefaultCodecBits)
 	}
 	e.cache = newPlanCache(qz, entries)
-}
-
-// EnableAutoTune attaches the online tuner, seeded at the engine's
-// current static parameters, with depth confined to the curve's valid
-// range when opt.TuneDepth is set. Not safe to call concurrently with
-// queries: enable before serving.
-func (e *Engine) EnableAutoTune(opt AutoTuneOptions) {
-	opt.Enabled = true
-	e.tuner = newAutoTuner(opt, e.ix.defaultTuning(), 1, e.ix.curve.IndexBits())
 }
 
 // Index returns the wrapped index.

@@ -4,10 +4,10 @@ package core
 // filter once on curve geometry — the plan, cost T_f, independent of the
 // records — then refine by scanning the selected curve intervals, cost
 // T_r. The executor owns everything between "validated query" and
-// "canonically ordered matches": tuning lookup, the single plan-cache
-// consult, per-segment skip, refinement, the canonical merge, tuner
-// feedback, trace spans and the query metrics. It runs over a view: a
-// generation plus the immutable segments visible at that generation.
+// "canonically ordered matches": the single plan-cache consult,
+// per-segment skip, refinement, the canonical merge, trace spans and the
+// query metrics. It runs over a view: a generation plus the immutable
+// segments visible at that generation.
 // A static database (Engine) is a fixed view of one resident segment at
 // generation 0; a LiveIndex hands over its current snapshot.
 
@@ -35,10 +35,8 @@ type Searcher interface {
 	SearchRange(ctx context.Context, q []byte, eps float64) ([]Match, Plan, error)
 	SearchKNN(ctx context.Context, q []byte, k, maxLeaves int) ([]Match, KNNStats, error)
 	SearchStatBatch(ctx context.Context, queries [][]byte, sq StatQuery) ([][]Match, error)
-	// PlanCacheStats and AutoTuneStats report the plan cache and the
-	// online tuner; false when the feature is off.
+	// PlanCacheStats reports the plan cache; false when it is off.
 	PlanCacheStats() (PlanCacheStats, bool)
-	AutoTuneStats() (AutoTuneStats, bool)
 }
 
 var (
@@ -80,11 +78,8 @@ type executor struct {
 	pl      *planner
 	workers int
 	// cache, when non-nil, memoizes statistical plans keyed on (query, α,
-	// model, tuning, view generation).
+	// model, depth, view generation).
 	cache *planCache
-	// tuner, when non-nil, adapts the threshold-search tuning from
-	// observed plan/refine costs.
-	tuner *autoTuner
 	// qmet instruments every query: the plan/refine cost split, plan
 	// selectivity and descent work. Always updated (a few atomics per
 	// query); exported by registerMetrics.
@@ -97,29 +92,12 @@ type executor struct {
 	segmentsSkipped *obs.Counter
 }
 
-// tuning resolves the parameters the next plan runs at: the tuner's
-// published values when enabled, the static defaults otherwise.
-func (x *executor) tuning() tuning {
-	if x.tuner != nil {
-		return *x.tuner.current()
-	}
-	return x.pl.defaultTuning()
-}
-
 // PlanCacheStats reports the plan cache; false when disabled.
 func (x *executor) PlanCacheStats() (PlanCacheStats, bool) {
 	if x.cache == nil {
 		return PlanCacheStats{}, false
 	}
 	return x.cache.statsSnapshot(), true
-}
-
-// AutoTuneStats reports the online tuner; false when disabled.
-func (x *executor) AutoTuneStats() (AutoTuneStats, bool) {
-	if x.tuner == nil {
-		return AutoTuneStats{}, false
-	}
-	return x.tuner.statsSnapshot(), true
 }
 
 // Curve returns the curve geometry queries are planned on.
@@ -141,10 +119,9 @@ func (x *executor) DescentNodes() int64 { return x.qmet.descentNodes.Value() }
 // was computed: the plan-work metrics and trace counters are untouched,
 // and the returned Intervals are the cache's shared immutable slice.
 func (x *executor) planStat(ctx context.Context, gen uint64, ps *planScratch, q []byte, sq StatQuery) Plan {
-	tn := x.tuning()
 	compute := func() Plan {
 		t0 := time.Now()
-		p := x.pl.planStatFrontierTuned(ps.qf, sq, ps.mc, ps.fs, tn)
+		p := x.pl.planStatFrontier(ps.qf, sq, ps.mc, ps.fs)
 		x.notePlan(ctx, p, t0)
 		return p
 	}
@@ -152,7 +129,7 @@ func (x *executor) planStat(ctx context.Context, gen uint64, ps *planScratch, q 
 		mkey, keyable := modelPlanKey(sq.Model)
 		if !keyable || planCacheBypassed(ctx) {
 			pc.noteBypass()
-		} else if plan, ok := pc.plan(ctx, q, sq.Alpha, mkey, gen, tn, compute); ok {
+		} else if plan, ok := pc.plan(ctx, q, sq.Alpha, mkey, gen, x.pl.depth, compute); ok {
 			return plan
 		}
 		// Not ok: ctx was canceled while waiting on another caller's
@@ -245,9 +222,6 @@ func (x *executor) run(ctx context.Context, v view, q []byte, sq *StatQuery, eps
 	}
 	tr.AddSegments(int64(len(v.segs)))
 	x.querySegments.Observe(float64(len(v.segs)))
-	if sq != nil && x.tuner != nil {
-		x.tuner.observe(t1.Sub(t0), time.Since(t1))
-	}
 	return matches, plan, nil
 }
 

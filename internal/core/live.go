@@ -169,11 +169,6 @@ type LiveOptions struct {
 	// PlanCacheEntries bounds the plan cache; 0 selects
 	// DefaultPlanCacheEntries.
 	PlanCacheEntries int
-	// AutoTune enables online tuning of the threshold-search schedule
-	// from observed plan/refine costs. The partition depth stays pinned
-	// regardless of AutoTune.TuneDepth: segment sketches are built at the
-	// shared depth and plans at any other depth could not consult them.
-	AutoTune AutoTuneOptions
 }
 
 // DefaultLiveMemtableRecords is the default seal threshold.
@@ -350,8 +345,8 @@ type liveSnapshot struct {
 // query with background compaction. All query methods are safe for
 // concurrent use with each other and with Ingest/DeleteVideo/Compact.
 // The embedded executor carries the query side: the planner at the
-// shared depth, the plan cache (keyed on the snapshot generation), the
-// tuner (which never moves the depth) and the query metrics.
+// shared depth, the plan cache (keyed on the snapshot generation) and
+// the query metrics.
 type LiveIndex struct {
 	executor
 	opt LiveOptions
@@ -437,11 +432,6 @@ func OpenLiveIndex(curve *hilbert.Curve, dir string, opt LiveOptions) (*LiveInde
 			return nil, err
 		}
 		li.cache = newPlanCache(qz, opt.PlanCacheEntries)
-	}
-	if opt.AutoTune.Enabled {
-		at := opt.AutoTune
-		at.TuneDepth = false // sketches are built at the shared depth
-		li.tuner = newAutoTuner(at, li.pl.defaultTuning(), opt.Depth, opt.Depth)
 	}
 	var (
 		segs []*liveSegment

@@ -54,7 +54,7 @@ func newQueryMetrics() queryMetrics {
 }
 
 // registerMetrics publishes the query metrics, the worker bound and the
-// plan cache's and tuner's own families into r.
+// plan cache's own families into r.
 func (x *executor) registerMetrics(r *obs.Registry) {
 	r.MustRegister(x.qmet.plans, x.qmet.descentNodes, x.qmet.planSeconds,
 		x.qmet.planBlocks, x.qmet.refineSeconds, x.qmet.candidates,
@@ -64,9 +64,6 @@ func (x *executor) registerMetrics(r *obs.Registry) {
 		func() float64 { return float64(x.workers) })
 	if x.cache != nil {
 		x.cache.RegisterMetrics(r)
-	}
-	if x.tuner != nil {
-		x.tuner.RegisterMetrics(r)
 	}
 }
 

@@ -20,10 +20,10 @@ import (
 // (Ingber, Courtade & Weissman): the cache buckets keys by the
 // equi-populated quantizer cells of the query point, so near-identical
 // queries hash to the same shard and chain, but a HIT additionally
-// requires exact equality of the query bytes, α, model key, tuning and
-// index generation. Answers are therefore byte-identical with the cache
-// on or off; the quantizer only decides where a key lives, never
-// whether two different queries share a plan.
+// requires exact equality of the query bytes, α, model key, partition
+// depth and index generation. Answers are therefore byte-identical with
+// the cache on or off; the quantizer only decides where a key lives,
+// never whether two different queries share a plan.
 //
 // Invalidation is by construction: the index generation is part of the
 // key, so a plan cached against generation g can never be returned once
@@ -90,8 +90,9 @@ type PlanCacheStats struct {
 	// SharedWaits counts lookups that found the key's plan already being
 	// computed and waited for it instead of recomputing.
 	SharedWaits int64
-	// Bypasses counts statistical queries that skipped the cache because
-	// their model does not implement PlanKeyer.
+	// Bypasses counts statistical queries that skipped the cache: their
+	// model does not implement PlanKeyer, or their context opted out
+	// (WithoutPlanCache, ?nocache=1 over HTTP).
 	Bypasses int64
 	// Evictions counts entries dropped by the LRU bound (stale-generation
 	// entries leave this way too).
@@ -109,7 +110,7 @@ type planEntry struct {
 	alphaBits uint64
 	mkey      uint64
 	gen       uint64
-	tn        tuning
+	depth     int
 	ready     chan struct{} // closed when done flips (or the computation abandons)
 	done      bool
 	plan      Plan // Intervals owned by the entry, treated as immutable
@@ -118,9 +119,9 @@ type planEntry struct {
 	prev, next *planEntry // LRU list (completed entries only)
 }
 
-func (e *planEntry) matches(h uint64, q []byte, alphaBits, mkey, gen uint64, tn tuning) bool {
+func (e *planEntry) matches(h uint64, q []byte, alphaBits, mkey, gen uint64, depth int) bool {
 	return e.hash == h && e.alphaBits == alphaBits && e.mkey == mkey &&
-		e.gen == gen && e.tn == tn && bytes.Equal(e.q, q)
+		e.gen == gen && e.depth == depth && bytes.Equal(e.q, q)
 }
 
 // pcShard is one lock stripe: a chained hash map of entries plus an
@@ -196,7 +197,7 @@ func mix64(x uint64) uint64 {
 // cells, not its raw bytes — that is what lands near-identical queries
 // in the same chain; everything else contributes exactly. Collisions
 // only cost a chain comparison: matches() always verifies the full key.
-func (pc *planCache) keyHash(q []byte, alphaBits, mkey, gen uint64, tn tuning) uint64 {
+func (pc *planCache) keyHash(q []byte, alphaBits, mkey, gen uint64, depth int) uint64 {
 	h := uint64(0x9e3779b97f4a7c15)
 	for j, v := range q {
 		h = mix64(h ^ uint64(pc.qz.Cell(j, v)) ^ uint64(j)<<32)
@@ -204,8 +205,7 @@ func (pc *planCache) keyHash(q []byte, alphaBits, mkey, gen uint64, tn tuning) u
 	h = mix64(h ^ alphaBits)
 	h = mix64(h ^ mkey)
 	h = mix64(h ^ gen)
-	h = mix64(h ^ uint64(tn.depth) ^ math.Float64bits(tn.bracketStep))
-	h = mix64(h ^ math.Float64bits(tn.thresholdTol))
+	h = mix64(h ^ uint64(depth))
 	return h
 }
 
@@ -271,13 +271,13 @@ func (sh *pcShard) unchain(e *planEntry) {
 // is what keeps the hit path allocation-free. The bool is false only
 // when ctx was canceled while waiting on another caller's computation;
 // the caller then plans uncached (its ctx error surfaces downstream).
-func (pc *planCache) plan(ctx context.Context, q []byte, alpha float64, mkey, gen uint64, tn tuning, compute func() Plan) (Plan, bool) {
+func (pc *planCache) plan(ctx context.Context, q []byte, alpha float64, mkey, gen uint64, depth int, compute func() Plan) (Plan, bool) {
 	alphaBits := math.Float64bits(alpha)
-	h := pc.keyHash(q, alphaBits, mkey, gen, tn)
+	h := pc.keyHash(q, alphaBits, mkey, gen, depth)
 	sh := &pc.shards[h>>61]
 	sh.mu.Lock()
 	for e := sh.chains[h]; e != nil; e = e.hnext {
-		if !e.matches(h, q, alphaBits, mkey, gen, tn) {
+		if !e.matches(h, q, alphaBits, mkey, gen, depth) {
 			continue
 		}
 		if e.done {
@@ -309,7 +309,7 @@ func (pc *planCache) plan(ctx context.Context, q []byte, alpha float64, mkey, ge
 	// Miss: insert an in-flight placeholder so concurrent callers of the
 	// same key wait instead of recomputing, then compute off-lock.
 	e := &planEntry{hash: h, q: append([]byte(nil), q...), alphaBits: alphaBits,
-		mkey: mkey, gen: gen, tn: tn, ready: make(chan struct{})}
+		mkey: mkey, gen: gen, depth: depth, ready: make(chan struct{})}
 	e.hnext = sh.chains[h]
 	sh.chains[h] = e
 	sh.mu.Unlock()

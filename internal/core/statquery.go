@@ -86,25 +86,6 @@ const bracketStep = 2
 // block set — closer to the true minimum.
 const thresholdTol = 1.1
 
-// tuning is one resolved set of threshold-search parameters: the
-// partition depth and the bracket/refinement schedule. The compiled-in
-// constants above are the static default; the online auto-tuner
-// (autotune.go) publishes adapted values under load. A tuning is a
-// small comparable value — the plan cache folds it into its key, so a
-// parameter change naturally invalidates cached plans.
-type tuning struct {
-	depth        int
-	bracketStep  float64
-	thresholdTol float64
-}
-
-// defaultTuning returns the planner's static parameters: today's
-// compiled-in constants at the planner's own depth. Plans computed at
-// the default tuning are bit-identical to the pre-tuning code paths.
-func (pl *planner) defaultTuning() tuning {
-	return tuning{depth: pl.depth, bracketStep: bracketStep, thresholdTol: thresholdTol}
-}
-
 // PlanStat runs the statistical filtering step of Section IV-A for query
 // fingerprint q: it finds t_max, the largest per-block mass threshold
 // whose block set B(t) still carries total probability >= α (eq. 4),
@@ -126,7 +107,7 @@ func (ix *Index) PlanStat(q []byte, sq StatQuery) (Plan, error) {
 	return ix.planStatFloat(qf, sq), nil
 }
 
-// planStatFloat plans with pooled scratch at the static parameters.
+// planStatFloat plans with pooled scratch.
 func (pl *planner) planStatFloat(qf []float64, sq StatQuery) Plan {
 	ps := pl.getScratch()
 	defer pl.scratch.Put(ps)
@@ -134,21 +115,12 @@ func (pl *planner) planStatFloat(qf []float64, sq StatQuery) Plan {
 }
 
 // planStatFrontier runs the threshold search on the incremental frontier
-// planner at the planner's static parameters. The control flow mirrors
-// planStatLegacyCached exactly — same threshold sequence, same bracket
-// updates — so the two return bit-identical plans; only the cost of an
-// evaluation differs.
+// planner at the planner's depth. mc must be fresh or reset; fs is
+// rebound to this query. The control flow mirrors planStatLegacyCached
+// exactly — same threshold sequence, same bracket updates — so the two
+// return bit-identical plans; only the cost of an evaluation differs.
 func (pl *planner) planStatFrontier(qf []float64, sq StatQuery, mc *massCache, fs *frontierState) Plan {
-	return pl.planStatFrontierTuned(qf, sq, mc, fs, pl.defaultTuning())
-}
-
-// planStatFrontierTuned is the frontier threshold search at an explicit
-// tuning. mc must be fresh or reset; fs is rebound to this query. At the
-// default tuning its float operations are exactly those of the untuned
-// search (the parameters hold the same values the constants did), so
-// plans stay bit-identical to the legacy reference.
-func (pl *planner) planStatFrontierTuned(qf []float64, sq StatQuery, mc *massCache, fs *frontierState, tn tuning) Plan {
-	fs.begin(tn.depth, sq.Model, qf, mc)
+	fs.begin(pl.depth, sq.Model, qf, mc)
 	iters := 0
 	eval := func(t float64) (int, float64) {
 		iters++
@@ -157,7 +129,7 @@ func (pl *planner) planStatFrontierTuned(qf []float64, sq StatQuery, mc *massCac
 	}
 	done := func(t float64, blocks int, mass float64) Plan {
 		return Plan{Intervals: fs.intervalsAt(t), Blocks: blocks, Mass: mass,
-			Threshold: t, FilterIters: iters, DescentNodes: fs.nodes, Depth: tn.depth}
+			Threshold: t, FilterIters: iters, DescentNodes: fs.nodes, Depth: pl.depth}
 	}
 
 	// Bracket t_max from above: evaluations at high thresholds prune hard
@@ -181,7 +153,7 @@ func (pl *planner) planStatFrontierTuned(qf []float64, sq StatQuery, mc *massCac
 	blocks, mass := eval(tLo)
 	for mass < sq.Alpha && tLo > tFloor {
 		tHi, massHi = tLo, mass
-		tLo /= tn.bracketStep
+		tLo /= bracketStep
 		if tLo < tFloor {
 			tLo = tFloor
 		}
@@ -215,7 +187,7 @@ func (pl *planner) planStatFrontierTuned(qf []float64, sq StatQuery, mc *massCac
 	// geometric mean so the bracket always shrinks by a useful factor.
 	// Every probe lies inside the bracket, above the lowest threshold
 	// already expanded, so this entire loop is traversal-free.
-	for iters < maxThresholdIters && tHi/tLo > tn.thresholdTol {
+	for iters < maxThresholdIters && tHi/tLo > thresholdTol {
 		tMid := math.Sqrt(tLo * tHi)
 		if massHi < sq.Alpha && mass > massHi {
 			frac := (mass - sq.Alpha) / (mass - massHi)

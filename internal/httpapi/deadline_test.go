@@ -73,10 +73,6 @@ func (g *gateSearcher) PlanCacheStats() (core.PlanCacheStats, bool) {
 	return core.PlanCacheStats{}, false
 }
 
-func (g *gateSearcher) AutoTuneStats() (core.AutoTuneStats, bool) {
-	return core.AutoTuneStats{}, false
-}
-
 // gateServer builds a Server over a gateSearcher with the given
 // in-flight bound.
 func gateServer(maxInFlight int) (*Server, *gateSearcher) {

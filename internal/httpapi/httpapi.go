@@ -130,9 +130,6 @@ type Options struct {
 	// PlanCacheEntries bounds the plan cache; 0 selects
 	// core.DefaultPlanCacheEntries.
 	PlanCacheEntries int
-	// AutoTune enables the engine's online threshold-search tuning
-	// (static servers only).
-	AutoTune core.AutoTuneOptions
 }
 
 // serverHeader identifies the service on every response.
@@ -189,7 +186,6 @@ func New(db *store.DB, opt Options) (*Server, error) {
 	eng := core.NewEngineOpts(ix, core.EngineOptions{
 		Workers:   opt.Workers,
 		PlanCache: opt.PlanCache, PlanCacheEntries: opt.PlanCacheEntries,
-		AutoTune: opt.AutoTune,
 	})
 	s := newServer(opt)
 	s.search, s.eng, s.dims = eng, eng, db.Dims()
@@ -548,16 +544,18 @@ func writeError(w http.ResponseWriter, err error) {
 	}
 }
 
-// planCacheJSON renders plan cache health fields; nil when disabled.
-func planCacheJSON(st core.PlanCacheStats, ok bool) map[string]interface{} {
+// planCacheField adds the searcher's plan cache health fields to a
+// response body under "planCache"; nothing when the cache is disabled.
+func (s *Server) planCacheField(body map[string]interface{}) {
+	st, ok := s.search.PlanCacheStats()
 	if !ok {
-		return nil
+		return
 	}
 	hitRate := 0.0
 	if lookups := st.Hits + st.Misses; lookups > 0 {
 		hitRate = float64(st.Hits) / float64(lookups)
 	}
-	return map[string]interface{}{
+	body["planCache"] = map[string]interface{}{
 		"hits":        st.Hits,
 		"misses":      st.Misses,
 		"sharedWaits": st.SharedWaits,
@@ -565,31 +563,6 @@ func planCacheJSON(st core.PlanCacheStats, ok bool) map[string]interface{} {
 		"evictions":   st.Evictions,
 		"entries":     st.Entries,
 		"hitRate":     hitRate,
-	}
-}
-
-// autoTuneJSON renders the online tuner's fields; nil when disabled.
-func autoTuneJSON(st core.AutoTuneStats, ok bool) map[string]interface{} {
-	if !ok {
-		return nil
-	}
-	return map[string]interface{}{
-		"depth":        st.Depth,
-		"bracketStep":  st.BracketStep,
-		"thresholdTol": st.ThresholdTol,
-		"refits":       st.Refits,
-		"changes":      st.Changes,
-	}
-}
-
-// cacheTuneFields folds the searcher's plan cache and tuner groups into
-// a response body.
-func (s *Server) cacheTuneFields(body map[string]interface{}) {
-	if m := planCacheJSON(s.search.PlanCacheStats()); m != nil {
-		body["planCache"] = m
-	}
-	if m := autoTuneJSON(s.search.AutoTuneStats()); m != nil {
-		body["autotune"] = m
 	}
 }
 
@@ -664,7 +637,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		}
 	}
 	body["status"], body["draining"] = status, s.draining.Load()
-	s.cacheTuneFields(body)
+	s.planCacheField(body)
 	reply(w, body)
 }
 
@@ -705,7 +678,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			"workers": s.eng.Workers(),
 		}
 	}
-	s.cacheTuneFields(body)
+	s.planCacheField(body)
 	reply(w, body)
 }
 

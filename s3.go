@@ -64,13 +64,8 @@ type (
 	DepthTiming = core.DepthTiming
 	// BatchStats reports a pseudo-disk batch execution.
 	BatchStats = core.BatchStats
-	// AutoTuneOptions enables online re-fitting of the paper's cost model
-	// T(p) from observed plan/refine timings (see core.AutoTuneOptions).
-	AutoTuneOptions = core.AutoTuneOptions
 	// PlanCacheStats reports plan-cache effectiveness counters.
 	PlanCacheStats = core.PlanCacheStats
-	// AutoTuneStats reports the auto-tuner's current parameters.
-	AutoTuneStats = core.AutoTuneStats
 )
 
 // CBCD system types.
@@ -125,9 +120,6 @@ type IndexOptions struct {
 	PlanCache bool
 	// PlanCacheEntries bounds the cache; 0 selects the default (4096).
 	PlanCacheEntries int
-	// AutoTune enables online cost-model re-fitting (T(p) from observed
-	// plan/refine timings) that adapts the planner's parameters under load.
-	AutoTune AutoTuneOptions
 }
 
 // Index is the in-memory S³ index. Queries execute through a query
@@ -147,7 +139,7 @@ func newIndex(db *store.DB, opt IndexOptions) (*Index, error) {
 	}
 	eng := core.NewEngineOpts(ix, core.EngineOptions{
 		Workers: opt.Workers, PlanCache: opt.PlanCache,
-		PlanCacheEntries: opt.PlanCacheEntries, AutoTune: opt.AutoTune,
+		PlanCacheEntries: opt.PlanCacheEntries,
 	})
 	return &Index{ix: ix, db: db, eng: eng}, nil
 }
@@ -218,17 +210,9 @@ func (x *Index) Engine() *core.Engine { return x.eng }
 // identical with or without the cache.
 func (x *Index) EnablePlanCache(entries int) { x.eng.EnablePlanCache(entries) }
 
-// EnableAutoTune turns on online cost-model re-fitting. Call before
-// serving queries.
-func (x *Index) EnableAutoTune(opt AutoTuneOptions) { x.eng.EnableAutoTune(opt) }
-
 // PlanCacheStats reports plan-cache counters; ok is false when the cache
 // is disabled.
 func (x *Index) PlanCacheStats() (st PlanCacheStats, ok bool) { return x.eng.PlanCacheStats() }
-
-// AutoTuneStats reports the auto-tuner's state; ok is false when tuning
-// is disabled.
-func (x *Index) AutoTuneStats() (st AutoTuneStats, ok bool) { return x.eng.AutoTuneStats() }
 
 // StatSearch runs a statistical query: it returns every fingerprint in a
 // region holding probability mass >= sq.Alpha under sq.Model around q.

@@ -10,7 +10,11 @@
 #   - flag definitions under cmd/ (flag.Int, flag.Var, ...), the
 #     operator-visible option count;
 #   - exported metric families, as scripts/check_metrics.sh counts them
-#     ("?" when that lint fails).
+#     ("?" when that lint fails);
+#   - exported fields of the option structs (every non-test struct type
+#     named Options or ...Options, same exclusions), each name of a list
+#     like `A, B int` counted separately: the library-visible option
+#     count.
 #
 # Run from the repository root, or pass a checkout to measure:
 #
@@ -41,3 +45,19 @@ grep -rhoE 'flag\.(Bool|Duration|Float64|Int|Int64|String|Uint|Uint64|Var)\(' --
 	| wc -l | awk '{ printf "%7d flags under cmd/\n", $1 }'
 families=$(sh "$here/check_metrics.sh" 2>/dev/null | sed -n 's/^check_metrics: \([0-9]*\) families.*/\1/p')
 printf '%7s metric families\n' "${families:-?}"
+find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -print \
+	| sort \
+	| xargs awk '
+		/^type [A-Za-z0-9_]*Options struct \{/ { inside = 1; next }
+		inside && /^\}/ { inside = 0; next }
+		inside && /^\t[A-Za-z_]/ {
+			# A field line: names separated by ", ", then the type.
+			line = substr($0, 2)
+			while (match(line, /^[A-Za-z_][A-Za-z0-9_]*/)) {
+				if (substr(line, 1, 1) ~ /[A-Z]/) n++
+				line = substr(line, RLENGTH + 1)
+				if (line !~ /^, /) break
+				line = substr(line, 3)
+			}
+		}
+		END { printf "%7d option fields\n", n }'
