@@ -227,16 +227,40 @@ func (cf *ColdFile) Close() error {
 	return nil
 }
 
-// block returns block s — rows [lo, hi) of one record area — as read
-// from disk, through the cache when one is attached. A cached block
-// costs exactly the bytes it holds.
-func (cf *ColdFile) block(a area, s, lo, hi int) (*Chunk, error) {
-	if cf.cache == nil {
-		return cf.fl.load(a, lo, hi)
+// pinnedBlock is a block a visit is reading: its rows stay valid, and
+// their buffer out of the recycling pool, until done.
+type pinnedBlock struct {
+	*Chunk
+	cache *BlockCache
+	e     *cacheEntry // nil when uncached: the visit owns the chunk
+}
+
+// done ends the visit's hold on the block: it unpins a cached block and
+// recycles an uncached one. The block must not be read afterwards.
+func (b pinnedBlock) done() {
+	if b.e == nil {
+		recycleChunk(b.Chunk)
+		return
 	}
-	return cf.cache.getOrLoad(blockKey{file: cf.id, block: s, area: a}, func() (*Chunk, error) {
-		return cf.fl.load(a, lo, hi)
+	b.cache.unpin(b.e)
+}
+
+// block returns block s — rows [lo, hi) of one record area — as read
+// from disk, through the cache when one is attached, pinned until the
+// caller calls done on it. The read lands in a recycled buffer when one
+// of its size class is idle.
+func (cf *ColdFile) block(a area, s, lo, hi int) (pinnedBlock, error) {
+	if cf.cache == nil {
+		ch, err := cf.fl.read(a, lo, hi, true)
+		return pinnedBlock{Chunk: ch}, err
+	}
+	e, err := cf.cache.getOrLoad(blockKey{file: cf.id, block: s, area: a}, func() (*Chunk, error) {
+		return cf.fl.read(a, lo, hi, true)
 	})
+	if err != nil {
+		return pinnedBlock{}, err
+	}
+	return pinnedBlock{Chunk: e.val, cache: cf.cache, e: e}, nil
 }
 
 // sketchSkips reports whether the sketch proves block s — keys in
@@ -357,14 +381,15 @@ func (cf *ColdFile) VisitIntervals(ivs []hilbert.Interval, visit func(RecordView
 // the exact bytes they spared.
 func (cf *ColdFile) visitArea(a area, ivs []hilbert.Interval, visit func(RecordView) bool) error {
 	return cf.visitBlocks(ivs, func(s, lo, hi, c int, secEnd bitkey.Key) (bool, error) {
-		ch, err := cf.block(a, s, lo, hi)
+		b, err := cf.block(a, s, lo, hi)
 		if err != nil {
 			return false, err
 		}
+		defer b.done()
 		if a == areaLean {
 			cf.ctr.addLeanSaved(int64(hi-lo) * int64(cf.fl.recSize-cf.fl.leanSize))
 		}
-		return selected(ch, ivs, c, secEnd, func(i int) bool { return visit(ch.view(i)) }), nil
+		return selected(b.Chunk, ivs, c, secEnd, func(i int) bool { return visit(b.view(i)) }), nil
 	})
 }
 
@@ -404,15 +429,17 @@ func (cf *ColdFile) VisitIntervalsFiltered(ivs []hilbert.Interval, qf []float64,
 		if err != nil {
 			return false, err
 		}
+		defer codes.done()
 		// Keys drive interval refinement within the block; the lean rows
 		// carry them at the smallest byte cost.
-		ch, err := cf.block(areaLean, s, lo, hi)
+		lean, err := cf.block(areaLean, s, lo, hi)
 		if err != nil {
 			return false, err
 		}
+		defer lean.done()
 		survivors = survivors[:0]
 		rejects := int64(0)
-		selected(ch, ivs, c, secEnd, func(i int) bool {
+		selected(lean.Chunk, ivs, c, secEnd, func(i int) bool {
 			if lb.Exceeds(codes.row(i), boundSq) {
 				rejects++
 			} else {
@@ -429,6 +456,7 @@ func (cf *ColdFile) VisitIntervalsFiltered(ivs []hilbert.Interval, qf []float64,
 			if err != nil {
 				return false, err
 			}
+			defer ex.done()
 			cf.ctr.addRejects(rejects, 0, -readBytes)
 			for _, i := range survivors {
 				if !visit(ex.view(i)) {

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"math"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -38,7 +39,10 @@ func coldVisitFixture(tb testing.TB, n, plans int) (string, *DB, [][]hilbert.Int
 // TestColdVisitAllocs asserts the cost of a cold block instead of
 // inferring it: a lean statistical visit whose blocks are all cached
 // allocates nothing per block — no decode, no key copies — and a miss
-// allocates the row buffer and one chunk header, nothing per record.
+// reads into a recycled buffer, so it allocates at most one object (the
+// cache entry) and nothing per record, uncached or through a cache that
+// evicts every block as the next lands. Under -race the recycled-miss
+// guards skip: sync.Pool drops items there on purpose.
 func TestColdVisitAllocs(t *testing.T) {
 	path, _, plans := coldVisitFixture(t, 20000, 1)
 	ivs := plans[0]
@@ -76,15 +80,46 @@ func TestColdVisitAllocs(t *testing.T) {
 		t.Errorf("warm visits read %d bytes from disk", cfs.ReadBytes()-reads)
 	}
 
-	cold := open(nil)
-	if allocs := testing.AllocsPerRun(5, run(cold)); allocs > float64(2*blocks+2) {
-		t.Errorf("uncached lean visit over %d blocks allocates %.0f times, want at most a row buffer and a header per block", blocks, allocs)
+	if raceEnabled {
+		return
+	}
+	for _, c := range []struct {
+		name  string
+		cache *BlockCache
+	}{{"uncached", nil}, {"below-one-block cache", NewBlockCache(1)}} {
+		if allocs := testing.AllocsPerRun(5, run(open(c.cache))); allocs > float64(blocks+2) {
+			t.Errorf("%s lean visit over %d blocks allocates %.0f times, want at most one per block", c.name, blocks, allocs)
+		}
 	}
 }
 
-func benchmarkColdVisit(b *testing.B, visit func(cf *ColdFile, db *DB, ivs []hilbert.Interval) error) {
+// TestChunkClassSlack: every buffer size maps to a class whose capacity
+// holds it with at most 1/8 slack — the budget charges capacity — and a
+// buffer of that capacity maps back to the same class, which is what
+// lets a recycled buffer find its pool.
+func TestChunkClassSlack(t *testing.T) {
+	prev := -1
+	for n := 0; n <= 1<<20; n++ {
+		class, capacity := chunkClass(n)
+		if class < prev || class >= len(chunkPools) {
+			t.Fatalf("chunkClass(%d) = class %d after %d, of %d pools", n, class, prev, len(chunkPools))
+		}
+		if capacity < n || 8*(capacity-n) > n {
+			t.Fatalf("chunkClass(%d) capacity %d: more than 1/8 slack", n, capacity)
+		}
+		if back, c2 := chunkClass(capacity); back != class || c2 != capacity {
+			t.Fatalf("chunkClass(%d) = (%d, %d) but its capacity maps to (%d, %d)", n, class, capacity, back, c2)
+		}
+		prev = class
+	}
+	if class, _ := chunkClass(math.MaxInt); class != len(chunkPools)-1 {
+		t.Fatalf("the largest int maps to class %d of %d pools", class, len(chunkPools))
+	}
+}
+
+func benchmarkColdVisit(b *testing.B, cache *BlockCache, visit func(cf *ColdFile, db *DB, ivs []hilbert.Interval) error) {
 	path, db, plans := coldVisitFixture(b, 20000, 64)
-	cf, err := OpenColdOptsFS(OSFS, path, ColdOptions{Codec: true})
+	cf, err := OpenColdOptsFS(OSFS, path, ColdOptions{Cache: cache, Codec: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -104,9 +139,19 @@ var coldVisitSink int
 // codec-bearing cold file: every touched block is read, searched in
 // place and its selected rows decoded.
 func BenchmarkColdVisitLean(b *testing.B) {
-	benchmarkColdVisit(b, func(cf *ColdFile, _ *DB, ivs []hilbert.Interval) error {
-		return cf.VisitIntervalsLean(ivs, func(rv RecordView) bool { coldVisitSink += int(rv.ID); return true })
-	})
+	benchmarkColdVisit(b, nil, visitLean)
+}
+
+// BenchmarkColdVisitMiss is the same refinement through a cache whose
+// budget is below one block: every touched block misses, lands, is
+// evicted by the next and recycled — the path most cold_mixed block
+// fetches take.
+func BenchmarkColdVisitMiss(b *testing.B) {
+	benchmarkColdVisit(b, NewBlockCache(1), visitLean)
+}
+
+func visitLean(cf *ColdFile, _ *DB, ivs []hilbert.Interval) error {
+	return cf.VisitIntervalsLean(ivs, func(rv RecordView) bool { coldVisitSink += int(rv.ID); return true })
 }
 
 // BenchmarkColdVisitFiltered is one ε-range refinement of the same file
@@ -114,7 +159,7 @@ func BenchmarkColdVisitLean(b *testing.B) {
 // verified by exact reads.
 func BenchmarkColdVisitFiltered(b *testing.B) {
 	qf := make([]float64, 20)
-	benchmarkColdVisit(b, func(cf *ColdFile, db *DB, ivs []hilbert.Interval) error {
+	benchmarkColdVisit(b, nil, func(cf *ColdFile, db *DB, ivs []hilbert.Interval) error {
 		for j, c := range db.FP(len(ivs) % db.Len()) {
 			qf[j] = float64(c)
 		}

@@ -6,6 +6,7 @@ package store
 import (
 	"encoding/binary"
 	"os"
+	"sync"
 	"testing"
 )
 
@@ -37,5 +38,40 @@ func AddShardManifest(t testing.TB, path string, starts ...uint64) {
 	out := append(append(image[:head:head], sec...), image[head:]...)
 	if err := os.WriteFile(path, out, 0o644); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// PoisonRecycled switches on the recycling pool's test hook until tb
+// ends. Every chunk handed back to the pool is overwritten with 0xA5 at
+// that moment, so a reader still holding recycled memory sees garbage,
+// never a plausible record. A chunk handed back that was not drawn since
+// the switch, or was handed back since, fails tb: a buffer is recycled
+// exactly once per draw. The returned function reports how many drawn
+// chunks are not back yet. Cold reads must not run in other goroutines
+// while the switch flips.
+func PoisonRecycled(tb testing.TB) (outstanding func() int) {
+	var mu sync.Mutex
+	drawn := map[*Chunk]bool{}
+	chunkPoolHook = func(ch *Chunk, put bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		if !put {
+			drawn[ch] = true
+			return
+		}
+		if !drawn[ch] {
+			tb.Errorf("chunk of %d bytes recycled without a draw since its last recycle", cap(ch.buf))
+		}
+		delete(drawn, ch)
+		buf := ch.buf[:cap(ch.buf)]
+		for i := range buf {
+			buf[i] = 0xA5
+		}
+	}
+	tb.Cleanup(func() { chunkPoolHook = nil })
+	return func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(drawn)
 	}
 }

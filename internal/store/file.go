@@ -641,18 +641,24 @@ const (
 	areaCodes             // packed quantizer codes (codec files)
 )
 
-// load reads rows [lo, hi) of one area with a single ReadAt and returns
-// them as they are stored: nothing is decoded until an accessor asks.
-func (fl *File) load(a area, lo, hi int) (*Chunk, error) {
-	ch := &Chunk{Base: lo, kb: keyBytes(fl.curve), xy: true}
+// load reads rows [lo, hi) of one area with a single ReadAt into a
+// buffer of its own, and returns them as they are stored: nothing is
+// decoded until an accessor asks.
+func (fl *File) load(a area, lo, hi int) (*Chunk, error) { return fl.read(a, lo, hi, false) }
+
+// read is load, drawing the chunk from the recycling pool when pooled
+// (drawChunk) — in which case a failed read hands it straight back, so
+// the caller owns a chunk only on success.
+func (fl *File) read(a area, lo, hi int, pooled bool) (*Chunk, error) {
+	l := Chunk{Base: lo, kb: keyBytes(fl.curve), xy: true}
 	off, what := fl.dataOff, "records"
 	switch a {
 	case areaExact:
-		ch.stride, ch.dims, ch.xy = fl.recSize, fl.curve.Dims(), fl.version >= fileVersionV2
+		l.stride, l.dims, l.xy = fl.recSize, fl.curve.Dims(), fl.version >= fileVersionV2
 	case areaLean:
-		off, what, ch.stride = fl.leanOff, "lean records", fl.leanSize
+		off, what, l.stride = fl.leanOff, "lean records", fl.leanSize
 	case areaCodes:
-		off, what, ch.stride, ch.kb = fl.codeOff, "codes", fl.codeSize, 0
+		off, what, l.stride, l.kb = fl.codeOff, "codes", fl.codeSize, 0
 	}
 	if a != areaExact && fl.quant == nil {
 		return nil, fmt.Errorf("store: file carries no %s area", what)
@@ -660,9 +666,20 @@ func (fl *File) load(a area, lo, hi int) (*Chunk, error) {
 	if lo < 0 || hi < lo || hi > fl.count {
 		return nil, fmt.Errorf("store: record range [%d,%d) outside [0,%d)", lo, hi, fl.count)
 	}
-	ch.buf = make([]byte, (hi-lo)*ch.stride)
+	n := (hi - lo) * l.stride
+	var ch *Chunk
+	if pooled {
+		ch = drawChunk(n)
+	} else {
+		ch = &Chunk{buf: make([]byte, n)}
+	}
+	l.buf = ch.buf
+	*ch = l
 	if hi > lo {
 		if _, err := fl.f.ReadAt(ch.buf, off+int64(lo)*int64(ch.stride)); err != nil {
+			if pooled {
+				recycleChunk(ch)
+			}
 			return nil, fmt.Errorf("store: reading %s [%d,%d): %w", what, lo, hi, err)
 		}
 	}

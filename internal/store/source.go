@@ -10,14 +10,16 @@ import (
 // is independent of whether the record sits in RAM (DB) or was just read
 // from disk (ColdFile). FP aliases the source's buffer and is valid only
 // for the duration of the callback; callers keeping a fingerprint must
-// copy it.
+// copy it. The limit is load-bearing: a cold block's buffer is recycled
+// once its visit ends, so a retained FP is overwritten by a later block.
 type RecordView struct {
 	// Pos is the record's global index in its source (the position a DB
 	// or a whole database file assigns it).
 	Pos int
 	// Key is the record's Hilbert key.
 	Key bitkey.Key
-	// FP is the fingerprint; valid only during the callback.
+	// FP is the fingerprint; valid only during the callback (a cold
+	// source reuses the bytes for another block afterwards).
 	FP []byte
 	// ID and TC are the video identifier and time code.
 	ID, TC uint32
@@ -30,7 +32,9 @@ type RecordView struct {
 // what lets one refine implementation serve resident and cold segments
 // alike. Visits over a curve interval set deliver records in the
 // canonical stored order (ascending record index); a source backed by
-// fallible I/O reports read failures through the returned error.
+// fallible I/O reports read failures through the returned error. A
+// visitor keeps nothing a view aliases past its callback — ColdFile
+// relies on that to hand a visited block's buffer to the next miss.
 type RecordSource interface {
 	// Curve returns the Hilbert curve the records are ordered by.
 	Curve() *hilbert.Curve
