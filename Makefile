@@ -12,12 +12,15 @@ RACE_PKGS = . ./internal/core ./internal/store ./internal/httpapi ./internal/cbc
 # the race detector over the engine packages, then the bench/ module.
 check: vet build test race check-bench
 
-# vet is go vet plus the metric-name lint: every exported s3_* family
-# must be constructed at exactly one site and documented in
-# docs/METRICS.md (scripts/check_metrics.sh).
+# vet is go vet plus two docs lints: every exported s3_* family must be
+# constructed at exactly one site and documented in docs/METRICS.md
+# (scripts/check_metrics.sh), and every flag a README.md or docs/*.md
+# shell block passes to a cmd/ command must exist in its main.go
+# (scripts/check_flags.sh).
 vet:
 	$(GO) vet ./...
 	sh scripts/check_metrics.sh
+	sh scripts/check_flags.sh
 
 build:
 	$(GO) build ./...

@@ -149,7 +149,7 @@ func TestPlanStatNoAllocsUntraced(t *testing.T) {
 // stale plan, while changing back hits the entry planned before.
 func TestPlanStatNoAllocsCacheHit(t *testing.T) {
 	eng, queries := planAllocEngine(t)
-	eng.EnablePlanCache(0)
+	eng.EnablePlanCache()
 	sq := corpusBenchQuery()
 	ctx := context.Background()
 	plan := func(q []byte) core.Plan {

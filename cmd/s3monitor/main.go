@@ -38,8 +38,6 @@ func main() {
 
 		planCache = flag.Bool("plan-cache", true,
 			"cache filtering-step plans across the stream's repeated fingerprints (answers are identical)")
-		planCacheEntries = flag.Int("plan-cache-entries", 0,
-			"plan cache capacity in plans (0 = default)")
 		traceSlowest = flag.Bool("trace-slowest", false,
 			"trace every decision window and print the slowest window's span tree")
 	)
@@ -50,7 +48,7 @@ func main() {
 		log.Fatal(err)
 	}
 	if *planCache {
-		det.Engine().EnablePlanCache(*planCacheEntries)
+		det.Engine().EnablePlanCache()
 	}
 	thr, err := s3.CalibrateThreshold(det, []*s3.Video{
 		s3.GenerateVideo(987101, 250), s3.GenerateVideo(987102, 250),

@@ -86,10 +86,8 @@ func main() {
 		printPl  = flag.Bool("print-placement", false, "print the group -> replica placement table and exit")
 
 		maxInFlight     = flag.Int("max-inflight", 0, "concurrent client requests bound (0 = default, <0 = unlimited)")
-		backendInFlight = flag.Int("backend-inflight", 0, "concurrent requests per backend (0 = default, <0 = unlimited)")
 		retries         = flag.Int("retries", 0, "sibling retries per shard group (0 = default, <0 = none)")
-		retryBackoff    = flag.Duration("retry-backoff", 0, "base retry backoff, doubling per retry (0 = default)")
-		maxRetryBackoff = flag.Duration("max-retry-backoff", 0, "retry backoff cap (0 = default)")
+		retryBackoff    = flag.Duration("retry-backoff", 0, "base retry backoff, doubling per retry up to 100ms (0 = default)")
 		hedgeQuantile   = flag.Float64("hedge-quantile", 0, "latency quantile the hedge fence starts from: hedge once an attempt outlives Q + 3*IQR of the fastest replica's recent latencies (0 = default 0.95, <0 = off)")
 		hedgeMin        = flag.Duration("hedge-min", 0, "hedge delay floor (0 = default)")
 		requestTimeout  = flag.Duration("request-timeout", 0, "end-to-end client request budget (0 = default, <0 = none)")
@@ -98,12 +96,8 @@ func main() {
 		probeInterval   = flag.Duration("probe-interval", 0, "health probe period (0 = default, <0 = off)")
 		partial         = flag.String("partial", "strict", "partial-result policy when a shard group is unreachable: strict or degrade")
 
-		traceRate  = flag.Float64("trace-rate", 0, "fraction of requests to trace end-to-end (0 = off, 1 = all)")
-		traceSeed  = flag.Int64("trace-seed", 0, "trace sampler seed (reproducible sampling)")
-		traceStore = flag.Int("trace-store", 0,
-			"finished traces kept in memory for /debug/traces (0 = default)")
-		traceSlow = flag.Duration("trace-slow", 0,
-			"log traced searches at least this slow, assembled span tree attached (0 = off)")
+		traceRate = flag.Float64("trace-rate", 0, "fraction of requests to trace end-to-end (0 = off, 1 = all)")
+		traceSeed = flag.Int64("trace-seed", 0, "trace sampler seed (reproducible sampling)")
 		debugAddr = flag.String("debug-addr", "",
 			"operator listener with /debug/pprof/*, /debug/traces and /metrics (empty = disabled)")
 
@@ -143,10 +137,8 @@ func main() {
 	rt, err := router.New(router.Options{
 		Groups:           placement,
 		MaxInFlight:      *maxInFlight,
-		BackendInFlight:  *backendInFlight,
 		Retries:          *retries,
 		RetryBackoff:     *retryBackoff,
-		MaxRetryBackoff:  *maxRetryBackoff,
 		HedgeQuantile:    *hedgeQuantile,
 		HedgeMin:         *hedgeMin,
 		RequestTimeout:   *requestTimeout,
@@ -158,8 +150,6 @@ func main() {
 		Logger:           logger,
 		TraceRate:        *traceRate,
 		TraceSeed:        *traceSeed,
-		TraceStoreSize:   *traceStore,
-		SlowQuery:        *traceSlow,
 	})
 	if err != nil {
 		fatal(logger, "build router", err)

@@ -98,16 +98,10 @@ func main() {
 		coldCodec = flag.Bool("cold-codec", true,
 			"write quantized record codecs into cold-eligible segments and reject candidates on quantized bounds, live mode")
 		planCache = flag.Bool("plan-cache", true,
-			"cache filtering-step plans for repeated/near-identical queries (answers are identical; ?nocache=1 bypasses per request)")
-		planCacheEntries = flag.Int("plan-cache-entries", 0,
-			"plan cache capacity in plans (0 = default)")
+			"cache filtering-step plans for repeated queries (answers are identical; ?nocache=1 bypasses per request)")
 		traceRate = flag.Float64("trace-rate", 0,
 			"fraction of searches carrying a stage-level trace (0 = only ?trace=1 requests)")
-		traceSeed  = flag.Int64("trace-seed", 0, "trace sampler seed (reproducible sampling)")
-		traceStore = flag.Int("trace-store", 0,
-			"finished traces kept in memory for /debug/traces (0 = default)")
-		traceSlow = flag.Duration("trace-slow", 0,
-			"log traced searches at least this slow, span tree attached (0 = off)")
+		traceSeed = flag.Int64("trace-seed", 0, "trace sampler seed (reproducible sampling)")
 		debugAddr = flag.String("debug-addr", "",
 			"operator listener with /debug/pprof/*, /debug/traces and /metrics (empty = disabled)")
 		logJSON      = flag.Bool("log-json", false, "emit logs as JSON instead of text")
@@ -127,15 +121,11 @@ func main() {
 	reg := obs.NewRegistry()
 	cfs.RegisterMetrics(reg)
 	opt := httpapi.Options{
-		MaxInFlight:      *maxInFlight,
-		Metrics:          reg,
-		TraceRate:        *traceRate,
-		TraceSeed:        *traceSeed,
-		TraceStoreSize:   *traceStore,
-		SlowQuery:        *traceSlow,
-		Logger:           logger,
-		PlanCache:        *planCache,
-		PlanCacheEntries: *planCacheEntries,
+		MaxInFlight: *maxInFlight,
+		Metrics:     reg,
+		TraceRate:   *traceRate,
+		TraceSeed:   *traceSeed,
+		PlanCache:   *planCache,
 	}
 
 	var srv *httpapi.Server
@@ -154,9 +144,7 @@ func main() {
 			ColdRecords:  *coldRecords,
 			Sketch:       *sketch,
 			ColdCodec:    *coldCodec,
-
-			PlanCache:        *planCache,
-			PlanCacheEntries: *planCacheEntries,
+			PlanCache:    *planCache,
 		}
 		if *coldRecords > 0 {
 			cache := store.NewBlockCache(int64(*cacheMB) << 20)

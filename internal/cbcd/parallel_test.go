@@ -60,12 +60,12 @@ func TestParallelSearchMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestShardedSearchMatchesSerial (the name predates the removal of the
-// engine's shard option) repeats the comparison on another clip at a
-// worker count that does not divide the candidates evenly: the detector
-// routes per-fingerprint queries through the shared query engine, whose
-// answers must not depend on how they are spread over goroutines.
-func TestShardedSearchMatchesSerial(t *testing.T) {
+// TestWorkersSearchMatchesSerial repeats the comparison on another clip
+// at a worker count that does not divide the candidates evenly: the
+// detector routes per-fingerprint queries through the shared query
+// engine, whose answers must not depend on how they are spread over
+// goroutines.
+func TestWorkersSearchMatchesSerial(t *testing.T) {
 	refs := refCorpus(4, 180)
 	serial := buildDetector(t, refs, DefaultConfig())
 	scfg := DefaultConfig()

@@ -3,8 +3,6 @@ package core
 import (
 	"context"
 	"runtime"
-
-	"s3cbcd/internal/store"
 )
 
 // Engine serves a static database: it is the executor (executor.go)
@@ -29,9 +27,6 @@ type EngineOptions struct {
 	// PlanCache enables the bounded statistical-plan cache (see
 	// plancache.go); answers are byte-identical with it on or off.
 	PlanCache bool
-	// PlanCacheEntries bounds the cache; 0 selects
-	// DefaultPlanCacheEntries.
-	PlanCacheEntries int
 }
 
 // NewEngine builds an engine over ix running a batch search on at most
@@ -51,27 +46,20 @@ func NewEngine(ix *Index, workers int) *Engine {
 	}
 }
 
-// NewEngineOpts is NewEngine with the plan cache knobs.
+// NewEngineOpts is NewEngine with the plan cache switch.
 func NewEngineOpts(ix *Index, opt EngineOptions) *Engine {
 	e := NewEngine(ix, opt.Workers)
 	if opt.PlanCache {
-		e.EnablePlanCache(opt.PlanCacheEntries)
+		e.EnablePlanCache()
 	}
 	return e
 }
 
-// EnablePlanCache attaches a plan cache bounded to entries completed
-// plans (<= 0 selects DefaultPlanCacheEntries), bucketing keys with a
-// quantizer fitted to the database's own value distribution. Not safe
-// to call concurrently with queries: enable before serving.
-func (e *Engine) EnablePlanCache(entries int) {
-	qz, err := store.FitQuantizer(e.ix.db, store.DefaultCodecBits)
-	if err != nil || e.ix.db.Len() == 0 {
-		// An unfittable or empty database gets evenly spaced cells; only
-		// hash bucketing quality is at stake, never correctness.
-		qz, _ = store.UniformQuantizer(e.ix.db.Dims(), store.DefaultCodecBits)
-	}
-	e.cache = newPlanCache(qz, entries)
+// EnablePlanCache attaches a plan cache of DefaultPlanCacheEntries
+// completed plans. Not safe to call concurrently with queries: enable
+// before serving.
+func (e *Engine) EnablePlanCache() {
+	e.cache = newPlanCache(DefaultPlanCacheEntries)
 }
 
 // Index returns the wrapped index.

@@ -25,13 +25,12 @@ func newEngineFixture(t *testing.T, dims, n int, seed int64, workerCounts []int)
 	return ix, engines
 }
 
-// TestEngineShardedIdentityQuick is the property test of the engine's
-// identity invariant (the name predates the removal of the shard
-// fan-out): for every query and every worker bound, the engine's
-// statistical, range, k-NN and batch results are byte-identical —
-// order and nil-for-no-match included — to the sequential Index
-// reference, which shares the planner but none of the refinement.
-func TestEngineShardedIdentityQuick(t *testing.T) {
+// TestEngineIdentityQuick is the property test of the engine's identity
+// invariant: for every query and every worker bound, the engine's
+// statistical, range, k-NN and batch results are byte-identical — order
+// and nil-for-no-match included — to the sequential Index reference,
+// which shares the planner but none of the refinement.
+func TestEngineIdentityQuick(t *testing.T) {
 	ix, engines := newEngineFixture(t, 6, 2500, 41, []int{1, 4})
 	db := ix.DB()
 	r := rand.New(rand.NewSource(42))

@@ -122,12 +122,9 @@ type LiveOptions struct {
 	// faultfs.FS here.
 	FS store.FS
 	// RetryBackoff is the base delay of the persistence retry schedule;
-	// attempt n waits about RetryBackoff<<n (with jitter), capped at
-	// MaxRetryBackoff. 0 selects DefaultLiveRetryBackoff.
+	// attempt n waits about RetryBackoff<<n (with jitter), capped at 5s.
+	// 0 selects DefaultLiveRetryBackoff.
 	RetryBackoff time.Duration
-	// MaxRetryBackoff caps the exponential backoff. 0 selects
-	// DefaultLiveMaxRetryBackoff.
-	MaxRetryBackoff time.Duration
 	// RetryLimit is the consecutive-persistence-failure count at which
 	// the index enters degraded read-only mode, and the attempt budget of
 	// one background compaction before it gives up until re-triggered.
@@ -166,9 +163,6 @@ type LiveOptions struct {
 	// delete or compaction invalidates by construction and answers stay
 	// byte-identical with the cache on or off.
 	PlanCache bool
-	// PlanCacheEntries bounds the plan cache; 0 selects
-	// DefaultPlanCacheEntries.
-	PlanCacheEntries int
 }
 
 // DefaultLiveMemtableRecords is the default seal threshold.
@@ -181,9 +175,8 @@ const DefaultLiveCompactSegments = 4
 // retry attempts.
 const DefaultLiveRetryBackoff = 50 * time.Millisecond
 
-// DefaultLiveMaxRetryBackoff is the default cap on the exponential
-// persistence retry backoff.
-const DefaultLiveMaxRetryBackoff = 5 * time.Second
+// liveMaxRetryBackoff caps the exponential persistence retry backoff.
+const liveMaxRetryBackoff = 5 * time.Second
 
 // DefaultLiveRetryLimit is the default consecutive-failure count that
 // trips degraded mode (and the per-trigger attempt budget of a
@@ -218,9 +211,6 @@ func (o LiveOptions) withDefaults(curve *hilbert.Curve) LiveOptions {
 	}
 	if o.RetryBackoff <= 0 {
 		o.RetryBackoff = DefaultLiveRetryBackoff
-	}
-	if o.MaxRetryBackoff <= 0 {
-		o.MaxRetryBackoff = DefaultLiveMaxRetryBackoff
 	}
 	if o.RetryLimit == 0 {
 		o.RetryLimit = DefaultLiveRetryLimit
@@ -425,13 +415,7 @@ func OpenLiveIndex(curve *hilbert.Curve, dir string, opt LiveOptions) (*LiveInde
 		qmet: newQueryMetrics(), querySegments: met.querySegments,
 		sketchConsults: met.sketchConsults, segmentsSkipped: met.segmentsSkipped}
 	if opt.PlanCache {
-		// The record set churns, so the cache buckets keys with value-only
-		// uniform cells: assignments stay comparable across snapshots.
-		qz, err := store.UniformQuantizer(curve.Dims(), store.DefaultCodecBits)
-		if err != nil {
-			return nil, err
-		}
-		li.cache = newPlanCache(qz, opt.PlanCacheEntries)
+		li.cache = newPlanCache(DefaultPlanCacheEntries)
 	}
 	var (
 		segs []*liveSegment

@@ -308,14 +308,14 @@ func (li *LiveIndex) spawnRetryLocked() {
 
 // backoffDelay returns the delay before retry attempt (0-based): an
 // exponential schedule with jitter in [d/2, d], capped at
-// MaxRetryBackoff.
+// liveMaxRetryBackoff.
 func (li *LiveIndex) backoffDelay(attempt int) time.Duration {
 	d := li.opt.RetryBackoff
-	for i := 0; i < attempt && d < li.opt.MaxRetryBackoff; i++ {
+	for i := 0; i < attempt && d < liveMaxRetryBackoff; i++ {
 		d *= 2
 	}
-	if d > li.opt.MaxRetryBackoff {
-		d = li.opt.MaxRetryBackoff
+	if d > liveMaxRetryBackoff {
+		d = liveMaxRetryBackoff
 	}
 	half := d / 2
 	if half <= 0 {

@@ -3,27 +3,24 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"math"
 	"sync"
 
 	"s3cbcd/internal/hilbert"
 	"s3cbcd/internal/obs"
-	"s3cbcd/internal/store"
 )
 
 // This file implements the bounded plan cache. A statistical plan
 // depends only on (curve, partition depth, distortion model, α, query
 // point) — never on the record data — so identical queries against an
-// unchanged index recompute identical plans. The monitoring workload of
-// Section V-D re-queries near-identical fingerprints continuously, and
-// quantized similarity keys lose nothing for similarity answering
-// (Ingber, Courtade & Weissman): the cache buckets keys by the
-// equi-populated quantizer cells of the query point, so near-identical
-// queries hash to the same shard and chain, but a HIT additionally
-// requires exact equality of the query bytes, α, model key, partition
-// depth and index generation. Answers are therefore byte-identical with
-// the cache on or off; the quantizer only decides where a key lives,
-// never whether two different queries share a plan.
+// unchanged index recompute identical plans. A plan is named by its
+// exact inputs: the key is the query bytes, α, model key, partition
+// depth and index generation, and the hash that picks a key's shard and
+// chain mixes those same exact values. Near-identical queries therefore
+// spread over chains like any other distinct keys, static and live
+// caches hash alike, and answers are byte-identical with the cache on
+// or off.
 //
 // Invalidation is by construction: the index generation is part of the
 // key, so a plan cached against generation g can never be returned once
@@ -70,9 +67,9 @@ func planCacheBypassed(ctx context.Context) bool {
 	return v
 }
 
-// DefaultPlanCacheEntries is the cache capacity when the enabling knob
-// leaves it zero: plans are small (merged intervals plus scalars), so a
-// few thousand cover a monitoring session's working set comfortably.
+// DefaultPlanCacheEntries is the capacity of every served plan cache:
+// plans are small (merged intervals plus scalars), so a few thousand
+// cover a monitoring session's working set comfortably.
 const DefaultPlanCacheEntries = 4096
 
 // planCacheShards is the lock-striping factor; picked by high hash bits
@@ -162,20 +159,16 @@ func newPlanCacheMetrics() planCacheMetrics {
 // planCache is a bounded, sharded, singleflighted LRU of statistical
 // plans. Safe for concurrent use.
 type planCache struct {
-	qz       *store.Quantizer
 	perShard int
 	shards   [planCacheShards]pcShard
 	met      planCacheMetrics
 }
 
-// newPlanCache builds a cache bucketing keys with qz (which must cover
-// the index dimensions). entries <= 0 selects DefaultPlanCacheEntries.
-func newPlanCache(qz *store.Quantizer, entries int) *planCache {
-	if entries <= 0 {
-		entries = DefaultPlanCacheEntries
-	}
+// newPlanCache builds a cache holding at most about entries completed
+// plans (rounded up to a multiple of the shard count).
+func newPlanCache(entries int) *planCache {
 	per := (entries + planCacheShards - 1) / planCacheShards
-	pc := &planCache{qz: qz, perShard: per, met: newPlanCacheMetrics()}
+	pc := &planCache{perShard: per, met: newPlanCacheMetrics()}
 	for i := range pc.shards {
 		pc.shards[i].chains = make(map[uint64]*planEntry)
 	}
@@ -193,15 +186,20 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// keyHash buckets a full key. The query point contributes its quantizer
-// cells, not its raw bytes — that is what lands near-identical queries
-// in the same chain; everything else contributes exactly. Collisions
-// only cost a chain comparison: matches() always verifies the full key.
-func (pc *planCache) keyHash(q []byte, alphaBits, mkey, gen uint64, depth int) uint64 {
-	h := uint64(0x9e3779b97f4a7c15)
-	for j, v := range q {
-		h = mix64(h ^ uint64(pc.qz.Cell(j, v)) ^ uint64(j)<<32)
+// keyHash buckets a full key, mixing every component exactly: the query
+// bytes eight at a time, then α, model key, generation and depth.
+// Collisions only cost a chain comparison: matches() always verifies
+// the full key.
+func keyHash(q []byte, alphaBits, mkey, gen uint64, depth int) uint64 {
+	h := uint64(0x9e3779b97f4a7c15) ^ uint64(len(q))
+	for ; len(q) >= 8; q = q[8:] {
+		h = mix64(h ^ binary.LittleEndian.Uint64(q))
 	}
+	var tail uint64
+	for i, v := range q {
+		tail |= uint64(v) << (8 * i)
+	}
+	h = mix64(h ^ tail)
 	h = mix64(h ^ alphaBits)
 	h = mix64(h ^ mkey)
 	h = mix64(h ^ gen)
@@ -273,7 +271,7 @@ func (sh *pcShard) unchain(e *planEntry) {
 // the caller then plans uncached (its ctx error surfaces downstream).
 func (pc *planCache) plan(ctx context.Context, q []byte, alpha float64, mkey, gen uint64, depth int, compute func() Plan) (Plan, bool) {
 	alphaBits := math.Float64bits(alpha)
-	h := pc.keyHash(q, alphaBits, mkey, gen, depth)
+	h := keyHash(q, alphaBits, mkey, gen, depth)
 	sh := &pc.shards[h>>61]
 	sh.mu.Lock()
 	for e := sh.chains[h]; e != nil; e = e.hnext {

@@ -43,7 +43,7 @@ func fuzzPlanEngine(tb testing.TB) *Engine {
 		}
 		eng := NewEngine(ix, 1)
 		// Tiny capacity so fuzz inputs also churn the LRU/eviction path.
-		eng.EnablePlanCache(64)
+		eng.cache = newPlanCache(64)
 		fuzzPlanState.eng = eng
 	})
 	return fuzzPlanState.eng

@@ -26,13 +26,13 @@ func TestPlanCacheEquivalentQuick(t *testing.T) {
 			MemtableRecords: 1 + r.Intn(40), // tiny: force frequent seals
 			CompactSegments: 2 + r.Intn(3),
 			PlanCache:       true,
-			// Tiny capacity: evictions happen mid-schedule too.
-			PlanCacheEntries: 16 + r.Intn(64),
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer li.Close()
+		// Tiny capacity: evictions happen mid-schedule too.
+		li.cache = newPlanCache(16 + r.Intn(64))
 
 		ctx := context.Background()
 		raw := WithoutPlanCache(ctx)

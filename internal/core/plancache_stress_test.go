@@ -33,7 +33,7 @@ func TestPlanCacheSingleflightBurst(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := NewEngine(ix, 0)
-	eng.EnablePlanCache(0)
+	eng.EnablePlanCache()
 
 	const n = 16
 	q := recs[0].FP

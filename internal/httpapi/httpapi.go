@@ -69,7 +69,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"log/slog"
 	"net/http"
 	"strconv"
 	"sync/atomic"
@@ -114,22 +113,11 @@ type Options struct {
 	// TraceSeed seeds the trace sampler, making the accept/reject
 	// sequence reproducible.
 	TraceSeed int64
-	// TraceStoreSize bounds the in-memory debug trace store (finished
-	// traces kept for /debug/traces); 0 selects the obs default.
-	TraceStoreSize int
-	// SlowQuery, when positive, logs every traced query at least this
-	// slow through Logger, with the assembled span tree attached.
-	SlowQuery time.Duration
-	// Logger receives the slow-query log; nil discards it.
-	Logger *slog.Logger
 	// PlanCache enables the engine's statistical-plan cache (static
 	// servers only — a live server inherits the cache its LiveIndex was
 	// opened with). Answers are byte-identical with it on or off; a
 	// request can bypass it with ?nocache=1.
 	PlanCache bool
-	// PlanCacheEntries bounds the plan cache; 0 selects
-	// core.DefaultPlanCacheEntries.
-	PlanCacheEntries int
 }
 
 // serverHeader identifies the service on every response.
@@ -159,12 +147,10 @@ type Server struct {
 	// burst of connection-refused retries.
 	draining atomic.Bool
 
-	reg       *obs.Registry
-	sampler   *obs.Sampler
-	inflight  *obs.Gauge
-	traces    *obs.TraceStore
-	slowQuery time.Duration
-	logger    *slog.Logger
+	reg      *obs.Registry
+	sampler  *obs.Sampler
+	inflight *obs.Gauge
+	traces   *obs.TraceStore
 }
 
 // SetDraining marks (or unmarks) the server as draining: /healthz
@@ -183,10 +169,7 @@ func New(db *store.DB, opt Options) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng := core.NewEngineOpts(ix, core.EngineOptions{
-		Workers:   opt.Workers,
-		PlanCache: opt.PlanCache, PlanCacheEntries: opt.PlanCacheEntries,
-	})
+	eng := core.NewEngineOpts(ix, core.EngineOptions{Workers: opt.Workers, PlanCache: opt.PlanCache})
 	s := newServer(opt)
 	s.search, s.eng, s.dims = eng, eng, db.Dims()
 	eng.RegisterMetrics(s.reg)
@@ -223,13 +206,8 @@ func newServer(opt Options) *Server {
 	if opt.TraceRate > 0 {
 		s.sampler = obs.NewSampler(opt.TraceRate, opt.TraceSeed)
 	}
-	s.traces = obs.NewTraceStore(opt.TraceStoreSize)
+	s.traces = obs.NewTraceStore(0)
 	s.traces.RegisterMetrics(s.reg)
-	s.slowQuery = opt.SlowQuery
-	s.logger = opt.Logger
-	if s.logger == nil {
-		s.logger = obs.NopLogger()
-	}
 	s.inflight = s.reg.Gauge("s3_http_inflight_requests",
 		"requests currently being handled (admission queue included)")
 	if opt.MaxInFlight == 0 {
@@ -329,11 +307,10 @@ func (s *Server) traceFor(r *http.Request, route string) (context.Context, *obs.
 }
 
 // finishTrace closes out a traced request: the failure (if any) is
-// recorded, the report is built once, filed into the debug trace store,
-// logged when the query breached the slow-query threshold, and returned
-// for in-band attachment to the response. Returns a zero report for
-// untraced requests.
-func (s *Server) finishTrace(route string, tr *obs.Trace, err error) obs.TraceReport {
+// recorded, the report is built once, filed into the debug trace store
+// and returned for in-band attachment to the response. Returns a zero
+// report for untraced requests.
+func (s *Server) finishTrace(tr *obs.Trace, err error) obs.TraceReport {
 	if tr == nil {
 		return obs.TraceReport{}
 	}
@@ -342,14 +319,6 @@ func (s *Server) finishTrace(route string, tr *obs.Trace, err error) obs.TraceRe
 	}
 	rep := tr.Report()
 	s.traces.Add(rep)
-	if s.slowQuery > 0 && time.Duration(rep.TotalMicros)*time.Microsecond >= s.slowQuery {
-		s.logger.Warn("slow query",
-			"route", route,
-			"traceId", rep.TraceID,
-			"micros", rep.TotalMicros,
-			"error", rep.Error,
-			"trace", rep)
-	}
 	return rep
 }
 
@@ -709,14 +678,14 @@ func (s *Server) handleStat(w http.ResponseWriter, r *http.Request) {
 	ctx, tr := s.traceFor(r, "/search/statistical")
 	matches, plan, err := s.search.SearchStat(ctx, fp, sq)
 	if err != nil {
-		s.finishTrace("/search/statistical", tr, err)
+		s.finishTrace(tr, err)
 		searchError(w, r, err)
 		return
 	}
 	out := NewBody(0)
 	out.B = appendMatches(append(out.B, `"matches":`...), matches)
 	out.B = appendPlan(append(out.B, `,"plan":`...), plan)
-	s.sendSearch(w, "/search/statistical", tr, out)
+	s.sendSearch(w, tr, out)
 }
 
 func (s *Server) handleStatBatch(w http.ResponseWriter, r *http.Request) {
@@ -745,7 +714,7 @@ func (s *Server) handleStatBatch(w http.ResponseWriter, r *http.Request) {
 	ctx, tr := s.traceFor(r, "/search/statistical/batch")
 	results, err := s.search.SearchStatBatch(ctx, queries, sq)
 	if err != nil {
-		s.finishTrace("/search/statistical/batch", tr, err)
+		s.finishTrace(tr, err)
 		searchError(w, r, err)
 		return
 	}
@@ -758,7 +727,7 @@ func (s *Server) handleStatBatch(w http.ResponseWriter, r *http.Request) {
 		out.B = appendMatches(out.B, ms)
 	}
 	out.B = append(out.B, ']')
-	s.sendSearch(w, "/search/statistical/batch", tr, out)
+	s.sendSearch(w, tr, out)
 }
 
 func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
@@ -774,14 +743,14 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 	ctx, tr := s.traceFor(r, "/search/range")
 	matches, plan, err := s.search.SearchRange(ctx, fp, req.Epsilon)
 	if err != nil {
-		s.finishTrace("/search/range", tr, err)
+		s.finishTrace(tr, err)
 		searchError(w, r, err)
 		return
 	}
 	out := NewBody(0)
 	out.B = strconv.AppendInt(append(out.B, `"blocks":`...), int64(plan.Blocks), 10)
 	out.B = appendMatches(append(out.B, `,"matches":`...), matches)
-	s.sendSearch(w, "/search/range", tr, out)
+	s.sendSearch(w, tr, out)
 }
 
 func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
@@ -797,7 +766,7 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 	ctx, tr := s.traceFor(r, "/search/knn")
 	matches, stats, err := s.search.SearchKNN(ctx, fp, req.K, req.MaxLeaves)
 	if err != nil {
-		s.finishTrace("/search/knn", tr, err)
+		s.finishTrace(tr, err)
 		searchError(w, r, err)
 		return
 	}
@@ -805,7 +774,7 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 	out.B = strconv.AppendBool(append(out.B, `"exact":`...), stats.Exact)
 	out.B = appendMatches(append(out.B, `,"matches":`...), matches)
 	out.B = strconv.AppendInt(append(out.B, `,"scanned":`...), int64(stats.Scanned), 10)
-	s.sendSearch(w, "/search/knn", tr, out)
+	s.sendSearch(w, tr, out)
 }
 
 // recordJSON is the wire form of one ingested record.

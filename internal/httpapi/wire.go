@@ -122,9 +122,9 @@ func appendFloat(b []byte, f float64) []byte {
 // sendSearch sends a search response whose members are in out. A
 // traced request's report is finished here and appended last, where
 // "trace" sorts.
-func (s *Server) sendSearch(w http.ResponseWriter, route string, tr *obs.Trace, out *Body) {
+func (s *Server) sendSearch(w http.ResponseWriter, tr *obs.Trace, out *Body) {
 	if tr != nil {
-		if raw, err := json.Marshal(s.finishTrace(route, tr, nil)); err == nil {
+		if raw, err := json.Marshal(s.finishTrace(tr, nil)); err == nil {
 			out.B = append(append(out.B, `,"trace":`...), raw...)
 		}
 	}

@@ -52,7 +52,7 @@ type backend struct {
 	br  *breaker
 
 	inflight atomic.Int64 // requests currently against this backend
-	budget   int64        // <= 0: unbounded
+	budget   int64
 
 	// Per-backend metric series (family constructed once in metrics.go).
 	reqs       *obs.Counter
@@ -65,10 +65,6 @@ func (b *backend) setHealth(h health) { b.state.Store(int32(h)) }
 
 // tryAcquire claims one in-flight slot, refusing over budget.
 func (b *backend) tryAcquire() bool {
-	if b.budget <= 0 {
-		b.inflight.Add(1)
-		return true
-	}
 	for {
 		n := b.inflight.Load()
 		if n >= b.budget {

@@ -58,10 +58,8 @@ const (
 // Defaults for the zero Options values.
 const (
 	DefaultMaxInFlight      = 64
-	DefaultBackendInFlight  = 32
 	DefaultRetries          = 2
 	DefaultRetryBackoff     = 5 * time.Millisecond
-	DefaultMaxRetryBackoff  = 100 * time.Millisecond
 	DefaultHedgeQuantile    = 0.95
 	DefaultHedgeMin         = time.Millisecond
 	DefaultRequestTimeout   = 10 * time.Second
@@ -69,6 +67,13 @@ const (
 	DefaultBreakerCooldown  = 500 * time.Millisecond
 	DefaultProbeInterval    = time.Second
 )
+
+// backendInFlight bounds concurrent requests per backend; the backend
+// client's idle pool keeps as many connections to each.
+const backendInFlight = 32
+
+// maxRetryBackoff caps the doubling retry backoff.
+const maxRetryBackoff = 100 * time.Millisecond
 
 // shedRetryAfter is the Retry-After hint on load-shed 503s, matching
 // the backend HTTP layer's.
@@ -86,26 +91,17 @@ type Options struct {
 	// its breaker, budget and latency window are shared.
 	Groups [][]string
 
-	// Client issues every backend request (nil = a client whose idle
-	// pool keeps BackendInFlight connections per backend; per-request
-	// contexts carry all timeouts).
-	Client *http.Client
-
 	// MaxInFlight bounds concurrently coordinated client requests;
 	// excess is shed immediately with 503 + Retry-After, never queued
 	// (0 = DefaultMaxInFlight, < 0 = unlimited).
 	MaxInFlight int
-	// BackendInFlight bounds concurrent requests per backend
-	// (0 = DefaultBackendInFlight, < 0 = unlimited).
-	BackendInFlight int
 
 	// Retries is the per-group budget of sibling retries after
 	// retryable failures (0 = DefaultRetries, < 0 = no retries).
 	Retries int
 	// RetryBackoff is the base backoff before the first retry, doubling
-	// per retry up to MaxRetryBackoff (zeros = defaults).
-	RetryBackoff    time.Duration
-	MaxRetryBackoff time.Duration
+	// per retry up to 100ms (0 = DefaultRetryBackoff).
+	RetryBackoff time.Duration
 
 	// HedgeQuantile is the recent-latency quantile the hedge fence
 	// starts from: a hedge fires at a sibling once the in-flight attempt
@@ -114,9 +110,6 @@ type Options struct {
 	HedgeQuantile float64
 	// HedgeMin floors the hedge delay (0 = DefaultHedgeMin).
 	HedgeMin time.Duration
-	// LatencyWindow is the per-backend latency window size feeding the
-	// hedge fence (0 = obs.DefaultWindowSize).
-	LatencyWindow int
 
 	// RequestTimeout caps a client request end to end, tightened
 	// further by an inbound X-S3-Deadline (0 = DefaultRequestTimeout,
@@ -145,12 +138,6 @@ type Options struct {
 	TraceRate float64
 	// TraceSeed seeds the trace sampler.
 	TraceSeed int64
-	// TraceStoreSize bounds the in-memory debug trace store (finished
-	// traces kept for /debug/traces); 0 selects the obs default.
-	TraceStoreSize int
-	// SlowQuery, when positive, logs every traced request at least this
-	// slow through Logger, with the assembled span tree attached.
-	SlowQuery time.Duration
 
 	// Metrics receives the s3_router_* families (nil = new registry).
 	Metrics *obs.Registry
@@ -195,12 +182,11 @@ func New(opt Options) (*Router, error) {
 		return nil, fmt.Errorf("router: partial policy %q (want %q or %q)", opt.Partial, PartialStrict, PartialDegrade)
 	}
 	r := &Router{
-		opt:    opt,
-		client: opt.Client,
-		mux:    http.NewServeMux(),
-		reg:    opt.Metrics,
-		log:    opt.Logger,
-		stop:   make(chan struct{}),
+		opt:  opt,
+		mux:  http.NewServeMux(),
+		reg:  opt.Metrics,
+		log:  opt.Logger,
+		stop: make(chan struct{}),
 	}
 	if r.reg == nil {
 		r.reg = obs.NewRegistry()
@@ -212,7 +198,7 @@ func New(opt Options) (*Router, error) {
 	if opt.TraceRate > 0 {
 		r.sampler = obs.NewSampler(opt.TraceRate, opt.TraceSeed)
 	}
-	r.traces = obs.NewTraceStore(opt.TraceStoreSize)
+	r.traces = obs.NewTraceStore(0)
 	r.traces.RegisterMetrics(r.reg)
 	if opt.MaxInFlight > 0 {
 		r.sem = make(chan struct{}, opt.MaxInFlight)
@@ -222,10 +208,6 @@ func New(opt Options) (*Router, error) {
 		r.probeTimeout = probeTimeoutCap
 	}
 
-	budget := int64(opt.BackendInFlight)
-	if budget < 0 {
-		budget = 0 // tryAcquire treats <= 0 as unbounded
-	}
 	byURL := make(map[string]*backend)
 	for g, urls := range opt.Groups {
 		if len(urls) == 0 {
@@ -246,9 +228,9 @@ func New(opt Options) (*Router, error) {
 			if be == nil {
 				be = &backend{
 					url:    u,
-					lat:    obs.NewWindow(opt.LatencyWindow),
+					lat:    obs.NewWindow(0),
 					br:     newBreaker(opt.BreakerThreshold, opt.BreakerCooldown, r.met.breakerTrips),
-					budget: budget,
+					budget: backendInFlight,
 				}
 				backendSeries(r.reg, be)
 				byURL[u] = be
@@ -259,9 +241,7 @@ func New(opt Options) (*Router, error) {
 		r.groups = append(r.groups, grp)
 	}
 	r.rrs = make([]atomic.Uint64, len(r.groups))
-	if r.client == nil {
-		r.client = &http.Client{Transport: backendTransport(opt.BackendInFlight, len(r.backends))}
-	}
+	r.client = &http.Client{Transport: backendTransport(len(r.backends))}
 
 	r.mux.Handle("GET /metrics", r.reg.Handler())
 	r.handle("GET /healthz", "/healthz", r.handleHealthz)
@@ -277,30 +257,24 @@ func New(opt Options) (*Router, error) {
 }
 
 // backendTransport clones http.DefaultTransport with an idle pool that
-// keeps a connection for every request BackendInFlight admits to each
-// backend. The default pool keeps two per host, so every request beyond
-// the second concurrent one dialed anew and its connection was closed
-// again once idle.
-func backendTransport(perBackend, backends int) *http.Transport {
+// keeps a connection for every request the in-flight budget admits to
+// each backend. The default pool keeps two per host, so every request
+// beyond the second concurrent one dialed anew and its connection was
+// closed again once idle.
+func backendTransport(backends int) *http.Transport {
 	t, ok := http.DefaultTransport.(*http.Transport)
 	if !ok {
 		t = &http.Transport{}
 	}
 	t = t.Clone()
-	if perBackend <= 0 {
-		perBackend = DefaultBackendInFlight
-	}
-	t.MaxIdleConnsPerHost = perBackend
-	t.MaxIdleConns = perBackend * backends
+	t.MaxIdleConnsPerHost = backendInFlight
+	t.MaxIdleConns = backendInFlight * backends
 	return t
 }
 
 func applyDefaults(opt *Options) {
 	if opt.MaxInFlight == 0 {
 		opt.MaxInFlight = DefaultMaxInFlight
-	}
-	if opt.BackendInFlight == 0 {
-		opt.BackendInFlight = DefaultBackendInFlight
 	}
 	switch {
 	case opt.Retries == 0:
@@ -310,9 +284,6 @@ func applyDefaults(opt *Options) {
 	}
 	if opt.RetryBackoff <= 0 {
 		opt.RetryBackoff = DefaultRetryBackoff
-	}
-	if opt.MaxRetryBackoff <= 0 {
-		opt.MaxRetryBackoff = DefaultMaxRetryBackoff
 	}
 	if opt.HedgeQuantile == 0 {
 		opt.HedgeQuantile = DefaultHedgeQuantile
@@ -418,9 +389,8 @@ func (r *Router) traceFor(req *http.Request, route string) *obs.Trace {
 
 // finishTrace closes out a traced request: the failure (if any) is
 // recorded, the assembled report is built once, filed into the debug
-// trace store, logged when the request breached the slow-query
-// threshold, and returned for in-band attachment to the response.
-func (r *Router) finishTrace(route string, tr *obs.Trace, err error) obs.TraceReport {
+// trace store and returned for in-band attachment to the response.
+func (r *Router) finishTrace(tr *obs.Trace, err error) obs.TraceReport {
 	if tr == nil {
 		return obs.TraceReport{}
 	}
@@ -429,14 +399,6 @@ func (r *Router) finishTrace(route string, tr *obs.Trace, err error) obs.TraceRe
 	}
 	rep := tr.Report()
 	r.traces.Add(rep)
-	if r.opt.SlowQuery > 0 && time.Duration(rep.TotalMicros)*time.Microsecond >= r.opt.SlowQuery {
-		r.log.Warn("slow query",
-			"route", route,
-			"traceId", rep.TraceID,
-			"micros", rep.TotalMicros,
-			"error", rep.Error,
-			"trace", rep)
-	}
 	return rep
 }
 
@@ -459,7 +421,7 @@ func (r *Router) search(rt *route) http.HandlerFunc {
 				// errored root with the reason annotated.
 				if tr := r.traceFor(req, path); tr != nil {
 					tr.Annotate(0, "shed", "router at capacity")
-					r.finishTrace(path, tr, fmt.Errorf("router at capacity (%d in flight)", cap(r.sem)))
+					r.finishTrace(tr, fmt.Errorf("router at capacity (%d in flight)", cap(r.sem)))
 				}
 				w.Header().Set("Retry-After", strconv.Itoa(shedRetryAfter))
 				httpError(w, http.StatusServiceUnavailable, "router at capacity (%d in flight)", cap(r.sem))
@@ -472,7 +434,7 @@ func (r *Router) search(rt *route) http.HandlerFunc {
 		partial := r.opt.Partial
 		if p := req.URL.Query().Get("partial"); p != "" {
 			if p != PartialStrict && p != PartialDegrade {
-				r.finishTrace(path, tr, fmt.Errorf("partial=%q invalid", p))
+				r.finishTrace(tr, fmt.Errorf("partial=%q invalid", p))
 				httpError(w, http.StatusBadRequest, "partial=%q (want %q or %q)", p, PartialStrict, PartialDegrade)
 				return
 			}
@@ -484,12 +446,12 @@ func (r *Router) search(rt *route) http.HandlerFunc {
 		// would surface as a confusing backend 400.
 		body, err := io.ReadAll(io.LimitReader(req.Body, httpapi.MaxRequestBody+1))
 		if err != nil {
-			r.finishTrace(path, tr, err)
+			r.finishTrace(tr, err)
 			httpError(w, http.StatusBadRequest, "reading request: %v", err)
 			return
 		}
 		if len(body) > httpapi.MaxRequestBody {
-			r.finishTrace(path, tr, errors.New("request body too large"))
+			r.finishTrace(tr, errors.New("request body too large"))
 			httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", httpapi.MaxRequestBody)
 			return
 		}
@@ -498,7 +460,7 @@ func (r *Router) search(rt *route) http.HandlerFunc {
 		if h := req.Header.Get(deadlineHeader); h != "" {
 			ms, err := strconv.ParseInt(h, 10, 64)
 			if err != nil {
-				r.finishTrace(path, tr, fmt.Errorf("bad %s header", deadlineHeader))
+				r.finishTrace(tr, fmt.Errorf("bad %s header", deadlineHeader))
 				httpError(w, http.StatusBadRequest, "%s: %q is not a unix-milliseconds deadline", deadlineHeader, h)
 				return
 			}
@@ -526,7 +488,7 @@ func (r *Router) search(rt *route) http.HandlerFunc {
 		for _, err := range errs {
 			var be *backendError
 			if errors.As(err, &be) && !be.retryable && be.status >= 400 && be.status < 500 {
-				r.finishTrace(path, tr, err)
+				r.finishTrace(tr, err)
 				httpError(w, be.status, "%s", be.msg)
 				return
 			}
@@ -542,7 +504,7 @@ func (r *Router) search(rt *route) http.HandlerFunc {
 		}
 		if len(missing) > 0 {
 			if partial == PartialStrict || len(missing) == len(r.groups) {
-				r.finishTrace(path, tr, lastErr)
+				r.finishTrace(tr, lastErr)
 				// A request whose own budget expired (inbound X-S3-Deadline
 				// or RequestTimeout) is a timeout, not fleet unavailability:
 				// 504 and no Retry-After, so clients don't retry a query
@@ -574,7 +536,7 @@ func (r *Router) search(rt *route) http.HandlerFunc {
 		if tr != nil {
 			tr.SpanSince("merge", 0, t1)
 			// The report sorts last, as "trace" did among map keys.
-			if raw, err := json.Marshal(r.finishTrace(path, tr, nil)); err == nil {
+			if raw, err := json.Marshal(r.finishTrace(tr, nil)); err == nil {
 				out.B = append(key(out.B, "trace"), raw...)
 			}
 		}

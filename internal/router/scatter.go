@@ -232,7 +232,7 @@ func (r *Router) replicaOrder(g int) []*backend {
 		if !b.br.available() {
 			s += 3
 		}
-		if b.budget > 0 && b.inflight.Load() >= b.budget {
+		if b.inflight.Load() >= b.budget {
 			s += 6
 		}
 		return s
@@ -292,8 +292,8 @@ func (r *Router) hedgeDelay(replicas []*backend) time.Duration {
 // the first retry).
 func (r *Router) backoff(n int) time.Duration {
 	d := r.opt.RetryBackoff << (n - 1)
-	if d > r.opt.MaxRetryBackoff || d <= 0 {
-		d = r.opt.MaxRetryBackoff
+	if d > maxRetryBackoff || d <= 0 {
+		d = maxRetryBackoff
 	}
 	return d
 }

@@ -108,9 +108,6 @@ type WriteOptions struct {
 	// reads can serve statistical refinement without fingerprint bytes
 	// and pre-filter geometric candidates without exact bytes.
 	Codec bool
-	// CodecBits is the per-component code width (1, 2, 4 or 8); 0 selects
-	// DefaultCodecBits.
-	CodecBits int
 }
 
 // WriteFile serializes the database with a 2^sectionBits-entry section
@@ -179,12 +176,8 @@ func (db *DB) writeTo(w io.Writer, opt WriteOptions) error {
 	}
 	var quant *Quantizer
 	if opt.Codec {
-		bits := opt.CodecBits
-		if bits == 0 {
-			bits = DefaultCodecBits
-		}
 		var err error
-		if quant, err = buildQuantizer(db, bits); err != nil {
+		if quant, err = buildQuantizer(db, DefaultCodecBits); err != nil {
 			return err
 		}
 	}

@@ -18,8 +18,8 @@ import (
 	"sort"
 )
 
-// DefaultCodecBits is the per-component code width written when
-// WriteOptions.CodecBits is zero: 8→4-bit components halve the
+// DefaultCodecBits is the per-component code width every writer uses
+// (readers accept 1, 2, 4 or 8): 8→4-bit components halve the
 // fingerprint bytes while keeping the lower bound tight enough to
 // reject most candidates.
 const DefaultCodecBits = 4
@@ -71,41 +71,6 @@ func buildQuantizer(db *DB, bits int) (*Quantizer, error) {
 	}
 	return qz, nil
 }
-
-// FitQuantizer fits an equi-populated quantizer to db's records: for
-// each dimension, 2^bits cells holding roughly equal record counts.
-// Beyond the cold codec this is the key-bucketing quantizer of the plan
-// cache — near-identical query points land in the same cells, so their
-// cache keys hash to the same bucket.
-func FitQuantizer(db *DB, bits int) (*Quantizer, error) {
-	return buildQuantizer(db, bits)
-}
-
-// UniformQuantizer returns a quantizer with evenly spaced cell
-// boundaries over the full byte range, for callers without a stable
-// record distribution to fit (a live index whose contents churn). Cell
-// assignment is value-only, so keys stay comparable across snapshots.
-func UniformQuantizer(dims, bits int) (*Quantizer, error) {
-	switch bits {
-	case 1, 2, 4, 8:
-	default:
-		return nil, fmt.Errorf("store: codec bits = %d must be 1, 2, 4 or 8", bits)
-	}
-	cells := 1 << uint(bits)
-	qz := &Quantizer{bits: bits, cells: cells, bounds: make([][]uint16, dims)}
-	for j := 0; j < dims; j++ {
-		b := make([]uint16, cells+1)
-		for c := 0; c <= cells; c++ {
-			b[c] = uint16(c * 256 / cells)
-		}
-		qz.bounds[j] = b
-	}
-	return qz, nil
-}
-
-// Cell returns the cell index certifying value v in dimension j (the
-// largest c with bounds[c] <= v). It is allocation-free.
-func (qz *Quantizer) Cell(j int, v byte) int { return qz.cellOf(j, v) }
 
 // Dims returns the number of dimensions the quantizer covers.
 func (qz *Quantizer) Dims() int { return len(qz.bounds) }

@@ -114,12 +114,10 @@ type IndexOptions struct {
 	// spreads its queries over; a single query always runs on its
 	// caller's goroutine. 0 selects GOMAXPROCS; 1 is fully sequential.
 	Workers int
-	// PlanCache enables the engine's bounded plan cache: repeated or
-	// near-identical queries reuse the filtering step's Plan instead of
+	// PlanCache enables the engine's bounded plan cache (4096 plans):
+	// a repeated query reuses the filtering step's Plan instead of
 	// recomputing it. Answers are identical with or without the cache.
 	PlanCache bool
-	// PlanCacheEntries bounds the cache; 0 selects the default (4096).
-	PlanCacheEntries int
 }
 
 // Index is the in-memory S³ index. Queries execute through a query
@@ -137,10 +135,7 @@ func newIndex(db *store.DB, opt IndexOptions) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng := core.NewEngineOpts(ix, core.EngineOptions{
-		Workers: opt.Workers, PlanCache: opt.PlanCache,
-		PlanCacheEntries: opt.PlanCacheEntries,
-	})
+	eng := core.NewEngineOpts(ix, core.EngineOptions{Workers: opt.Workers, PlanCache: opt.PlanCache})
 	return &Index{ix: ix, db: db, eng: eng}, nil
 }
 
@@ -205,10 +200,9 @@ func (x *Index) SetDepth(p int) { x.ix.SetDepth(p) }
 // serving layer).
 func (x *Index) Engine() *core.Engine { return x.eng }
 
-// EnablePlanCache turns on the engine's bounded plan cache (entries <= 0
-// selects the default size). Call before serving queries. Answers are
-// identical with or without the cache.
-func (x *Index) EnablePlanCache(entries int) { x.eng.EnablePlanCache(entries) }
+// EnablePlanCache turns on the engine's bounded plan cache. Call before
+// serving queries. Answers are identical with or without the cache.
+func (x *Index) EnablePlanCache() { x.eng.EnablePlanCache() }
 
 // PlanCacheStats reports plan-cache counters; ok is false when the cache
 // is disabled.
