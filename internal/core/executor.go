@@ -63,8 +63,8 @@ type view struct {
 }
 
 // resident returns the database of a view that is exactly one unmasked
-// in-memory segment — the case refinement serves with direct column
-// reads into a pre-sized result, with no keys and no merge.
+// in-memory segment — the case refinement serves with direct row reads
+// into a pre-sized result, with no keys and no merge.
 func (v view) resident() (*store.DB, bool) {
 	if len(v.segs) != 1 || v.segs[0].masked != nil {
 		return nil, false
@@ -229,9 +229,11 @@ func (x *executor) run(ctx context.Context, v view, q []byte, sq *StatQuery, eps
 // returns the matches in canonical order, plus the number of candidate
 // records visited (before tombstone masks) and of segments skipped.
 // Two arms, chosen by the concrete type of the records' source: a view
-// of one unmasked *store.DB reads its columns directly; anything else —
-// several segments, tombstones, cold files — visits records through the
-// store.RecordSource seam and merges by key.
+// of one unmasked *store.DB reads its rows directly into a pre-sized
+// result; anything else — several segments, tombstones, cold files —
+// visits records through the store.RecordSource seam. A view of one segment needs no merge: its list is already
+// canonical and is returned as is, so it carries no keys. Several lists
+// carry each match's key and are merged.
 func (x *executor) refine(ctx context.Context, v view, plan Plan, b ball) (matches []Match, candidates, skipped int, err error) {
 	defer x.qmet.refineSeconds.ObserveSince(time.Now())
 	if err := ctx.Err(); err != nil {
@@ -240,7 +242,8 @@ func (x *executor) refine(ctx context.Context, v view, plan Plan, b ball) (match
 	if db, ok := v.resident(); ok {
 		matches, candidates = refineResident(db, plan, b)
 	} else {
-		lists := make([][]segMatch, len(v.segs))
+		keyed := len(v.segs) > 1
+		lists := make([]segMatches, len(v.segs))
 		for i := range v.segs {
 			s := &v.segs[i]
 			if x.skip(s, plan, b) {
@@ -249,9 +252,9 @@ func (x *executor) refine(ctx context.Context, v view, plan Plan, b ball) (match
 			}
 			var n int
 			if b.statistical() {
-				lists[i], n, err = statMatchesSource(s.src, s.masked, plan)
+				lists[i], n, err = statMatchesSource(s.src, s.masked, plan, keyed)
 			} else {
-				lists[i], n, err = rangeMatchesSource(s.src, b.qf, b.eps, s.masked, plan)
+				lists[i], n, err = rangeMatchesSource(s.src, b.qf, b.eps, s.masked, plan, keyed)
 			}
 			if err != nil {
 				return nil, 0, 0, fmt.Errorf("core: refine of segment %s: %w", s.name, err)
@@ -286,7 +289,7 @@ func (x *executor) skip(s *segment, plan Plan, b ball) bool {
 
 // refineResident is the in-memory arm of refinement: one binary search
 // per plan interval — the same searches the sequential Index path
-// performs — then direct column reads, all on the calling goroutine.
+// performs — then direct row reads, all on the calling goroutine.
 // Statistical refinement knows its result size once the intervals are
 // located and fills one pre-sized slice; range refinement appends. It
 // returns the matches and the number of records the plan selected.
@@ -456,31 +459,36 @@ func identityLess(a, b *Match) bool {
 	return a.Y < b.Y
 }
 
-// segMatch pairs a match with its Hilbert key for the canonical merge
-// across segments.
-type segMatch struct {
-	key bitkey.Key
-	m   Match
+// segMatches is one segment's refinement: its matches in canonical
+// order and, when the view merges several segments, their Hilbert keys
+// (keys[i] is the key of ms[i]).
+type segMatches struct {
+	ms   []Match
+	keys []bitkey.Key
 }
 
-// segMatchLess is the canonical result order: key, then ID, TC, X, Y —
-// the same total order store.Build lays records out in, which is what
-// makes results merged across segments identical to a monolithic
-// index's scan.
-func segMatchLess(a, b *segMatch) bool {
-	if c := a.key.Cmp(b.key); c != 0 {
-		return c < 0
+// add appends the match rv makes at distance dist, with its key when
+// keyed.
+func (l *segMatches) add(rv store.RecordView, dist float64, keyed bool) {
+	l.ms = append(l.ms, Match{Pos: rv.Pos, ID: rv.ID, TC: rv.TC, X: rv.X, Y: rv.Y, Dist: dist})
+	if keyed {
+		l.keys = append(l.keys, rv.Key)
 	}
-	return identityLess(&a.m, &b.m)
 }
 
 // mergeCanonical k-way merges per-segment match lists (each already
-// canonically ordered) into one canonically ordered result. Returns nil
-// for no matches, like the resident arm.
-func mergeCanonical(lists [][]segMatch) []Match {
+// canonically ordered, and keyed when there are several) into one
+// canonically ordered result: key, then ID, TC, X, Y — the same total
+// order store.Build lays records out in, which is what makes results
+// merged across segments identical to a monolithic index's scan. One
+// list is returned as is. Returns nil for no matches.
+func mergeCanonical(lists []segMatches) []Match {
+	if len(lists) == 1 {
+		return lists[0].ms
+	}
 	total := 0
 	for _, l := range lists {
-		total += len(l)
+		total += len(l.ms)
 	}
 	if total == 0 {
 		return nil
@@ -490,17 +498,25 @@ func mergeCanonical(lists [][]segMatch) []Match {
 	for len(out) < total {
 		best := -1
 		for l := range lists {
-			if idx[l] >= len(lists[l]) {
+			if idx[l] >= len(lists[l].ms) {
 				continue
 			}
-			if best == -1 || segMatchLess(&lists[l][idx[l]], &lists[best][idx[best]]) {
+			if best == -1 || canonicalLess(&lists[l], idx[l], &lists[best], idx[best]) {
 				best = l
 			}
 		}
-		out = append(out, lists[best][idx[best]].m)
+		out = append(out, lists[best].ms[idx[best]])
 		idx[best]++
 	}
 	return out
+}
+
+// canonicalLess reports whether match i of a orders before match j of b.
+func canonicalLess(a *segMatches, i int, b *segMatches, j int) bool {
+	if c := a.keys[i].Cmp(b.keys[j]); c != 0 {
+		return c < 0
+	}
+	return identityLess(&a.ms[i], &b.ms[j])
 }
 
 // forEach runs fn(i) for every i in [0, n) on up to workers goroutines.

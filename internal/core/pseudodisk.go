@@ -161,7 +161,7 @@ func (di *DiskIndex) SearchStatBatch(queries [][]byte, sq StatQuery, budgetRecor
 				clo, chi := chunk.FindInterval(ivs[c])
 				for i := clo; i < chi; i++ {
 					results[tc.q] = append(results[tc.q], Match{
-						Pos: chunk.Base + i, ID: chunk.ID(i), TC: chunk.TC(i),
+						Pos: chunk.Base() + i, ID: chunk.ID(i), TC: chunk.TC(i),
 						X: chunk.X(i), Y: chunk.Y(i), Dist: -1,
 					})
 				}

@@ -22,20 +22,19 @@ import (
 // statMatchesSource refines a statistical plan against one source: every
 // record in the plan's intervals is an answer (the region is the
 // answer). masked, when non-nil, hides tombstoned video ids. Pos is
-// source-local. The count is the records visited, masked ones included.
-func statMatchesSource(src store.RecordSource, masked func(uint32) bool, plan Plan) ([]segMatch, int, error) {
+// source-local; keyed adds each match's key for a merge across segments.
+// The count is the records visited, masked ones included.
+func statMatchesSource(src store.RecordSource, masked func(uint32) bool, plan Plan, keyed bool) (segMatches, int, error) {
 	// One struct, so the escaping visitor costs one heap cell, not two.
 	var acc struct {
-		out     []segMatch
+		out     segMatches
 		visited int
 	}
 	visit := func(rv store.RecordView) bool {
 		acc.visited++
-		if masked != nil && masked(rv.ID) {
-			return true
+		if masked == nil || !masked(rv.ID) {
+			acc.out.add(rv, -1, keyed)
 		}
-		acc.out = append(acc.out, segMatch{key: rv.Key, m: Match{
-			Pos: rv.Pos, ID: rv.ID, TC: rv.TC, X: rv.X, Y: rv.Y, Dist: -1}})
 		return true
 	}
 	// Statistical answers never carry fingerprints; a source with a lean
@@ -48,19 +47,20 @@ func statMatchesSource(src store.RecordSource, masked func(uint32) bool, plan Pl
 		err = src.VisitIntervals(plan.Intervals, visit)
 	}
 	if err != nil {
-		return nil, 0, err
+		return segMatches{}, 0, err
 	}
 	return acc.out, acc.visited, nil
 }
 
 // rangeMatchesSource refines a geometric plan against one source,
-// keeping records within eps of the query point. The count is the
-// records visited, masked ones included (a filtered source visits only
-// the candidates its quantized bound could not reject).
-func rangeMatchesSource(src store.RecordSource, qf []float64, eps float64, masked func(uint32) bool, plan Plan) ([]segMatch, int, error) {
+// keeping records within eps of the query point; keyed is as for
+// statMatchesSource. The count is the records visited, masked ones
+// included (a filtered source visits only the candidates its quantized
+// bound could not reject).
+func rangeMatchesSource(src store.RecordSource, qf []float64, eps float64, masked func(uint32) bool, plan Plan, keyed bool) (segMatches, int, error) {
 	epsSq := eps * eps
 	var acc struct {
-		out     []segMatch
+		out     segMatches
 		visited int
 	}
 	visit := func(rv store.RecordView) bool {
@@ -69,8 +69,7 @@ func rangeMatchesSource(src store.RecordSource, qf []float64, eps float64, maske
 			return true
 		}
 		if d := distSqToFP(qf, rv.FP); d <= epsSq {
-			acc.out = append(acc.out, segMatch{key: rv.Key, m: Match{
-				Pos: rv.Pos, ID: rv.ID, TC: rv.TC, X: rv.X, Y: rv.Y, Dist: math.Sqrt(d)}})
+			acc.out.add(rv, math.Sqrt(d), keyed)
 		}
 		return true
 	}
@@ -85,7 +84,7 @@ func rangeMatchesSource(src store.RecordSource, qf []float64, eps float64, maske
 		err = src.VisitIntervals(plan.Intervals, visit)
 	}
 	if err != nil {
-		return nil, 0, err
+		return segMatches{}, 0, err
 	}
 	return acc.out, acc.visited, nil
 }

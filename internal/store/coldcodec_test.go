@@ -108,10 +108,7 @@ func TestFileV4LoadAllMatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fl.Close()
-	got, err := fl.LoadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := loadAllIsRowImage(t, fl, path)
 	if got.Len() != db.Len() {
 		t.Fatalf("LoadAll %d records, want %d", got.Len(), db.Len())
 	}

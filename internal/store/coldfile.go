@@ -263,16 +263,16 @@ func (cf *ColdFile) block(a area, s, lo, hi int) (pinnedBlock, error) {
 	return pinnedBlock{Chunk: e.val, cache: cf.cache, e: e}, nil
 }
 
-// sketchSkips reports whether the sketch proves block s — keys in
-// [secStart, secEnd) — holds no record of any interval. Intervals are
-// clipped to the block before probing; a nil sketch or an exhausted
-// probe budget never skips.
-func (cf *ColdFile) sketchSkips(ivs []hilbert.Interval, c int, secStart, secEnd bitkey.Key, budget *int) bool {
+// sketchSkips reports whether the sketch proves a block — keys in
+// [secStart, secEnd) — holds no record of the intervals touching it.
+// Intervals are clipped to the block before probing; a nil sketch or an
+// exhausted probe budget never skips.
+func (cf *ColdFile) sketchSkips(ivs []hilbert.Interval, secStart, secEnd bitkey.Key, budget *int) bool {
 	if cf.sketch == nil {
 		return false
 	}
-	for cc := c; cc < len(ivs) && ivs[cc].Start.Less(secEnd); cc++ {
-		start, end := ivs[cc].Start, ivs[cc].End
+	for _, iv := range ivs {
+		start, end := iv.Start, iv.End
 		if start.Less(secStart) {
 			start = secStart
 		}
@@ -292,10 +292,9 @@ func (cf *ColdFile) sketchSkips(ivs []hilbert.Interval, c int, secStart, secEnd 
 // Empty stretches of the curve are skipped by jumping the block cursor
 // to the next interval's start; blocks the sketch proves interval-free
 // are skipped without a read. do receives the block index, its record
-// range, the first interval index touching it and the block's key upper
-// bound; returning false stops the walk.
+// range and the intervals touching it; returning false stops the walk.
 func (cf *ColdFile) visitBlocks(ivs []hilbert.Interval,
-	do func(s, lo, hi, c int, secEnd bitkey.Key) (bool, error)) error {
+	do func(s, lo, hi int, touching []hilbert.Interval) (bool, error)) error {
 	if len(ivs) == 0 || cf.fl.count == 0 {
 		return nil
 	}
@@ -330,11 +329,15 @@ func (cf *ColdFile) visitBlocks(ivs []hilbert.Interval,
 			if lo == hi {
 				continue
 			}
-			if cf.sketchSkips(ivs, c, secStart, secEnd, &budget) {
+			e := c + 1
+			for e < len(ivs) && ivs[e].Start.Less(secEnd) {
+				e++
+			}
+			if cf.sketchSkips(ivs[c:e], secStart, secEnd, &budget) {
 				cf.ctr.addSkipped(int64(hi-lo) * int64(cf.fl.recSize))
 				continue
 			}
-			ok, err := do(s, lo, hi, c, secEnd)
+			ok, err := do(s, lo, hi, ivs[c:e])
 			if err != nil {
 				return err
 			}
@@ -351,25 +354,6 @@ func (cf *ColdFile) visitBlocks(ivs []hilbert.Interval,
 	return nil
 }
 
-// selected calls fn with the chunk-local index of every row of block ch
-// that ivs[c:] select, ascending, stopping at the first interval that
-// starts at or past the block's end; it reports false once fn does.
-// Intervals are sorted and disjoint, so each search resumes where the
-// previous one ended.
-func selected(ch *Chunk, ivs []hilbert.Interval, c int, secEnd bitkey.Key, fn func(i int) bool) bool {
-	from := 0
-	for ; c < len(ivs) && ivs[c].Start.Less(secEnd); c++ {
-		lo, hi := ch.FindIntervalFrom(from, ivs[c])
-		for i := lo; i < hi; i++ {
-			if !fn(i) {
-				return false
-			}
-		}
-		from = hi
-	}
-	return true
-}
-
 // VisitIntervals implements RecordSource over the exact record area,
 // refining each touched block with in-place key searches.
 func (cf *ColdFile) VisitIntervals(ivs []hilbert.Interval, visit func(RecordView) bool) error {
@@ -380,7 +364,7 @@ func (cf *ColdFile) VisitIntervals(ivs []hilbert.Interval, visit func(RecordView
 // rows, or lean rows (whose views carry no fingerprint) counted against
 // the exact bytes they spared.
 func (cf *ColdFile) visitArea(a area, ivs []hilbert.Interval, visit func(RecordView) bool) error {
-	return cf.visitBlocks(ivs, func(s, lo, hi, c int, secEnd bitkey.Key) (bool, error) {
+	return cf.visitBlocks(ivs, func(s, lo, hi int, touching []hilbert.Interval) (bool, error) {
 		b, err := cf.block(a, s, lo, hi)
 		if err != nil {
 			return false, err
@@ -389,7 +373,7 @@ func (cf *ColdFile) visitArea(a area, ivs []hilbert.Interval, visit func(RecordV
 		if a == areaLean {
 			cf.ctr.addLeanSaved(int64(hi-lo) * int64(cf.fl.recSize-cf.fl.leanSize))
 		}
-		return selected(b.Chunk, ivs, c, secEnd, func(i int) bool { return visit(b.view(i)) }), nil
+		return b.selected(touching, func(i int) bool { return visit(b.view(i)) }), nil
 	})
 }
 
@@ -424,7 +408,7 @@ func (cf *ColdFile) VisitIntervalsFiltered(ivs []hilbert.Interval, qf []float64,
 	}
 	lb := cf.fl.quant.NewLowerBounder(qf)
 	var survivors []int // reused across blocks, record indices relative to lo
-	return cf.visitBlocks(ivs, func(s, lo, hi, c int, secEnd bitkey.Key) (bool, error) {
+	return cf.visitBlocks(ivs, func(s, lo, hi int, touching []hilbert.Interval) (bool, error) {
 		codes, err := cf.block(areaCodes, s, lo, hi)
 		if err != nil {
 			return false, err
@@ -439,7 +423,7 @@ func (cf *ColdFile) VisitIntervalsFiltered(ivs []hilbert.Interval, qf []float64,
 		defer lean.done()
 		survivors = survivors[:0]
 		rejects := int64(0)
-		selected(lean.Chunk, ivs, c, secEnd, func(i int) bool {
+		lean.selected(touching, func(i int) bool {
 			if lb.Exceeds(codes.row(i), boundSq) {
 				rejects++
 			} else {

@@ -216,28 +216,15 @@ func (db *DB) writeTo(w io.Writer, opt WriteOptions) error {
 			return err
 		}
 	}
-	kb := keyBytes(db.curve)
-	rec := make([]byte, recordSize(db.curve, version))
-	for i := 0; i < db.Len(); i++ {
-		db.keys[i].PutBytes(rec[:kb], kb)
-		copy(rec[kb:], db.FP(i))
-		binary.LittleEndian.PutUint32(rec[kb+db.Dims():], db.ids[i])
-		binary.LittleEndian.PutUint32(rec[kb+db.Dims()+4:], db.tcs[i])
-		binary.LittleEndian.PutUint16(rec[kb+db.Dims()+8:], db.xs[i])
-		binary.LittleEndian.PutUint16(rec[kb+db.Dims()+10:], db.ys[i])
-		if _, err := w.Write(rec); err != nil {
-			return err
-		}
+	// The rows are the exact record area, byte for byte.
+	if _, err := w.Write(db.buf); err != nil {
+		return err
 	}
 	if quant != nil {
-		// Lean rows: the record without its fingerprint, same order.
-		lean := make([]byte, leanRecordSize(db.curve))
+		// Lean rows: each row without its fingerprint, same order.
+		lean := make([]byte, 0, leanRecordSize(db.curve))
 		for i := 0; i < db.Len(); i++ {
-			db.keys[i].PutBytes(lean[:kb], kb)
-			binary.LittleEndian.PutUint32(lean[kb:], db.ids[i])
-			binary.LittleEndian.PutUint32(lean[kb+4:], db.tcs[i])
-			binary.LittleEndian.PutUint16(lean[kb+8:], db.xs[i])
-			binary.LittleEndian.PutUint16(lean[kb+10:], db.ys[i])
+			lean = append(append(lean[:0], db.row(i)[:db.kb]...), db.tail(i)...)
 			if _, err := w.Write(lean); err != nil {
 				return err
 			}
@@ -245,9 +232,7 @@ func (db *DB) writeTo(w io.Writer, opt WriteOptions) error {
 		// Packed cell codes, same order.
 		code := make([]byte, quant.CodeBytes(db.Dims()))
 		for i := 0; i < db.Len(); i++ {
-			for b := range code {
-				code[b] = 0
-			}
+			clear(code)
 			quant.encode(db.FP(i), code)
 			if _, err := w.Write(code); err != nil {
 				return err
@@ -643,7 +628,7 @@ func (fl *File) load(a area, lo, hi int) (*Chunk, error) { return fl.read(a, lo,
 // (drawChunk) — in which case a failed read hands it straight back, so
 // the caller owns a chunk only on success.
 func (fl *File) read(a area, lo, hi int, pooled bool) (*Chunk, error) {
-	l := Chunk{Base: lo, kb: keyBytes(fl.curve), xy: true}
+	l := Chunk{base: lo, kb: keyBytes(fl.curve), xy: true}
 	off, what := fl.dataOff, "records"
 	switch a {
 	case areaExact:
@@ -699,18 +684,20 @@ func (fl *File) ReadRecordView(i int) (RecordView, error) {
 	return ch.view(0), nil
 }
 
-// LoadAll reads the whole file into an in-memory DB: the one reader that
-// wants columns decodes the record image once, straight into them.
+// LoadAll reads the whole file into an in-memory DB. The exact record
+// area is the DB's row image, so that is one read; a version-1 file,
+// whose rows carry no position, is widened once with zero x and y.
 func (fl *File) LoadAll() (*DB, error) {
 	ch, err := fl.load(areaExact, 0, fl.count)
 	if err != nil {
 		return nil, err
 	}
-	db := newDB(fl.curve, fl.count)
-	for i := range db.keys {
-		db.keys[i] = ch.Key(i)
-		copy(db.FP(i), ch.FP(i))
-		db.ids[i], db.tcs[i], db.xs[i], db.ys[i] = ch.ID(i), ch.TC(i), ch.X(i), ch.Y(i)
+	if ch.xy {
+		return &DB{Chunk: *ch, curve: fl.curve}, nil
+	}
+	db := newDB(fl.curve, make([]byte, fl.count*recordSize(fl.curve, fileVersionV2)))
+	for i := 0; i < fl.count; i++ {
+		copy(db.row(i), ch.row(i))
 	}
 	return db, nil
 }
@@ -730,19 +717,23 @@ func ReadFileFS(fsys FS, path string) (*DB, error) {
 
 // Chunk is a contiguous run of rows of one record area, held as the
 // bytes one read returned: a view, not a decoded copy. Record i of the
-// chunk is record Base+i of the database; accessors decode that one
+// chunk is record Base()+i of the database; accessors decode that one
 // record on demand, and interval searches compare the stored keys in
 // place. Keys are stored big-endian, so byte order is key order. Every
 // offset is a multiple of the stride plus a field offset the layout
-// fixes, bounded by the buffer length.
+// fixes, bounded by the buffer length. A resident DB is a Chunk over its
+// whole exact record area.
 type Chunk struct {
-	Base   int
+	base   int    // index of record 0 in the database; 0 for a DB
 	buf    []byte // Len() rows of stride bytes
 	stride int
 	kb     int  // key bytes, the row prefix (0 in a code chunk)
 	dims   int  // fingerprint bytes after the key (0 outside the exact area)
 	xy     bool // rows end in x, y (every layout but format version 1)
 }
+
+// Base returns the database index of the chunk's record 0.
+func (c *Chunk) Base() int { return c.base }
 
 // Len returns the number of records in the chunk.
 func (c *Chunk) Len() int { return len(c.buf) / c.stride }
@@ -791,11 +782,6 @@ func (c *Chunk) Y(i int) uint16 {
 // view returns chunk-local record i as a RecordView; FP aliases the
 // chunk's buffer.
 func (c *Chunk) view(i int) RecordView {
-	return RecordView{Pos: c.Base + i, Key: c.Key(i), FP: c.FP(i),
+	return RecordView{Pos: c.base + i, Key: c.Key(i), FP: c.FP(i),
 		ID: c.ID(i), TC: c.TC(i), X: c.X(i), Y: c.Y(i)}
-}
-
-// FindInterval returns the chunk-local index range whose keys fall in iv.
-func (c *Chunk) FindInterval(iv hilbert.Interval) (lo, hi int) {
-	return c.FindIntervalFrom(0, iv)
 }

@@ -1,29 +1,22 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
-
-	"s3cbcd/internal/bitkey"
 )
 
-// checkIntegrity verifies that a database's columnar slices agree with
-// each other and with the curve dimension. A DB produced by Build, Merge,
-// Filter or a file load always passes; a hand-assembled or corrupted one
-// may not, and Merge used to propagate such malformed payloads silently
-// whenever the other input was empty (the merge loop never touched the
-// bad slice lengths). Every merge input is validated up front instead.
+// checkIntegrity verifies that a database's row buffer holds whole rows
+// of its curve's layout. A DB produced by Build, Merge, Filter or a file
+// load always passes; a hand-assembled or corrupted one may not, and
+// Merge used to propagate such malformed payloads silently whenever the
+// other input was empty (the merge loop never touched the bad rows).
+// Every merge input is validated up front instead.
 func (db *DB) checkIntegrity() error {
 	if db.curve == nil {
 		return fmt.Errorf("store: database has no curve")
 	}
-	n := len(db.keys)
-	if len(db.fps) != n*db.curve.Dims() {
-		return fmt.Errorf("store: database holds %d fingerprint bytes for %d records of dimension %d",
-			len(db.fps), n, db.curve.Dims())
-	}
-	if len(db.ids) != n || len(db.tcs) != n || len(db.xs) != n || len(db.ys) != n {
-		return fmt.Errorf("store: database columns disagree: %d keys, %d ids, %d tcs, %d xs, %d ys",
-			n, len(db.ids), len(db.tcs), len(db.xs), len(db.ys))
+	if size := recordSize(db.curve, fileVersionV2); len(db.buf)%size != 0 {
+		return fmt.Errorf("store: database buffer length %d is not a multiple of the row size %d", len(db.buf), size)
 	}
 	return nil
 }
@@ -32,24 +25,24 @@ func (db *DB) checkIntegrity() error {
 // the canonical order: Hilbert key first, ties broken like Build by
 // (ID, TC, X, Y). Equal records order stably (a first).
 func mergeLess(a *DB, i int, b *DB, j int) bool {
-	if c := a.keys[i].Cmp(b.keys[j]); c != 0 {
+	if c := bytes.Compare(a.row(i)[:a.kb], b.row(j)[:b.kb]); c != 0 {
 		return c < 0
 	}
-	if a.ids[i] != b.ids[j] {
-		return a.ids[i] < b.ids[j]
+	if x, y := a.ID(i), b.ID(j); x != y {
+		return x < y
 	}
-	if a.tcs[i] != b.tcs[j] {
-		return a.tcs[i] < b.tcs[j]
+	if x, y := a.TC(i), b.TC(j); x != y {
+		return x < y
 	}
-	if a.xs[i] != b.xs[j] {
-		return a.xs[i] < b.xs[j]
+	if x, y := a.X(i), b.X(j); x != y {
+		return x < y
 	}
-	return a.ys[i] <= b.ys[j]
+	return a.Y(i) <= b.Y(j)
 }
 
 // Merge combines two curve-ordered databases into one, preserving the
 // canonical order with a linear merge. Both inputs must share the same
-// curve geometry and pass the columnar integrity check. It is how an S³
+// curve geometry and pass the row integrity check. It is how an S³
 // archive grows: index the new material separately, then merge — merging
 // sorted runs is far cheaper than re-sorting everything, and because both
 // Build and Merge use the same canonical total order, the result is
@@ -65,25 +58,8 @@ func Merge(a, b *DB) (*DB, error) {
 	if err := b.checkIntegrity(); err != nil {
 		return nil, fmt.Errorf("store: merge input b: %w", err)
 	}
-	dims := a.Dims()
-	n := a.Len() + b.Len()
-	out := &DB{
-		curve: a.curve,
-		keys:  make([]bitkey.Key, 0, n),
-		fps:   make([]byte, 0, n*dims),
-		ids:   make([]uint32, 0, n),
-		tcs:   make([]uint32, 0, n),
-		xs:    make([]uint16, 0, n),
-		ys:    make([]uint16, 0, n),
-	}
-	take := func(src *DB, i int) {
-		out.keys = append(out.keys, src.keys[i])
-		out.fps = append(out.fps, src.FP(i)...)
-		out.ids = append(out.ids, src.ids[i])
-		out.tcs = append(out.tcs, src.tcs[i])
-		out.xs = append(out.xs, src.xs[i])
-		out.ys = append(out.ys, src.ys[i])
-	}
+	out := newDB(a.curve, make([]byte, 0, len(a.buf)+len(b.buf)))
+	take := func(src *DB, i int) { out.buf = append(out.buf, src.row(i)...) }
 	i, j := 0, 0
 	for i < a.Len() && j < b.Len() {
 		if mergeLess(a, i, b, j) {
@@ -108,18 +84,11 @@ func Merge(a, b *DB) (*DB, error) {
 // preserved, so no re-sort is needed. This is the withdrawal path of an
 // archive: rebuild without the removed material.
 func Filter(db *DB, keep func(id, tc uint32) bool) *DB {
-	dims := db.Dims()
-	out := &DB{curve: db.curve}
+	out := newDB(db.curve, nil)
 	for i := 0; i < db.Len(); i++ {
-		if !keep(db.ids[i], db.tcs[i]) {
-			continue
+		if keep(db.ID(i), db.TC(i)) {
+			out.buf = append(out.buf, db.row(i)...)
 		}
-		out.keys = append(out.keys, db.keys[i])
-		out.fps = append(out.fps, db.fps[i*dims:(i+1)*dims]...)
-		out.ids = append(out.ids, db.ids[i])
-		out.tcs = append(out.tcs, db.tcs[i])
-		out.xs = append(out.xs, db.xs[i])
-		out.ys = append(out.ys, db.ys[i])
 	}
 	return out
 }
@@ -127,8 +96,8 @@ func Filter(db *DB, keep func(id, tc uint32) bool) *DB {
 // ContainsID reports whether any record carries the given video
 // identifier (linear scan; used by tombstone bookkeeping).
 func (db *DB) ContainsID(id uint32) bool {
-	for _, v := range db.ids {
-		if v == id {
+	for i := 0; i < db.Len(); i++ {
+		if db.ID(i) == id {
 			return true
 		}
 	}
@@ -138,8 +107,8 @@ func (db *DB) ContainsID(id uint32) bool {
 // CountID returns the number of records carrying the given identifier.
 func (db *DB) CountID(id uint32) int {
 	n := 0
-	for _, v := range db.ids {
-		if v == id {
+	for i := 0; i < db.Len(); i++ {
+		if db.ID(i) == id {
 			n++
 		}
 	}

@@ -1,8 +1,8 @@
 package store
 
 import (
+	"bytes"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"s3cbcd/internal/hilbert"
@@ -134,32 +134,19 @@ func TestFilterRemovesIdentifier(t *testing.T) {
 func TestMergeRejectsMalformedInput(t *testing.T) {
 	curve := hilbert.MustNew(4, 4)
 	empty := MustBuild(curve, nil)
-	// One record whose fingerprint payload disagrees with Dims()=4.
-	bad := &DB{
-		curve: curve,
-		keys:  MustBuild(curve, []Record{{FP: []byte{1, 2, 3, 4}}}).keys,
-		fps:   []byte{1, 2, 3}, // 3 bytes for 1 record of dimension 4
-		ids:   []uint32{0},
-		tcs:   []uint32{0},
-		xs:    []uint16{0},
-		ys:    []uint16{0},
-	}
+	// One record whose row buffer is torn inside its fingerprint.
+	one := MustBuild(curve, []Record{{FP: []byte{1, 2, 3, 4}}})
+	bad := &DB{Chunk: one.Chunk, curve: curve}
+	bad.buf = one.buf[:one.kb+3] // 3 fingerprint bytes for 1 record of dimension 4
 	if _, err := Merge(bad, empty); err == nil {
 		t.Fatal("Merge(bad, empty) accepted a malformed first input")
 	}
 	if _, err := Merge(empty, bad); err == nil {
 		t.Fatal("Merge(empty, bad) accepted a malformed second input")
 	}
-	// Mismatched parallel columns must be rejected too.
-	short := &DB{
-		curve: curve,
-		keys:  bad.keys,
-		fps:   []byte{1, 2, 3, 4},
-		ids:   []uint32{0},
-		tcs:   nil, // missing
-		xs:    []uint16{0},
-		ys:    []uint16{0},
-	}
+	// A row torn off after its id must be rejected too.
+	short := &DB{Chunk: one.Chunk, curve: curve}
+	short.buf = one.buf[:one.kb+4+4] // tc, x and y missing
 	if _, err := Merge(short, empty); err == nil {
 		t.Fatal("Merge accepted a database with missing columns")
 	}
@@ -174,13 +161,17 @@ func TestMergeRejectsMalformedInput(t *testing.T) {
 func TestMergeMatchesBuildCanonically(t *testing.T) {
 	curve := hilbert.MustNew(4, 4)
 	r := rand.New(rand.NewSource(11))
+	ids := []uint32{0, 1, 2, 255, 256, 257, 1 << 16, 1<<24 + 1}
 	var recs []Record
 	for i := 0; i < 200; i++ {
 		fp := make([]byte, 4)
 		for j := range fp {
 			fp[j] = byte(r.Intn(4)) // tiny alphabet: many key collisions
 		}
-		recs = append(recs, Record{FP: fp, ID: uint32(r.Intn(5)), TC: uint32(r.Intn(8))})
+		// IDs of 256 and above differ from small ones in bytes past the
+		// low one: a tie-break that read the little-endian ID as part of
+		// the key would order 256 before 1.
+		recs = append(recs, Record{FP: fp, ID: ids[r.Intn(len(ids))], TC: uint32(r.Intn(8))})
 	}
 	// A few exact duplicates.
 	recs = append(recs, recs[0], recs[1], recs[0])
@@ -206,12 +197,7 @@ func TestMergeMatchesBuildCanonically(t *testing.T) {
 }
 
 func dbEqual(a, b *DB) bool {
-	return reflect.DeepEqual(a.keys, b.keys) &&
-		reflect.DeepEqual(a.fps, b.fps) &&
-		reflect.DeepEqual(a.ids, b.ids) &&
-		reflect.DeepEqual(a.tcs, b.tcs) &&
-		reflect.DeepEqual(a.xs, b.xs) &&
-		reflect.DeepEqual(a.ys, b.ys)
+	return a.stride == b.stride && bytes.Equal(a.buf, b.buf)
 }
 
 func TestContainsAndCountID(t *testing.T) {

@@ -135,10 +135,17 @@ func (db *DB) BuildSketch(bits int) *Sketch {
 	}
 	// Keys are sorted, so distinct occupied blocks are transitions in the
 	// block index sequence: one cheap pass counts them, a second inserts.
+	// A block index is the top bits of the index, read from the first
+	// word of the stored key past its pad of 8·keyBytes − IndexBits zero
+	// bits; bits ≤ 28, so it lies inside that word.
+	pad := uint(8*db.kb - curve.IndexBits())
+	block := func(i int) uint64 {
+		return binary.BigEndian.Uint64(db.row(i)) << pad >> (64 - uint(bits))
+	}
 	n := db.Len()
 	var prev uint64
 	for i := 0; i < n; i++ {
-		b := db.keys[i].Shr(sk.shift).Uint64()
+		b := block(i)
 		if i == 0 || b != prev {
 			sk.blocks++
 			prev = b
@@ -150,7 +157,7 @@ func (db *DB) BuildSketch(bits int) *Sketch {
 	}
 	sk.filter = make([]byte, (fbits+7)/8)
 	for i := 0; i < n; i++ {
-		b := db.keys[i].Shr(sk.shift).Uint64()
+		b := block(i)
 		if i == 0 || b != prev {
 			sk.insertBlock(b)
 			prev = b

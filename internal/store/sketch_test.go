@@ -3,8 +3,10 @@ package store
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
+	"s3cbcd/internal/bitkey"
 	"s3cbcd/internal/hilbert"
 )
 
@@ -21,16 +23,27 @@ func distSqBytes(qf []float64, fp []byte) float64 {
 // decision rests on: whenever a stored key lies inside an interval set,
 // MayIntersect MUST say true. A false positive only wastes a visit; a
 // false negative would silently drop answers, so this is exhaustive over
-// many random databases, granularities and interval sets.
+// many random databases, granularities and interval sets. Seeds 8 on
+// take wide keys, where a block index is read from the first word of a
+// key of 9, 20 or 32 bytes with 7, 0 and 1 pad bits.
 func TestSketchNeverFalseNegative(t *testing.T) {
-	for seed := int64(0); seed < 8; seed++ {
+	wide := []struct{ dims, order int }{{13, 5}, {20, 8}, {51, 5}}
+	for seed := int64(0); seed < 8+int64(len(wide)); seed++ {
 		r := rand.New(rand.NewSource(seed))
 		curve := hilbert.MustNew(4+int(seed%3), 3+int(seed%2))
+		if seed >= 8 {
+			curve = hilbert.MustNew(wide[seed-8].dims, wide[seed-8].order)
+		}
 		db := MustBuild(curve, randRecords(r, curve, 1+r.Intn(300)))
 		for _, bits := range []int{0, 1, 4, curve.IndexBits()} {
 			sk := db.BuildSketch(bits)
 			for trial := 0; trial < 60; trial++ {
-				ivs := randIntervals(r, curve, 1+r.Intn(5))
+				var ivs []hilbert.Interval
+				if seed < 8 {
+					ivs = randIntervals(r, curve, 1+r.Intn(5))
+				} else {
+					ivs = dyadicIntervals(r, db, 1+r.Intn(5))
+				}
 				occupied := false
 				for i := 0; i < db.Len() && !occupied; i++ {
 					k := db.Key(i)
@@ -48,6 +61,26 @@ func TestSketchNeverFalseNegative(t *testing.T) {
 			}
 		}
 	}
+}
+
+// dyadicIntervals returns up to n sorted, merged curve blocks of random
+// size, each around a stored key of db or the same key with its top bit
+// flipped (a block that may be empty), for curves too wide for
+// randIntervals.
+func dyadicIntervals(r *rand.Rand, db *DB, n int) []hilbert.Interval {
+	bits := uint(db.Curve().IndexBits())
+	ivs := make([]hilbert.Interval, 0, n)
+	for i := 0; i < n; i++ {
+		k := db.Key(r.Intn(db.Len()))
+		if r.Intn(2) == 0 {
+			k = k.Xor(bitkey.FromUint64(1).Shl(bits - 1))
+		}
+		j := uint(r.Intn(int(bits)))
+		start := k.Shr(j).Shl(j)
+		ivs = append(ivs, hilbert.Interval{Start: start, End: start.AddPow2(j)})
+	}
+	sort.Slice(ivs, func(a, b int) bool { return ivs[a].Start.Less(ivs[b].Start) })
+	return hilbert.MergeIntervals(ivs)
 }
 
 // TestSketchSkipsEmptyRanges: the sketch must actually skip — probing the

@@ -5,10 +5,10 @@ import (
 	"s3cbcd/internal/hilbert"
 )
 
-// RecordView is one record surfaced by a RecordSource visit: the columns
-// of the columnar store flattened into a value struct, so refinement code
-// is independent of whether the record sits in RAM (DB) or was just read
-// from disk (ColdFile). FP aliases the source's buffer and is valid only
+// RecordView is one record surfaced by a RecordSource visit: a row's
+// fields decoded into a value struct, so refinement code is independent
+// of whether the record sits in RAM (DB) or was just read from disk
+// (ColdFile). FP aliases the source's buffer and is valid only
 // for the duration of the callback; callers keeping a fingerprint must
 // copy it. The limit is load-bearing: a cold block's buffer is recycled
 // once its visit ends, so a retained FP is overwritten by a later block.
@@ -80,21 +80,28 @@ var (
 	_ FilteredSource = (*ColdFile)(nil)
 )
 
-// VisitIntervals implements RecordSource over the in-memory columns:
-// binary-search each interval from where the previous one ended (they
-// are sorted and disjoint), scan the range. It never returns a non-nil
+// VisitIntervals implements RecordSource over the rows in memory with
+// the span walk a cold block's visit uses. It never returns a non-nil
 // error.
 func (db *DB) VisitIntervals(ivs []hilbert.Interval, visit func(RecordView) bool) error {
+	db.selected(ivs, func(i int) bool { return visit(db.view(i)) })
+	return nil
+}
+
+// selected calls fn with the chunk-local index of every row the
+// intervals select, ascending; it reports false once fn does. Intervals
+// are sorted and disjoint, so each search resumes where the previous one
+// ended.
+func (c *Chunk) selected(ivs []hilbert.Interval, fn func(i int) bool) bool {
 	from := 0
 	for _, iv := range ivs {
-		lo, hi := db.FindIntervalFrom(from, iv)
-		from = hi
+		lo, hi := c.FindIntervalFrom(from, iv)
 		for i := lo; i < hi; i++ {
-			if !visit(RecordView{Pos: i, Key: db.keys[i], FP: db.FP(i),
-				ID: db.ids[i], TC: db.tcs[i], X: db.xs[i], Y: db.ys[i]}) {
-				return nil
+			if !fn(i) {
+				return false
 			}
 		}
+		from = hi
 	}
-	return nil
+	return true
 }

@@ -8,7 +8,7 @@
 package store
 
 import (
-	"bytes"
+	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -29,18 +29,16 @@ type Record struct {
 	X, Y uint16
 }
 
-// DB is an in-memory, curve-ordered fingerprint database. Storage is
-// columnar: one flat byte slice for fingerprints plus parallel key, id and
-// time-code slices. A DB is immutable after Build and safe for concurrent
-// readers.
+// DB is an in-memory, curve-ordered fingerprint database held as the
+// exact record area of a format-v2 file: one row buffer of key,
+// fingerprint, id, tc, x and y per record (see file.go), so writing it is
+// one copy and loading it one read. It is a Chunk whose record 0 is the
+// database's (Base() is 0) plus the curve; its accessors and interval
+// searches are the Chunk's. A DB is immutable after Build and safe for
+// concurrent readers.
 type DB struct {
+	Chunk
 	curve *hilbert.Curve
-	keys  []bitkey.Key
-	fps   []byte // len = Len() * Dims()
-	ids   []uint32
-	tcs   []uint32
-	xs    []uint16
-	ys    []uint16
 }
 
 // Build computes the Hilbert key of every record, sorts by key and
@@ -83,30 +81,26 @@ func Build(curve *hilbert.Curve, recs []Record) (*DB, error) {
 		}
 		return recordLess(&recs[keyedRecs[a].idx], &recs[keyedRecs[b].idx])
 	})
-	db := newDB(curve, len(recs))
+	db := newDB(curve, make([]byte, len(recs)*recordSize(curve, fileVersionV2)))
 	for i, kr := range keyedRecs {
-		r := recs[kr.idx]
-		db.keys[i] = kr.key
-		copy(db.fps[i*dims:], r.FP)
-		db.ids[i] = r.ID
-		db.tcs[i] = r.TC
-		db.xs[i] = r.X
-		db.ys[i] = r.Y
+		r := &recs[kr.idx]
+		row := db.row(i)
+		kr.key.PutBytes(row, db.kb)
+		copy(row[db.kb:], r.FP)
+		tail := db.tail(i)
+		binary.LittleEndian.PutUint32(tail, r.ID)
+		binary.LittleEndian.PutUint32(tail[4:], r.TC)
+		binary.LittleEndian.PutUint16(tail[8:], r.X)
+		binary.LittleEndian.PutUint16(tail[10:], r.Y)
 	}
 	return db, nil
 }
 
-// newDB returns a database of n zero records for the caller to fill.
-func newDB(curve *hilbert.Curve, n int) *DB {
-	return &DB{
-		curve: curve,
-		keys:  make([]bitkey.Key, n),
-		fps:   make([]byte, n*curve.Dims()),
-		ids:   make([]uint32, n),
-		tcs:   make([]uint32, n),
-		xs:    make([]uint16, n),
-		ys:    make([]uint16, n),
-	}
+// newDB returns the database whose rows are buf, laid out like the exact
+// record area of format version 2.
+func newDB(curve *hilbert.Curve, buf []byte) *DB {
+	return &DB{curve: curve, Chunk: Chunk{buf: buf, stride: recordSize(curve, fileVersionV2),
+		kb: keyBytes(curve), dims: curve.Dims(), xy: true}}
 }
 
 // recordLess is the canonical tie-break among records with equal Hilbert
@@ -139,100 +133,92 @@ func (db *DB) Curve() *hilbert.Curve { return db.curve }
 // Dims returns the fingerprint dimension.
 func (db *DB) Dims() int { return db.curve.Dims() }
 
-// Len returns the number of records.
-func (db *DB) Len() int { return len(db.keys) }
-
-// Key returns the Hilbert key of record i.
-func (db *DB) Key(i int) bitkey.Key { return db.keys[i] }
-
-// FP returns a read-only view of the fingerprint of record i.
-func (db *DB) FP(i int) []byte {
-	d := db.Dims()
-	return db.fps[i*d : (i+1)*d : (i+1)*d]
+// rowKey is a search bound in the form a row's stored key compares in:
+// big-endian 64-bit words over the key bytes. Keys are stored
+// big-endian, so word order is key order. The last word may run past the
+// key into the bytes that follow it; a row is at least 8 bytes longer
+// than its key, so the load stays in the buffer. The bound pads with
+// zeros, which no stored byte is below, so a row never reads below a
+// bound its key equals: all a search asks. Two rows are not compared
+// this way, since the bytes past their keys may differ.
+type rowKey struct {
+	w    bitkey.Key // w[j] compares with the row's bytes [8j, 8j+8)
+	last int        // index of the last word holding key bytes
 }
 
-// ID returns the video identifier of record i.
-func (db *DB) ID(i int) uint32 { return db.ids[i] }
+// bound returns k as a search bound over the chunk's rows, or false when
+// k is too wide for the stored key width — past every stored key (the
+// one-past-the-curve key may be). The bound is k shifted left by the
+// bits the key width leaves unused.
+func (c *Chunk) bound(k bitkey.Key) (rowKey, bool) {
+	if k.BitLen() > 8*c.kb {
+		return rowKey{}, false
+	}
+	return rowKey{w: k.Shl(uint(bitkey.MaxBits - 8*c.kb)), last: (c.kb+7)/8 - 1}, true
+}
 
-// TC returns the time code of record i.
-func (db *DB) TC(i int) uint32 { return db.tcs[i] }
+// below reports whether the stored key of chunk-local record i is below
+// k. The first differing word decides.
+func (c *Chunk) below(i int, k *rowKey) bool {
+	row := c.buf[i*c.stride:]
+	for j := 0; j < k.last; j++ {
+		if a := binary.BigEndian.Uint64(row[8*j:]); a != k.w[j] {
+			return a < k.w[j]
+		}
+	}
+	return binary.BigEndian.Uint64(row[8*k.last:]) < k.w[k.last]
+}
 
-// X returns the interest point x position of record i (0 when unknown).
-func (db *DB) X(i int) uint16 { return db.xs[i] }
-
-// Y returns the interest point y position of record i (0 when unknown).
-func (db *DB) Y(i int) uint16 { return db.ys[i] }
-
-// FindInterval returns the record index range [lo, hi) whose keys fall in
-// the half-open curve interval iv.
-func (db *DB) FindInterval(iv hilbert.Interval) (lo, hi int) {
-	return findInterval(db.keys, 0, iv)
+// FindInterval returns the chunk-local index range whose keys fall in iv.
+func (c *Chunk) FindInterval(iv hilbert.Interval) (lo, hi int) {
+	return c.FindIntervalFrom(0, iv)
 }
 
 // FindIntervalFrom is FindInterval for a caller that knows no key before
 // record from falls in iv — the previous interval's hi, when walking the
-// sorted, disjoint intervals of a plan.
-func (db *DB) FindIntervalFrom(from int, iv hilbert.Interval) (lo, hi int) {
-	return findInterval(db.keys, from, iv)
-}
-
-// findInterval returns the index range of the sorted keys that falls in
-// iv. Start is binary-searched in [from, len). End is galloped for from
-// lo: the range a plan interval selects is a handful of records, so its
-// end is a few probes into the cache lines the start search just
-// touched, not another full-length search.
-func findInterval(keys []bitkey.Key, from int, iv hilbert.Interval) (lo, hi int) {
-	lo = lowerBound(keys, from, len(keys), iv.Start)
-	first, bound := lo, lo // every key before first is below End
-	for step := 1; bound < len(keys) && keys[bound].Less(iv.End); step <<= 1 {
-		first, bound = bound+1, bound+step
-	}
-	return lo, lowerBound(keys, first, min(bound, len(keys)), iv.End)
-}
-
-// lowerBound returns the first index in [lo, hi] whose key is not below
-// k, or hi.
-func lowerBound(keys []bitkey.Key, lo, hi int, k bitkey.Key) int {
-	for lo < hi {
-		if mid := int(uint(lo+hi) >> 1); keys[mid].Less(k) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// FindIntervalFrom is DB.FindIntervalFrom on the stored keys in place:
-// the bounds are serialized to key bytes and compared with the row
-// prefixes bytewise — keys are stored big-endian, so byte order is key
-// order — and no record is decoded. A bound too large for the key width
-// (the one-past-the-curve key) lies past every stored key: such an End
-// selects to the end of the chunk, such a Start nothing.
+// sorted, disjoint intervals of a plan. Start is binary-searched in
+// [from, Len). End is galloped for from lo: the range a plan interval
+// selects is a handful of records, so its end is a few probes into the
+// rows the start search just touched, not another full-length search.
+// Keys are compared in place as words and no record is decoded. A bound
+// too wide for the stored key width lies past every stored key: such an
+// End selects to the end of the chunk, such a Start nothing.
 func (c *Chunk) FindIntervalFrom(from int, iv hilbert.Interval) (lo, hi int) {
 	n := c.Len()
-	if iv.Start.BitLen() > 8*c.kb {
+	start, ok := c.bound(iv.Start)
+	if !ok {
 		return n, n
 	}
-	var start, end [bitkey.MaxBits / 8]byte
-	iv.Start.PutBytes(start[:], c.kb)
-	lo = c.lowerBound(from, n, start[:c.kb])
-	if iv.End.BitLen() > 8*c.kb {
+	lo = c.lowerBound(from, n, &start)
+	end, ok := c.bound(iv.End)
+	if !ok {
 		return lo, n
 	}
-	iv.End.PutBytes(end[:], c.kb)
-	first, bound := lo, lo // every key before first is below End
-	for step := 1; bound < n && bytes.Compare(c.row(bound)[:c.kb], end[:c.kb]) < 0; step <<= 1 {
+	return lo, c.gallop(lo, &end)
+}
+
+// gallop returns the first row at or after from whose stored key is not
+// below k, or Len, probing at doubling distances before the binary
+// search: cheap when the answer is near from.
+func (c *Chunk) gallop(from int, k *rowKey) int {
+	n := c.Len()
+	first, bound := from, from // every key before first is below k
+	for step := 1; bound < n && c.below(bound, k); step <<= 1 {
 		first, bound = bound+1, bound+step
 	}
-	return lo, c.lowerBound(first, min(bound, n), end[:c.kb])
+	return c.lowerBound(first, min(bound, n), k)
 }
 
 // lowerBound returns the first row in [lo, hi] whose stored key is not
-// below k, or hi.
-func (c *Chunk) lowerBound(lo, hi int, k []byte) int {
+// below k, or hi. The first key word decides almost every probe, so it
+// is compared here, inline, and below reads on only after a tie: calling
+// below for every probe cost 5–6 % of the benchmark's search throughput.
+func (c *Chunk) lowerBound(lo, hi int, k *rowKey) int {
+	w0 := k.w[0]
 	for lo < hi {
-		if mid := int(uint(lo+hi) >> 1); bytes.Compare(c.row(mid)[:c.kb], k) < 0 {
+		mid := int(uint(lo+hi) >> 1)
+		a := binary.BigEndian.Uint64(c.buf[mid*c.stride:])
+		if a < w0 || a == w0 && c.below(mid, k) {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -248,13 +234,11 @@ func (db *DB) SectionStarts(bits int) []int {
 	n := 1 << uint(bits)
 	starts := make([]int, n+1)
 	shift := uint(db.curve.IndexBits() - bits)
-	pos := 0
-	for s := 0; s < n; s++ {
-		end := bitkey.FromUint64(uint64(s) + 1).Shl(shift)
-		for pos < len(db.keys) && db.keys[pos].Less(end) {
-			pos++
-		}
-		starts[s+1] = pos
+	for s := 1; s < n; s++ {
+		// s<<shift is below 2^IndexBits, so it fits the stored key width.
+		start, _ := db.bound(bitkey.FromUint64(uint64(s)).Shl(shift))
+		starts[s] = db.gallop(starts[s-1], &start)
 	}
+	starts[n] = db.Len()
 	return starts
 }

@@ -1,9 +1,11 @@
 package store
 
 import (
+	"bytes"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"s3cbcd/internal/bitkey"
@@ -146,6 +148,12 @@ func TestFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fl, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fl.Close()
+	loadAllIsRowImage(t, fl, path)
 	if got.Len() != db.Len() || got.Dims() != db.Dims() {
 		t.Fatalf("shape mismatch: %d/%d", got.Len(), got.Dims())
 	}
@@ -160,6 +168,84 @@ func TestFileRoundTrip(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestDBVisitPosIsRowIndex checks that a DB, built or loaded, reports
+// every record visited over the whole curve at Pos equal to its row
+// index, with that row's fields: a DB is a chunk whose record 0 is the
+// database's record 0.
+func TestDBVisitPosIsRowIndex(t *testing.T) {
+	curve := hilbert.MustNew(20, 8)
+	db := MustBuild(curve, randRecords(rand.New(rand.NewSource(9)), curve, 300))
+	path := filepath.Join(t.TempDir(), "db.s3db")
+	if err := db.WriteFile(path, 4); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := hilbert.Interval{Start: bitkey.Key{}, End: bitkey.FromUint64(1).Shl(uint(curve.IndexBits()))}
+	for name, d := range map[string]*DB{"built": db, "loaded": loaded} {
+		if d.Base() != 0 {
+			t.Errorf("%s DB Base %d, want 0", name, d.Base())
+		}
+		next := 0
+		if err := d.VisitIntervals([]hilbert.Interval{full}, func(rv RecordView) bool {
+			if rv.Pos != next || rv.Key != d.Key(next) || rv.ID != d.ID(next) || rv.TC != d.TC(next) {
+				t.Errorf("%s DB visit %d reported Pos %d (ID %d), want row %d (ID %d)", name, next, rv.Pos, rv.ID, next, d.ID(next))
+				return false
+			}
+			next++
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if next != d.Len() {
+			t.Errorf("%s DB visit reported %d of %d records", name, next, d.Len())
+		}
+	}
+}
+
+// loadAllIsRowImage loads fl, the database file at path, and checks that
+// the DB holds the file's exact record area byte for byte, and that
+// LoadAll allocated no more than one Count()×RecordSize() buffer costs
+// plus 1 KiB: no decoded copy, no second layout.
+func loadAllIsRowImage(t *testing.T, fl *File, path string) *DB {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rowBytes := allocated(func() { allocSink = make([]byte, fl.Count()*fl.RecordSize()) })
+	var db *DB
+	loaded := allocated(func() { db, err = fl.LoadAll() })
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The race detector's instrumentation allocates beside the code it
+	// watches, so the bound holds only in a plain build.
+	if !raceEnabled && loaded > rowBytes+1024 {
+		t.Errorf("LoadAll allocated %d bytes, %.1f B/record, for %d records of %d bytes: want at most %d + 1 KiB",
+			loaded, float64(loaded)/float64(fl.Count()), fl.Count(), fl.RecordSize(), rowBytes)
+	}
+	if area := raw[fl.dataOff : fl.dataOff+fl.RecordBytes()]; !bytes.Equal(db.buf, area) {
+		t.Errorf("LoadAll's rows differ from the file's exact record area")
+	}
+	return db
+}
+
+// allocSink keeps a measured allocation on the heap.
+var allocSink []byte
+
+// allocated returns the heap bytes f allocates, as the allocator sizes
+// them. Nothing else may allocate meanwhile.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }
 
 func TestFileSectionsAndChunks(t *testing.T) {
@@ -191,11 +277,11 @@ func TestFileSectionsAndChunks(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if ch.Base != lo || ch.Len() != hi-lo {
-				t.Fatalf("chunk shape: base=%d len=%d", ch.Base, ch.Len())
+			if ch.Base() != lo || ch.Len() != hi-lo {
+				t.Fatalf("chunk shape: base=%d len=%d", ch.Base(), ch.Len())
 			}
 			for i := 0; i < ch.Len(); i++ {
-				gi := ch.Base + i
+				gi := ch.Base() + i
 				if ch.Key(i) != db.Key(gi) || ch.ID(i) != db.ID(gi) || ch.TC(i) != db.TC(gi) {
 					t.Fatalf("chunk record %d mismatch", gi)
 				}
