@@ -14,14 +14,12 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"s3cbcd/internal/bitkey"
 	"s3cbcd/internal/hilbert"
 	"s3cbcd/internal/obs"
 	"s3cbcd/internal/store"
@@ -60,17 +58,6 @@ type segment struct {
 type view struct {
 	gen  uint64
 	segs []segment
-}
-
-// resident returns the database of a view that is exactly one unmasked
-// in-memory segment — the case refinement serves with direct row reads
-// into a pre-sized result, with no keys and no merge.
-func (v view) resident() (*store.DB, bool) {
-	if len(v.segs) != 1 || v.segs[0].masked != nil {
-		return nil, false
-	}
-	db, ok := v.segs[0].src.(*store.DB)
-	return db, ok
 }
 
 // executor is embedded by Engine and LiveIndex; see the file comment.
@@ -209,7 +196,7 @@ func (x *executor) run(ctx context.Context, v view, q []byte, sq *StatQuery, eps
 		tr.Annotate(id, "descentNodes", strconv.Itoa(plan.DescentNodes))
 	}
 	t1 := time.Now()
-	matches, candidates, skipped, err := x.refine(ctx, v, plan, b)
+	matches, candidates, skipped, err := x.refine(ctx, v, plan, b, ps.rf)
 	if err != nil {
 		return nil, Plan{}, err
 	}
@@ -228,41 +215,27 @@ func (x *executor) run(ctx context.Context, v view, q []byte, sq *StatQuery, eps
 // refine scans the plan's curve intervals in every segment of v and
 // returns the matches in canonical order, plus the number of candidate
 // records visited (before tombstone masks) and of segments skipped.
-// Two arms, chosen by the concrete type of the records' source: a view
-// of one unmasked *store.DB reads its rows directly into a pre-sized
-// result; anything else — several segments, tombstones, cold files —
-// visits records through the store.RecordSource seam. A view of one segment needs no merge: its list is already
-// canonical and is returned as is, so it carries no keys. Several lists
-// carry each match's key and are merged.
-func (x *executor) refine(ctx context.Context, v view, plan Plan, b ball) (matches []Match, candidates, skipped int, err error) {
+// Every segment is visited through the store.RecordSource seam, one row
+// span at a time, into r's buffer. A single segment's list is already
+// canonical; several lists carry each match's key and are merged.
+func (x *executor) refine(ctx context.Context, v view, plan Plan, b ball, r *refiner) (matches []Match, candidates, skipped int, err error) {
 	defer x.qmet.refineSeconds.ObserveSince(time.Now())
 	if err := ctx.Err(); err != nil {
 		return nil, 0, 0, err
 	}
-	if db, ok := v.resident(); ok {
-		matches, candidates = refineResident(db, plan, b)
-	} else {
-		keyed := len(v.segs) > 1
-		lists := make([]segMatches, len(v.segs))
-		for i := range v.segs {
-			s := &v.segs[i]
-			if x.skip(s, plan, b) {
-				skipped++
-				continue
-			}
-			var n int
-			if b.statistical() {
-				lists[i], n, err = statMatchesSource(s.src, s.masked, plan, keyed)
-			} else {
-				lists[i], n, err = rangeMatchesSource(s.src, b.qf, b.eps, s.masked, plan, keyed)
-			}
-			if err != nil {
-				return nil, 0, 0, fmt.Errorf("core: refine of segment %s: %w", s.name, err)
-			}
-			candidates += n
+	r.reset(b, len(v.segs) > 1)
+	defer r.release()
+	for i := range v.segs {
+		s := &v.segs[i]
+		if x.skip(s, plan, b) {
+			skipped++
+			continue
 		}
-		matches = mergeCanonical(lists)
+		if err := r.refineSegment(s.src, s.masked, plan.Intervals); err != nil {
+			return nil, 0, 0, fmt.Errorf("core: refine of segment %s: %w", s.name, err)
+		}
 	}
+	matches, candidates = r.result(), r.visited
 	x.qmet.candidates.Add(int64(candidates))
 	obs.FromContext(ctx).AddCandidates(int64(candidates))
 	return matches, candidates, skipped, nil
@@ -285,52 +258,6 @@ func (x *executor) skip(s *segment, plan Plan, b ball) bool {
 	}
 	x.segmentsSkipped.Inc()
 	return true
-}
-
-// refineResident is the in-memory arm of refinement: one binary search
-// per plan interval — the same searches the sequential Index path
-// performs — then direct row reads, all on the calling goroutine.
-// Statistical refinement knows its result size once the intervals are
-// located and fills one pre-sized slice; range refinement appends. It
-// returns the matches and the number of records the plan selected.
-func refineResident(db *store.DB, plan Plan, b ball) ([]Match, int) {
-	type span struct{ lo, hi int }
-	spans := make([]span, 0, len(plan.Intervals))
-	total, from := 0, 0
-	for _, iv := range plan.Intervals {
-		// Plan intervals are sorted and disjoint: each search starts
-		// where the previous interval ended.
-		lo, hi := db.FindIntervalFrom(from, iv)
-		from = hi
-		if lo < hi {
-			spans = append(spans, span{lo, hi})
-			total += hi - lo
-		}
-	}
-	if total == 0 {
-		// nil, not an empty slice: byte-identical to the sequential path.
-		return nil, 0
-	}
-	if b.statistical() {
-		out := make([]Match, 0, total)
-		for _, sp := range spans {
-			for i := sp.lo; i < sp.hi; i++ {
-				out = append(out, Match{Pos: i, ID: db.ID(i), TC: db.TC(i), X: db.X(i), Y: db.Y(i), Dist: -1})
-			}
-		}
-		return out, total
-	}
-	epsSq := b.eps * b.eps
-	// Appending to nil keeps "no match" nil, like the sequential scan.
-	var out []Match
-	for _, sp := range spans {
-		for i := sp.lo; i < sp.hi; i++ {
-			if d := distSqToFP(b.qf, db.FP(i)); d <= epsSq {
-				out = append(out, Match{Pos: i, ID: db.ID(i), TC: db.TC(i), X: db.X(i), Y: db.Y(i), Dist: math.Sqrt(d)})
-			}
-		}
-	}
-	return out, total
 }
 
 // searchStat executes a complete statistical query against v.
@@ -457,66 +384,6 @@ func identityLess(a, b *Match) bool {
 		return a.X < b.X
 	}
 	return a.Y < b.Y
-}
-
-// segMatches is one segment's refinement: its matches in canonical
-// order and, when the view merges several segments, their Hilbert keys
-// (keys[i] is the key of ms[i]).
-type segMatches struct {
-	ms   []Match
-	keys []bitkey.Key
-}
-
-// add appends the match rv makes at distance dist, with its key when
-// keyed.
-func (l *segMatches) add(rv store.RecordView, dist float64, keyed bool) {
-	l.ms = append(l.ms, Match{Pos: rv.Pos, ID: rv.ID, TC: rv.TC, X: rv.X, Y: rv.Y, Dist: dist})
-	if keyed {
-		l.keys = append(l.keys, rv.Key)
-	}
-}
-
-// mergeCanonical k-way merges per-segment match lists (each already
-// canonically ordered, and keyed when there are several) into one
-// canonically ordered result: key, then ID, TC, X, Y — the same total
-// order store.Build lays records out in, which is what makes results
-// merged across segments identical to a monolithic index's scan. One
-// list is returned as is. Returns nil for no matches.
-func mergeCanonical(lists []segMatches) []Match {
-	if len(lists) == 1 {
-		return lists[0].ms
-	}
-	total := 0
-	for _, l := range lists {
-		total += len(l.ms)
-	}
-	if total == 0 {
-		return nil
-	}
-	out := make([]Match, 0, total)
-	idx := make([]int, len(lists))
-	for len(out) < total {
-		best := -1
-		for l := range lists {
-			if idx[l] >= len(lists[l].ms) {
-				continue
-			}
-			if best == -1 || canonicalLess(&lists[l], idx[l], &lists[best], idx[best]) {
-				best = l
-			}
-		}
-		out = append(out, lists[best].ms[idx[best]])
-		idx[best]++
-	}
-	return out
-}
-
-// canonicalLess reports whether match i of a orders before match j of b.
-func canonicalLess(a *segMatches, i int, b *segMatches, j int) bool {
-	if c := a.keys[i].Cmp(b.keys[j]); c != 0 {
-		return c < 0
-	}
-	return identityLess(&a.ms[i], &b.ms[j])
 }
 
 // forEach runs fn(i) for every i in [0, n) on up to workers goroutines.

@@ -22,13 +22,15 @@ type planner struct {
 }
 
 // planScratch is the reusable scratch state of one in-flight query: the
-// widened query point, the per-dimension mass cache, and the frontier
-// planner's leaf/frontier buffers. All of it is reset, not reallocated,
-// between queries, keeping planning allocation-free.
+// widened query point, the per-dimension mass cache, the frontier
+// planner's leaf/frontier buffers and the refiner's match buffer. All of
+// it is reset, not reallocated, between queries, keeping planning
+// allocation-free and refinement down to its result.
 type planScratch struct {
 	qf []float64
 	mc *massCache
 	fs *frontierState
+	rf *refiner
 }
 
 // getScratch borrows a scratch set with a fresh mass cache; return it
@@ -43,6 +45,7 @@ func (pl *planner) getScratch() *planScratch {
 		qf: make([]float64, pl.dims()),
 		mc: newMassCache(pl.dims(), pl.curve.SideLen()),
 		fs: newFrontierState(pl.curve),
+		rf: newRefiner(),
 	}
 }
 

@@ -52,9 +52,10 @@ package core
 // compacted segments at or above the threshold serve *cold* — only the
 // file header and section table stay in memory, and refinement reads
 // record blocks from disk through a fixed-budget shared block cache
-// (store.ColdFile / store.BlockCache). Because refinement visits records
-// through the store.RecordSource seam, results are byte-identical either
-// way; only the I/O changes. This is what lets the index serve an
+// (store.ColdFile / store.BlockCache). Because refinement visits row
+// spans through the store.RecordSource seam, a cold block and a resident
+// segment are the same store.Chunk rows to it, and results are
+// byte-identical either way; only the I/O changes. This is what lets the index serve an
 // archive larger than RAM: the big compacted base is cold, the write
 // path stays resident.
 //

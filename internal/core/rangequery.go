@@ -48,9 +48,11 @@ func (ix *Index) refineRange(qf []float64, eps float64, plan Plan) []Match {
 	epsSq := eps * eps
 	var out []Match
 	// A DB visit cannot fail; the error path exists for cold sources.
-	ix.db.VisitIntervals(plan.Intervals, func(rv store.RecordView) bool {
-		if d := distSqToFP(qf, rv.FP); d <= epsSq {
-			out = append(out, Match{Pos: rv.Pos, ID: rv.ID, TC: rv.TC, X: rv.X, Y: rv.Y, Dist: math.Sqrt(d)})
+	ix.db.VisitIntervals(plan.Intervals, func(c *store.Chunk, lo, hi int) bool {
+		for i := lo; i < hi; i++ {
+			if d := distSqToFP(qf, c.FP(i)); d <= epsSq {
+				out = append(out, Match{Pos: c.Base() + i, ID: c.ID(i), TC: c.TC(i), X: c.X(i), Y: c.Y(i), Dist: math.Sqrt(d)})
+			}
 		}
 		return true
 	})

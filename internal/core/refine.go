@@ -3,90 +3,179 @@ package core
 // Source-based refinement: the scan half of every query type expressed
 // over store.RecordSource, the seam both the in-memory store.DB and the
 // disk-backed store.ColdFile satisfy. Planning is untouched — a plan
-// depends only on curve geometry — but refinement here visits candidate
-// records through the interface, so one implementation serves resident
-// and cold segments alike. Sources backed by real I/O can fail
-// mid-visit; these helpers propagate that error, which the all-resident
-// wrappers (Index.refineStat and friends) may ignore since a DB never
-// fails.
+// depends only on curve geometry — but refinement here visits row spans
+// through the interface, so one implementation serves resident and cold
+// segments alike. Sources backed by real I/O can fail mid-visit; these
+// helpers propagate that error, which the all-resident wrappers
+// (Index.refineStat and friends) may ignore since a DB never fails.
 
 import (
 	"container/heap"
 	"fmt"
 	"math"
 
+	"s3cbcd/internal/bitkey"
 	"s3cbcd/internal/hilbert"
 	"s3cbcd/internal/store"
 )
 
-// statMatchesSource refines a statistical plan against one source: every
-// record in the plan's intervals is an answer (the region is the
-// answer). masked, when non-nil, hides tombstoned video ids. Pos is
-// source-local; keyed adds each match's key for a merge across segments.
-// The count is the records visited, masked ones included.
-func statMatchesSource(src store.RecordSource, masked func(uint32) bool, plan Plan, keyed bool) (segMatches, int, error) {
-	// One struct, so the escaping visitor costs one heap cell, not two.
-	var acc struct {
-		out     segMatches
-		visited int
-	}
-	visit := func(rv store.RecordView) bool {
-		acc.visited++
-		if masked == nil || !masked(rv.ID) {
-			acc.out.add(rv, -1, keyed)
-		}
-		return true
-	}
-	// Statistical answers never carry fingerprints; a source with a lean
-	// record layout (a codec-bearing cold segment) serves the same views
-	// at a fraction of the bytes.
-	var err error
-	if ls, ok := src.(store.LeanSource); ok {
-		err = ls.VisitIntervalsLean(plan.Intervals, visit)
-	} else {
-		err = src.VisitIntervals(plan.Intervals, visit)
-	}
-	if err != nil {
-		return segMatches{}, 0, err
-	}
-	return acc.out, acc.visited, nil
+// maxKeptMatches caps the match buffer a pooled refiner keeps between
+// queries, so one broad query does not pin a large buffer.
+const maxKeptMatches = 1 << 14
+
+// refiner is one query's refinement state, held in its pooled
+// planScratch. Every segment of the view appends its matches to one
+// buffer, ms, in canonical order; runs delimits each segment's list in
+// it, and keys holds each match's Hilbert key beside it when the view
+// merges several segments. statSpan and rangeSpan are bound once per
+// refiner, so handing them to a source allocates nothing.
+type refiner struct {
+	ms   []Match
+	keys []bitkey.Key
+	runs []matchRun
+
+	// The current segment's tombstone mask; whether the query's matches
+	// carry keys; its range predicate (qf nil: statistical).
+	masked func(uint32) bool
+	keyed  bool
+	qf     []float64
+	epsSq  float64
+	// visited counts the records the visits delivered, masked ones
+	// included.
+	visited int
+
+	statSpan, rangeSpan func(c *store.Chunk, lo, hi int) bool
 }
 
-// rangeMatchesSource refines a geometric plan against one source,
-// keeping records within eps of the query point; keyed is as for
-// statMatchesSource. The count is the records visited, masked ones
-// included (a filtered source visits only the candidates its quantized
-// bound could not reject).
-func rangeMatchesSource(src store.RecordSource, qf []float64, eps float64, masked func(uint32) bool, plan Plan, keyed bool) (segMatches, int, error) {
-	epsSq := eps * eps
-	var acc struct {
-		out     segMatches
-		visited int
-	}
-	visit := func(rv store.RecordView) bool {
-		acc.visited++
-		if masked != nil && masked(rv.ID) {
-			return true
-		}
-		if d := distSqToFP(qf, rv.FP); d <= epsSq {
-			acc.out.add(rv, math.Sqrt(d), keyed)
-		}
-		return true
-	}
-	// A filtered source rejects most out-of-radius candidates on its
-	// quantized codes without exact bytes. The filter is conservative
-	// (over-visits, never under-visits) and the exact distance check above
-	// stays, so the matches are identical either way.
+// matchRun is one segment's non-empty match list: refiner.ms[lo:hi].
+type matchRun struct{ lo, hi int }
+
+// newRefiner returns a refiner with its span visits bound.
+func newRefiner() *refiner {
+	r := &refiner{}
+	r.statSpan = r.addStat
+	r.rangeSpan = r.addRange
+	return r
+}
+
+// reset starts a query of the given predicate; keyed records keys for a
+// merge across segments.
+func (r *refiner) reset(b ball, keyed bool) {
+	r.ms, r.keys, r.runs = r.ms[:0], r.keys[:0], r.runs[:0]
+	r.keyed, r.qf, r.epsSq, r.visited = keyed, b.qf, b.eps*b.eps, 0
+}
+
+// refineSegment appends the matches of the plan's intervals in src,
+// hiding the masked video ids. A statistical query visits the source's
+// lean rows; a range query its filtered rows, whose conservative filter
+// the exact distance check in addRange completes.
+func (r *refiner) refineSegment(src store.RecordSource, masked func(uint32) bool, ivs []hilbert.Interval) error {
+	r.masked = masked
+	lo := len(r.ms)
 	var err error
-	if fs, ok := src.(store.FilteredSource); ok {
-		err = fs.VisitIntervalsFiltered(plan.Intervals, qf, epsSq, visit)
+	if r.qf == nil {
+		err = src.VisitIntervalsLean(ivs, r.statSpan)
 	} else {
-		err = src.VisitIntervals(plan.Intervals, visit)
+		err = src.VisitIntervalsFiltered(ivs, r.qf, r.epsSq, r.rangeSpan)
 	}
-	if err != nil {
-		return segMatches{}, 0, err
+	if len(r.ms) > lo {
+		r.runs = append(r.runs, matchRun{lo, len(r.ms)})
 	}
-	return acc.out, acc.visited, nil
+	return err
+}
+
+// addStat appends every unmasked record of the span: the region is the
+// answer.
+func (r *refiner) addStat(c *store.Chunk, lo, hi int) bool {
+	r.visited += hi - lo
+	base := c.Base()
+	for i := lo; i < hi; i++ {
+		id := c.ID(i)
+		if r.masked != nil && r.masked(id) {
+			continue
+		}
+		r.ms = append(r.ms, Match{Pos: base + i, ID: id, TC: c.TC(i), X: c.X(i), Y: c.Y(i), Dist: -1})
+		if r.keyed {
+			r.keys = append(r.keys, c.Key(i))
+		}
+	}
+	return true
+}
+
+// addRange appends every unmasked record of the span within the query
+// radius, at its distance.
+func (r *refiner) addRange(c *store.Chunk, lo, hi int) bool {
+	r.visited += hi - lo
+	base := c.Base()
+	for i := lo; i < hi; i++ {
+		id := c.ID(i)
+		if r.masked != nil && r.masked(id) {
+			continue
+		}
+		if d := distSqToFP(r.qf, c.FP(i)); d <= r.epsSq {
+			r.ms = append(r.ms, Match{Pos: base + i, ID: id, TC: c.TC(i), X: c.X(i), Y: c.Y(i), Dist: math.Sqrt(d)})
+			if r.keyed {
+				r.keys = append(r.keys, c.Key(i))
+			}
+		}
+	}
+	return true
+}
+
+// result returns the query's matches in canonical order at exact size:
+// one segment's list is copied, several are merged; nil for no matches.
+func (r *refiner) result() []Match {
+	switch {
+	case len(r.runs) == 1:
+		out := make([]Match, len(r.ms))
+		copy(out, r.ms)
+		return out
+	case len(r.runs) > 1:
+		return mergeCanonical(r.ms, r.keys, r.runs)
+	}
+	return nil
+}
+
+// release drops what the pooled refiner should not keep for the next
+// query: the segment's mask, the query point, and a buffer grown past
+// maxKeptMatches.
+func (r *refiner) release() {
+	r.masked, r.qf = nil, nil
+	if cap(r.ms) > maxKeptMatches {
+		r.ms, r.keys = nil, nil
+	}
+}
+
+// mergeCanonical k-way merges the keyed match lists ms[run.lo:run.hi]
+// (each already canonically ordered) into one canonically ordered result
+// of exact size: key, then ID, TC, X, Y — the same total order
+// store.Build lays records out in, which is what makes results merged
+// across segments identical to a monolithic index's scan. It consumes
+// runs.
+func mergeCanonical(ms []Match, keys []bitkey.Key, runs []matchRun) []Match {
+	out := make([]Match, 0, len(ms))
+	for len(out) < len(ms) {
+		best := -1
+		for l := range runs {
+			if runs[l].lo == runs[l].hi {
+				continue
+			}
+			if best == -1 || canonicalLess(ms, keys, runs[l].lo, runs[best].lo) {
+				best = l
+			}
+		}
+		out = append(out, ms[runs[best].lo])
+		runs[best].lo++
+	}
+	return out
+}
+
+// canonicalLess reports whether match i orders before match j.
+func canonicalLess(ms []Match, keys []bitkey.Key, i, j int) bool {
+	if c := keys[i].Cmp(keys[j]); c != 0 {
+		return c < 0
+	}
+	return identityLess(&ms[i], &ms[j])
 }
 
 // searchKNNSource is the k-NN best-first traversal over a record source:
@@ -127,18 +216,21 @@ func searchKNNSource(curve *hilbert.Curve, depth int, src store.RecordSource, q 
 			// Leaf block: refine its records.
 			stats.Leaves++
 			ivbuf[0] = curve.NodeInterval(e.node)
-			if err := src.VisitIntervals(ivbuf, func(rv store.RecordView) bool {
-				if keep != nil && !keep(rv.ID) {
-					return true
-				}
-				stats.Scanned++
-				d := math.Sqrt(distSqToFP(qf, rv.FP))
-				if d < kth() {
-					m := Match{Pos: rv.Pos, ID: rv.ID, TC: rv.TC, X: rv.X, Y: rv.Y, Dist: d}
-					if len(best) == k {
-						heap.Pop(&best)
+			if err := src.VisitIntervals(ivbuf, func(c *store.Chunk, lo, hi int) bool {
+				for i := lo; i < hi; i++ {
+					id := c.ID(i)
+					if keep != nil && !keep(id) {
+						continue
 					}
-					heap.Push(&best, m)
+					stats.Scanned++
+					d := math.Sqrt(distSqToFP(qf, c.FP(i)))
+					if d < kth() {
+						m := Match{Pos: c.Base() + i, ID: id, TC: c.TC(i), X: c.X(i), Y: c.Y(i), Dist: d}
+						if len(best) == k {
+							heap.Pop(&best)
+						}
+						heap.Push(&best, m)
+					}
 				}
 				return true
 			}); err != nil {

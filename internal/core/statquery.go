@@ -332,8 +332,10 @@ func (ix *Index) SearchStat(q []byte, sq StatQuery) ([]Match, Plan, error) {
 func (ix *Index) refineStat(plan Plan) []Match {
 	var out []Match
 	// A DB visit cannot fail; the error path exists for cold sources.
-	ix.db.VisitIntervals(plan.Intervals, func(rv store.RecordView) bool {
-		out = append(out, Match{Pos: rv.Pos, ID: rv.ID, TC: rv.TC, X: rv.X, Y: rv.Y, Dist: -1})
+	ix.db.VisitIntervals(plan.Intervals, func(c *store.Chunk, lo, hi int) bool {
+		for i := lo; i < hi; i++ {
+			out = append(out, Match{Pos: c.Base() + i, ID: c.ID(i), TC: c.TC(i), X: c.X(i), Y: c.Y(i), Dist: -1})
+		}
 		return true
 	})
 	return out

@@ -313,14 +313,15 @@ func (c *BlockCache) moveToFront(e *cacheEntry) {
 }
 
 // Cold block buffers are recycled rather than collected. Every miss of a
-// cold file (ColdFile.block) draws its chunk — header and row buffer —
-// from a pool by size class and hands it back once no cache entry and no
-// reader holds it, so the steady state of a thrashing cache allocates and
+// cold file (ColdFile.block) and every single-record read verifying a
+// filtered survivor draws its chunk — header and row buffer — from a
+// pool by size class and hands it back once no cache entry and no reader
+// holds it, so the steady state of a thrashing cache allocates and
 // zeroes nothing per block. Pools are sync.Pools: an idle buffer stays
 // collectable, so recycling never holds memory a GC could reclaim. Only
-// cold block reads draw from them; one-shot reads (LoadAll, LoadRecords,
-// ReadRecordView) allocate exactly, since their buffers escape or would
-// be rounded up for nothing.
+// cold visits draw from them; one-shot reads (LoadAll, LoadRecords)
+// allocate exactly, since their buffers escape or would be rounded up
+// for nothing.
 //
 // The pool holds *Chunk, not []byte: storing a pointer in an interface
 // does not allocate, storing a slice would.

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"encoding/binary"
 	"math/rand"
 	"os"
@@ -137,34 +136,34 @@ func checkChunkViewMatchesDB(t *testing.T, curve *hilbert.Curve, cases int) {
 }
 
 // sortedViews returns recs as the records of a database must hold them:
-// ascending by Hilbert key, ties by (ID, TC, X, Y), Pos their index.
-func sortedViews(curve *hilbert.Curve, recs []Record) []RecordView {
-	views := make([]RecordView, len(recs))
+// ascending by Hilbert key, ties by (ID, TC, X, Y), pos their index.
+func sortedViews(curve *hilbert.Curve, recs []Record) []flatRecord {
+	views := make([]flatRecord, len(recs))
 	pt := make([]uint32, curve.Dims())
 	for i, rec := range recs {
 		for j, b := range rec.FP {
 			pt[j] = uint32(b)
 		}
-		views[i] = RecordView{Key: curve.Encode(pt), FP: rec.FP, ID: rec.ID, TC: rec.TC, X: rec.X, Y: rec.Y}
+		views[i] = flatRecord{key: curve.Encode(pt), fp: string(rec.FP), id: rec.ID, tc: rec.TC, x: rec.X, y: rec.Y}
 	}
 	sort.Slice(views, func(a, b int) bool {
 		va, vb := &views[a], &views[b]
-		if c := va.Key.Cmp(vb.Key); c != 0 {
+		if c := va.key.Cmp(vb.key); c != 0 {
 			return c < 0
 		}
-		if va.ID != vb.ID {
-			return va.ID < vb.ID
+		if va.id != vb.id {
+			return va.id < vb.id
 		}
-		if va.TC != vb.TC {
-			return va.TC < vb.TC
+		if va.tc != vb.tc {
+			return va.tc < vb.tc
 		}
-		if va.X != vb.X {
-			return va.X < vb.X
+		if va.x != vb.x {
+			return va.x < vb.x
 		}
-		return va.Y < vb.Y
+		return va.y < vb.y
 	})
 	for i := range views {
-		views[i].Pos = i
+		views[i].pos = i
 	}
 	return views
 }
@@ -172,7 +171,7 @@ func sortedViews(curve *hilbert.Curve, recs []Record) []RecordView {
 // chunkEqualsViews checks every accessor of ch, the records [lo, hi) of
 // a database, against the oracle's views; fps and xy say whether the
 // chunk's layout stores fingerprints and positions.
-func chunkEqualsViews(t *testing.T, ch *Chunk, views []RecordView, lo, hi int, fps, xy bool) bool {
+func chunkEqualsViews(t *testing.T, ch *Chunk, views []flatRecord, lo, hi int, fps, xy bool) bool {
 	t.Helper()
 	if ch.Base() != lo || ch.Len() != hi-lo {
 		t.Errorf("chunk Base %d Len %d, want %d and %d", ch.Base(), ch.Len(), lo, hi-lo)
@@ -181,20 +180,13 @@ func chunkEqualsViews(t *testing.T, ch *Chunk, views []RecordView, lo, hi int, f
 	for i := 0; i < ch.Len(); i++ {
 		want := views[lo+i]
 		if !fps {
-			want.FP = nil
+			want.fp = ""
 		}
 		if !xy {
-			want.X, want.Y = 0, 0
+			want.x, want.y = 0, 0
 		}
-		got := ch.view(i)
-		if got.Pos != want.Pos || got.Key != want.Key || got.ID != want.ID || got.TC != want.TC ||
-			got.X != want.X || got.Y != want.Y || !bytes.Equal(got.FP, want.FP) || (got.FP == nil) != (want.FP == nil) {
-			t.Errorf("record %d: view %+v, want %+v", i, got, want)
-			return false
-		}
-		if ch.Key(i) != want.Key || !bytes.Equal(ch.FP(i), want.FP) || ch.ID(i) != want.ID ||
-			ch.TC(i) != want.TC || ch.X(i) != want.X || ch.Y(i) != want.Y {
-			t.Errorf("record %d: accessors disagree with the view", i)
+		if got := flatAt(ch, i); got != want || (ch.FP(i) == nil) == fps {
+			t.Errorf("record %d: %+v (nil fingerprint %v), want %+v", i, got, ch.FP(i) == nil, want)
 			return false
 		}
 	}
@@ -204,11 +196,11 @@ func chunkEqualsViews(t *testing.T, ch *Chunk, views []RecordView, lo, hi int, f
 // chunkSearchEqualsOracle compares the chunk's in-place searches with a
 // linear count over the oracle's sorted keys, clipped to the chunk's
 // record range [lo, hi).
-func chunkSearchEqualsOracle(t *testing.T, r *rand.Rand, ch *Chunk, curve *hilbert.Curve, views []RecordView, lo, hi int) bool {
+func chunkSearchEqualsOracle(t *testing.T, r *rand.Rand, ch *Chunk, curve *hilbert.Curve, views []flatRecord, lo, hi int) bool {
 	t.Helper()
 	bitsN := uint(curve.IndexBits())
 	pastCurve := bitkey.FromUint64(1).Shl(bitsN)
-	keyOf := func(i int) bitkey.Key { return views[min(max(i, 0), len(views)-1)].Key }
+	keyOf := func(i int) bitkey.Key { return views[min(max(i, 0), len(views)-1)].key }
 	randKey := func() bitkey.Key {
 		return bitkey.Key{r.Uint64(), r.Uint64(), r.Uint64(), r.Uint64()}.Shr(bitkey.MaxBits - bitsN)
 	}
@@ -217,7 +209,7 @@ func chunkSearchEqualsOracle(t *testing.T, r *rand.Rand, ch *Chunk, curve *hilbe
 	cuts := []bitkey.Key{bitkey.Zero, keyOf(lo - 1), keyOf(lo), keyOf(lo).Inc(),
 		keyOf(hi - 1), keyOf(hi - 1).Inc(), keyOf(hi), pastCurve}
 	for i := 0; i < 12; i++ {
-		k := views[r.Intn(len(views))].Key
+		k := views[r.Intn(len(views))].key
 		cuts = append(cuts, k, k.Inc(), randKey())
 	}
 	sort.Slice(cuts, func(a, b int) bool { return cuts[a].Less(cuts[b]) })
@@ -225,7 +217,7 @@ func chunkSearchEqualsOracle(t *testing.T, r *rand.Rand, ch *Chunk, curve *hilbe
 	below := func(k bitkey.Key) int {
 		n := 0
 		for _, v := range views {
-			if v.Key.Less(k) {
+			if v.key.Less(k) {
 				n++
 			}
 		}

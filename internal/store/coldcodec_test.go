@@ -88,13 +88,12 @@ func TestFileV4RoundTrip(t *testing.T) {
 	}
 	// Single-record fallback reads.
 	for _, i := range []int{0, 1, db.Len() / 2, db.Len() - 1} {
-		rv, err := fl.ReadRecordView(i)
+		ch, err := fl.LoadRecords(i, i+1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rv.Pos != i || rv.Key.Cmp(db.Key(i)) != 0 || string(rv.FP) != string(db.FP(i)) ||
-			rv.ID != db.ID(i) || rv.TC != db.TC(i) || rv.X != db.X(i) || rv.Y != db.Y(i) {
-			t.Fatalf("ReadRecordView(%d) differs", i)
+		if got, want := flatAt(ch, 0), flatAt(&db.Chunk, i); got != want {
+			t.Fatalf("LoadRecords(%d, %d) = %+v, want %+v", i, i+1, got, want)
 		}
 	}
 }
@@ -190,14 +189,13 @@ func TestColdFileLeanMatchesDB(t *testing.T) {
 			ivs := randIntervals(r, db.Curve(), 1+r.Intn(5))
 			want := collectVisits(t, db, ivs)
 			var got []flatRecord
-			if err := cf.VisitIntervalsLean(ivs, func(rv RecordView) bool {
-				if rv.FP != nil {
+			if err := cf.VisitIntervalsLean(ivs, PerRecord(func(c *Chunk, i int) bool {
+				if c.FP(i) != nil {
 					t.Fatal("lean visit delivered a fingerprint")
 				}
-				got = append(got, flatRecord{pos: rv.Pos, key: rv.Key,
-					id: rv.ID, tc: rv.TC, x: rv.X, y: rv.Y})
+				got = append(got, flatAt(c, i))
 				return true
-			}); err != nil {
+			})); err != nil {
 				t.Fatal(err)
 			}
 			if len(got) != len(want) {
@@ -248,30 +246,28 @@ func TestColdFileFilteredMatchesDB(t *testing.T) {
 			boundSq := []float64{4, 50, 400}[trial%3]
 
 			within := map[int]flatRecord{}
-			if err := db.VisitIntervals(ivs, func(rv RecordView) bool {
-				if distSqBytes(qf, rv.FP) <= boundSq {
-					within[rv.Pos] = flatRecord{pos: rv.Pos, key: rv.Key, fp: string(rv.FP),
-						id: rv.ID, tc: rv.TC, x: rv.X, y: rv.Y}
+			if err := db.VisitIntervals(ivs, PerRecord(func(c *Chunk, i int) bool {
+				if distSqBytes(qf, c.FP(i)) <= boundSq {
+					within[c.Base()+i] = flatAt(c, i)
 				}
 				return true
-			}); err != nil {
+			})); err != nil {
 				t.Fatal(err)
 			}
 
 			seen := map[int]bool{}
-			if err := cf.VisitIntervalsFiltered(ivs, qf, boundSq, func(rv RecordView) bool {
-				seen[rv.Pos] = true
-				if w, ok := within[rv.Pos]; ok {
-					got := flatRecord{pos: rv.Pos, key: rv.Key, fp: string(rv.FP),
-						id: rv.ID, tc: rv.TC, x: rv.X, y: rv.Y}
+			if err := cf.VisitIntervalsFiltered(ivs, qf, boundSq, PerRecord(func(c *Chunk, i int) bool {
+				got := flatAt(c, i)
+				seen[got.pos] = true
+				if w, ok := within[got.pos]; ok {
 					if got != w {
-						t.Fatalf("budget %d trial %d: filtered record %d differs from resident", budget, trial, rv.Pos)
+						t.Fatalf("budget %d trial %d: filtered record %d differs from resident", budget, trial, got.pos)
 					}
-				} else if distSqBytes(qf, rv.FP) <= boundSq {
-					t.Fatalf("budget %d trial %d: filtered visited in-radius record %d the resident scan missed", budget, trial, rv.Pos)
+				} else if distSqBytes(qf, c.FP(i)) <= boundSq {
+					t.Fatalf("budget %d trial %d: filtered visited in-radius record %d the resident scan missed", budget, trial, got.pos)
 				}
 				return true
-			}); err != nil {
+			})); err != nil {
 				t.Fatal(err)
 			}
 			for pos := range within {

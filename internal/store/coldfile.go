@@ -24,9 +24,11 @@ const DefaultColdBlockRecords = 4096
 // cross-query amortization of eq. (5), supplied by the cache instead of
 // batch scheduling.
 //
-// A ColdFile is safe for concurrent VisitIntervals calls (File.ReadAt
-// is). Close drops the file's cached blocks and releases the descriptor
-// once in-flight visits drain; visits after Close fail with an error.
+// A ColdFile is safe for concurrent visits of every kind: its reads go
+// through the Handle's ReadAt, which the FS contract makes safe for
+// concurrent use. Close drops the file's cached blocks and releases the
+// descriptor once in-flight visits drain; visits after Close fail with
+// an error.
 type ColdFile struct {
 	fl    *File
 	cache *BlockCache
@@ -355,15 +357,16 @@ func (cf *ColdFile) visitBlocks(ivs []hilbert.Interval,
 }
 
 // VisitIntervals implements RecordSource over the exact record area,
-// refining each touched block with in-place key searches.
-func (cf *ColdFile) VisitIntervals(ivs []hilbert.Interval, visit func(RecordView) bool) error {
+// refining each touched block with in-place key searches: one span per
+// interval the block's rows answer.
+func (cf *ColdFile) VisitIntervals(ivs []hilbert.Interval, visit func(c *Chunk, lo, hi int) bool) error {
 	return cf.visitArea(areaExact, ivs, visit)
 }
 
-// visitArea visits the intervals' records from one keyed area: exact
-// rows, or lean rows (whose views carry no fingerprint) counted against
-// the exact bytes they spared.
-func (cf *ColdFile) visitArea(a area, ivs []hilbert.Interval, visit func(RecordView) bool) error {
+// visitArea visits the intervals' rows from one keyed area: exact rows,
+// or lean rows (whose chunks carry no fingerprint) counted against the
+// exact bytes they spared.
+func (cf *ColdFile) visitArea(a area, ivs []hilbert.Interval, visit func(c *Chunk, lo, hi int) bool) error {
 	return cf.visitBlocks(ivs, func(s, lo, hi int, touching []hilbert.Interval) (bool, error) {
 		b, err := cf.block(a, s, lo, hi)
 		if err != nil {
@@ -373,41 +376,35 @@ func (cf *ColdFile) visitArea(a area, ivs []hilbert.Interval, visit func(RecordV
 		if a == areaLean {
 			cf.ctr.addLeanSaved(int64(hi-lo) * int64(cf.fl.recSize-cf.fl.leanSize))
 		}
-		return b.selected(touching, func(i int) bool { return visit(b.view(i)) }), nil
+		return b.spans(touching, visit), nil
 	})
 }
 
-// VisitIntervalsLean implements LeanSource: identical to VisitIntervals
-// except visited views carry a nil FP, served from the lean record area
-// when the codec is active (statistical refinement never reads
-// fingerprints, so the bytes per touched block shrink by
-// recSize/leanSize). Falls back to the exact area otherwise.
-func (cf *ColdFile) VisitIntervalsLean(ivs []hilbert.Interval, visit func(RecordView) bool) error {
+// VisitIntervalsLean implements RecordSource from the lean record area
+// when the codec is active: the spans' chunks carry no fingerprint
+// (statistical refinement never reads one), so the bytes per touched
+// block shrink by recSize/leanSize. Falls back to the exact area
+// otherwise.
+func (cf *ColdFile) VisitIntervalsLean(ivs []hilbert.Interval, visit func(c *Chunk, lo, hi int) bool) error {
 	if !cf.codec {
-		return cf.VisitIntervals(ivs, func(rv RecordView) bool {
-			rv.FP = nil
-			return visit(rv)
-		})
+		return cf.VisitIntervals(ivs, visit)
 	}
 	return cf.visitArea(areaLean, ivs, visit)
 }
 
-// VisitIntervalsFiltered implements FilteredSource: visit every record
-// of the intervals whose exact squared distance to qf could be within
-// boundSq, pre-filtering candidates on the packed quantizer codes so
-// rejected records never cost exact bytes. Survivors are verified from
-// exact bytes — the whole exact block when enough survive to justify it,
-// single-record fallback reads otherwise. The filter is conservative:
-// every record within boundSq is visited (with its exact FP); records
-// beyond boundSq may be visited too, so callers must keep their exact
-// predicate. Falls back to VisitIntervals when the codec is inactive.
+// VisitIntervalsFiltered implements RecordSource, pre-filtering
+// candidates on the packed quantizer codes so rejected records never
+// cost exact bytes. Each survivor is a one-row span of exact bytes: the
+// whole exact block when enough survive to justify it, a single-record
+// fallback read otherwise. Falls back to VisitIntervals when the codec
+// is inactive.
 func (cf *ColdFile) VisitIntervalsFiltered(ivs []hilbert.Interval, qf []float64, boundSq float64,
-	visit func(RecordView) bool) error {
+	visit func(c *Chunk, lo, hi int) bool) error {
 	if !cf.codec {
 		return cf.VisitIntervals(ivs, visit)
 	}
 	lb := cf.fl.quant.NewLowerBounder(qf)
-	var survivors []int // reused across blocks, record indices relative to lo
+	defer cf.fl.quant.recycle(lb)
 	return cf.visitBlocks(ivs, func(s, lo, hi int, touching []hilbert.Interval) (bool, error) {
 		codes, err := cf.block(areaCodes, s, lo, hi)
 		if err != nil {
@@ -421,16 +418,20 @@ func (cf *ColdFile) VisitIntervalsFiltered(ivs []hilbert.Interval, qf []float64,
 			return false, err
 		}
 		defer lean.done()
-		survivors = survivors[:0]
+		// Survivors are record indices relative to lo.
+		survivors := lb.survivors[:0]
 		rejects := int64(0)
-		lean.selected(touching, func(i int) bool {
-			if lb.Exceeds(codes.row(i), boundSq) {
-				rejects++
-			} else {
-				survivors = append(survivors, i)
+		lean.spans(touching, func(_ *Chunk, a, b int) bool {
+			for i := a; i < b; i++ {
+				if lb.Exceeds(codes.row(i), boundSq) {
+					rejects++
+				} else {
+					survivors = append(survivors, i)
+				}
 			}
 			return true
 		})
+		lb.survivors = survivors
 		n := hi - lo
 		blockBytes := int64(n) * int64(cf.fl.recSize)
 		readBytes := int64(n) * int64(cf.fl.codeSize+cf.fl.leanSize)
@@ -443,7 +444,7 @@ func (cf *ColdFile) VisitIntervalsFiltered(ivs []hilbert.Interval, qf []float64,
 			defer ex.done()
 			cf.ctr.addRejects(rejects, 0, -readBytes)
 			for _, i := range survivors {
-				if !visit(ex.view(i)) {
+				if !visit(ex.Chunk, i, i+1) {
 					return false, nil
 				}
 			}
@@ -452,11 +453,13 @@ func (cf *ColdFile) VisitIntervalsFiltered(ivs []hilbert.Interval, qf []float64,
 		fallbackBytes := int64(len(survivors)) * int64(cf.fl.recSize)
 		cf.ctr.addRejects(rejects, int64(len(survivors)), blockBytes-readBytes-fallbackBytes)
 		for _, i := range survivors {
-			rv, err := cf.fl.ReadRecordView(lo + i)
+			ch, err := cf.fl.read(areaExact, lo+i, lo+i+1, true)
 			if err != nil {
 				return false, err
 			}
-			if !visit(rv) {
+			ok := visit(ch, 0, 1)
+			recycleChunk(ch)
+			if !ok {
 				return false, nil
 			}
 		}

@@ -11,7 +11,7 @@ import (
 	"s3cbcd/internal/hilbert"
 )
 
-// flatRecord is a RecordView with the fingerprint copied out of the
+// flatRecord is one record with the fingerprint copied out of the
 // visit callback, comparable across sources.
 type flatRecord struct {
 	pos    int
@@ -21,12 +21,19 @@ type flatRecord struct {
 	x, y   uint16
 }
 
+// flatAt copies chunk-local record i of c out of the chunk.
+func flatAt(c *Chunk, i int) flatRecord {
+	return flatRecord{pos: c.Base() + i, key: c.Key(i), fp: string(c.FP(i)),
+		id: c.ID(i), tc: c.TC(i), x: c.X(i), y: c.Y(i)}
+}
+
 func collectVisits(t *testing.T, src RecordSource, ivs []hilbert.Interval) []flatRecord {
 	t.Helper()
 	var out []flatRecord
-	if err := src.VisitIntervals(ivs, func(rv RecordView) bool {
-		out = append(out, flatRecord{pos: rv.Pos, key: rv.Key, fp: string(rv.FP),
-			id: rv.ID, tc: rv.TC, x: rv.X, y: rv.Y})
+	if err := src.VisitIntervals(ivs, func(c *Chunk, lo, hi int) bool {
+		for i := lo; i < hi; i++ {
+			out = append(out, flatAt(c, i))
+		}
 		return true
 	}); err != nil {
 		t.Fatalf("VisitIntervals: %v", err)
@@ -144,10 +151,10 @@ func TestColdFileEarlyStop(t *testing.T) {
 	full := hilbert.Interval{Start: bitkey.Key{}, End: bitkey.FromUint64(1).Shl(uint(db.Curve().IndexBits()))}
 	for _, stop := range []int{0, 1, 7, 150} {
 		seen := 0
-		if err := cf.VisitIntervals([]hilbert.Interval{full}, func(RecordView) bool {
+		if err := cf.VisitIntervals([]hilbert.Interval{full}, PerRecord(func(*Chunk, int) bool {
 			seen++
 			return seen <= stop
-		}); err != nil {
+		})); err != nil {
 			t.Fatal(err)
 		}
 		if seen != stop+1 {
@@ -305,7 +312,7 @@ func TestBlockCacheSharedAcrossFiles(t *testing.T) {
 		t.Fatalf("file B visit after drop: %d records, want %d", len(gotB), len(wantB))
 	}
 	// A visit against the closed file must fail, not crash.
-	if err := cfA.VisitIntervals(ivs, func(RecordView) bool { return true }); err == nil {
+	if err := cfA.VisitIntervals(ivs, func(*Chunk, int, int) bool { return true }); err == nil {
 		t.Fatal("VisitIntervals on a closed cold file succeeded")
 	}
 	if _, err := cfA.CountID(0); err == nil {
@@ -349,11 +356,10 @@ func TestColdFileConcurrent(t *testing.T) {
 				}
 				ivs := randIntervals(r, db.Curve(), 1+r.Intn(4))
 				var got []flatRecord
-				err := cf.VisitIntervals(ivs, func(rv RecordView) bool {
-					got = append(got, flatRecord{pos: rv.Pos, key: rv.Key, fp: string(rv.FP),
-						id: rv.ID, tc: rv.TC, x: rv.X, y: rv.Y})
+				err := cf.VisitIntervals(ivs, PerRecord(func(c *Chunk, i int) bool {
+					got = append(got, flatAt(c, i))
 					return true
-				})
+				}))
 				if err != nil {
 					if cf == cfA {
 						// cfA closes mid-test; an error after that is the
@@ -419,7 +425,7 @@ func TestBlockCacheSingleflight(t *testing.T) {
 			defer wg.Done()
 			<-start
 			n := 0
-			if err := cf.VisitIntervals([]hilbert.Interval{full}, func(RecordView) bool { n++; return true }); err != nil {
+			if err := cf.VisitIntervals([]hilbert.Interval{full}, func(_ *Chunk, lo, hi int) bool { n += hi - lo; return true }); err != nil {
 				t.Error(err)
 				return
 			}

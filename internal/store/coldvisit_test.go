@@ -47,7 +47,7 @@ func TestColdVisitAllocs(t *testing.T) {
 	path, _, plans := coldVisitFixture(t, 20000, 1)
 	ivs := plans[0]
 	visited := 0
-	visit := func(rv RecordView) bool { visited++; return true }
+	visit := func(_ *Chunk, lo, hi int) bool { visited += hi - lo; return true }
 
 	cfs := NewCountingFS(OSFS)
 	open := func(cache *BlockCache) *ColdFile {
@@ -135,6 +135,14 @@ func benchmarkColdVisit(b *testing.B, cache *BlockCache, visit func(cf *ColdFile
 
 var coldVisitSink int
 
+// sumIDs is the benchmarks' visit: it reads each selected record's ID.
+func sumIDs(c *Chunk, lo, hi int) bool {
+	for i := lo; i < hi; i++ {
+		coldVisitSink += int(c.ID(i))
+	}
+	return true
+}
+
 // BenchmarkColdVisitLean is one statistical refinement of an uncached
 // codec-bearing cold file: every touched block is read, searched in
 // place and its selected rows decoded.
@@ -151,7 +159,7 @@ func BenchmarkColdVisitMiss(b *testing.B) {
 }
 
 func visitLean(cf *ColdFile, _ *DB, ivs []hilbert.Interval) error {
-	return cf.VisitIntervalsLean(ivs, func(rv RecordView) bool { coldVisitSink += int(rv.ID); return true })
+	return cf.VisitIntervalsLean(ivs, sumIDs)
 }
 
 // BenchmarkColdVisitFiltered is one ε-range refinement of the same file
@@ -163,6 +171,6 @@ func BenchmarkColdVisitFiltered(b *testing.B) {
 		for j, c := range db.FP(len(ivs) % db.Len()) {
 			qf[j] = float64(c)
 		}
-		return cf.VisitIntervalsFiltered(ivs, qf, 90*90, func(rv RecordView) bool { coldVisitSink += int(rv.ID); return true })
+		return cf.VisitIntervalsFiltered(ivs, qf, 90*90, sumIDs)
 	})
 }

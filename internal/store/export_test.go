@@ -41,6 +41,20 @@ func AddShardManifest(t testing.TB, path string, starts ...uint64) {
 	}
 }
 
+// PerRecord adapts a per-record callback to a span visit: fn sees every
+// record of every span in order, by chunk-local index, and returning
+// false stops the visit.
+func PerRecord(fn func(c *Chunk, i int) bool) func(c *Chunk, lo, hi int) bool {
+	return func(c *Chunk, lo, hi int) bool {
+		for i := lo; i < hi; i++ {
+			if !fn(c, i) {
+				return false
+			}
+		}
+		return true
+	}
+}
+
 // PoisonRecycled switches on the recycling pool's test hook until tb
 // ends. Every chunk handed back to the pool is overwritten with 0xA5 at
 // that moment, so a reader still holding recycled memory sees garbage,

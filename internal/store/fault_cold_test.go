@@ -128,19 +128,19 @@ func TestColdReadFaultsLeanAndFilteredPaths(t *testing.T) {
 		ivs := faultRandIntervals(r, db.Curve(), 1+r.Intn(4))
 		if i%2 == 0 {
 			var got, want []uint64
-			err := cf.VisitIntervalsLean(ivs, func(rv store.RecordView) bool {
-				got = append(got, uint64(rv.ID)<<32|uint64(rv.TC))
+			err := cf.VisitIntervalsLean(ivs, store.PerRecord(func(c *store.Chunk, i int) bool {
+				got = append(got, uint64(c.ID(i))<<32|uint64(c.TC(i)))
 				return true
-			})
+			}))
 			if err != nil {
 				failed++
 				continue
 			}
 			okLean++
-			_ = db.VisitIntervals(ivs, func(rv store.RecordView) bool {
-				want = append(want, uint64(rv.ID)<<32|uint64(rv.TC))
+			_ = db.VisitIntervals(ivs, store.PerRecord(func(c *store.Chunk, i int) bool {
+				want = append(want, uint64(c.ID(i))<<32|uint64(c.TC(i)))
 				return true
-			})
+			}))
 			if len(got) != len(want) {
 				t.Fatalf("round %d: lean visit survived chaos with %d records, want %d", i, len(got), len(want))
 			}
@@ -157,20 +157,21 @@ func TestColdReadFaultsLeanAndFilteredPaths(t *testing.T) {
 		}
 		boundSq := 4 + r.Float64()*100
 		within := map[int]string{}
-		_ = db.VisitIntervals(ivs, func(rv store.RecordView) bool {
-			if faultDistSq(qf, rv.FP) <= boundSq {
-				within[rv.Pos] = string(rv.FP)
+		_ = db.VisitIntervals(ivs, store.PerRecord(func(c *store.Chunk, i int) bool {
+			if faultDistSq(qf, c.FP(i)) <= boundSq {
+				within[c.Base()+i] = string(c.FP(i))
 			}
 			return true
-		})
+		}))
 		seen := map[int]bool{}
-		err := cf.VisitIntervalsFiltered(ivs, qf, boundSq, func(rv store.RecordView) bool {
-			seen[rv.Pos] = true
-			if fp, ok := within[rv.Pos]; ok && string(rv.FP) != fp {
-				t.Fatalf("round %d: filtered record %d carries wrong bytes under chaos", i, rv.Pos)
+		err := cf.VisitIntervalsFiltered(ivs, qf, boundSq, store.PerRecord(func(c *store.Chunk, j int) bool {
+			pos := c.Base() + j
+			seen[pos] = true
+			if fp, ok := within[pos]; ok && string(c.FP(j)) != fp {
+				t.Fatalf("round %d: filtered record %d carries wrong bytes under chaos", i, pos)
 			}
 			return true
-		})
+		}))
 		if err != nil {
 			failed++
 			continue
@@ -194,15 +195,18 @@ func TestColdReadFaultsLeanAndFilteredPaths(t *testing.T) {
 	chaos.Store(false)
 	ivs := faultRandIntervals(r, db.Curve(), 3)
 	n, wantN := 0, 0
-	if err := cf.VisitIntervalsLean(ivs, func(store.RecordView) bool { n++; return true }); err != nil {
+	count := func(n *int) func(*store.Chunk, int, int) bool {
+		return func(_ *store.Chunk, lo, hi int) bool { *n += hi - lo; return true }
+	}
+	if err := cf.VisitIntervalsLean(ivs, count(&n)); err != nil {
 		t.Fatalf("lean visit after chaos cleared: %v", err)
 	}
-	_ = db.VisitIntervals(ivs, func(store.RecordView) bool { wantN++; return true })
+	_ = db.VisitIntervals(ivs, count(&wantN))
 	if n != wantN {
 		t.Fatalf("healed lean visit saw %d records, want %d", n, wantN)
 	}
 	qf := make([]float64, db.Dims())
-	if err := cf.VisitIntervalsFiltered(ivs, qf, math.Inf(1), func(store.RecordView) bool { return true }); err != nil {
+	if err := cf.VisitIntervalsFiltered(ivs, qf, math.Inf(1), func(*store.Chunk, int, int) bool { return true }); err != nil {
 		t.Fatalf("filtered visit after chaos cleared: %v", err)
 	}
 	if err := cf.Close(); err != nil {
@@ -239,7 +243,7 @@ func TestColdReadFaultsSeededOpenV4(t *testing.T) {
 	n := 0
 	qf := make([]float64, db.Dims())
 	if err := cf.VisitIntervalsFiltered([]hilbert.Interval{full}, qf, math.Inf(1),
-		func(store.RecordView) bool { n++; return true }); err != nil {
+		func(_ *store.Chunk, lo, hi int) bool { n += hi - lo; return true }); err != nil {
 		t.Fatal(err)
 	}
 	if n != db.Len() {

@@ -673,17 +673,6 @@ func (fl *File) LoadRecords(lo, hi int) (*Chunk, error) { return fl.load(areaExa
 // exact bytes.
 func (fl *File) LoadLean(lo, hi int) (*Chunk, error) { return fl.load(areaLean, lo, hi) }
 
-// ReadRecordView reads one exact record — the codec path's fallback for
-// candidates that survive the quantized filter. The view's FP aliases a
-// fresh allocation and stays valid after return.
-func (fl *File) ReadRecordView(i int) (RecordView, error) {
-	ch, err := fl.load(areaExact, i, i+1)
-	if err != nil {
-		return RecordView{}, err
-	}
-	return ch.view(0), nil
-}
-
 // LoadAll reads the whole file into an in-memory DB. The exact record
 // area is the DB's row image, so that is one read; a version-1 file,
 // whose rows carry no position, is widened once with zero x and y.
@@ -777,11 +766,4 @@ func (c *Chunk) Y(i int) uint16 {
 		return 0
 	}
 	return binary.LittleEndian.Uint16(c.tail(i)[10:])
-}
-
-// view returns chunk-local record i as a RecordView; FP aliases the
-// chunk's buffer.
-func (c *Chunk) view(i int) RecordView {
-	return RecordView{Pos: c.base + i, Key: c.Key(i), FP: c.FP(i),
-		ID: c.ID(i), TC: c.TC(i), X: c.X(i), Y: c.Y(i)}
 }

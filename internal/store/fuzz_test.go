@@ -56,8 +56,8 @@ func FuzzOpen(f *testing.F) {
 			// The chunk is the file's bytes: every accessor and the in-place
 			// key search (over keys no writer sorted) must stay in bounds.
 			for i := 0; i < ch.Len(); i++ {
-				rv := ch.view(i)
-				ch.FindIntervalFrom(i/2, hilbert.Interval{Start: rv.Key, End: rv.Key.Inc()})
+				rec := flatAt(ch, i)
+				ch.FindIntervalFrom(i/2, hilbert.Interval{Start: rec.key, End: rec.key.Inc()})
 			}
 			ch.FindInterval(hilbert.Interval{End: bitkey.FromUint64(1).Shl(uint(fl.Curve().IndexBits()))})
 		}

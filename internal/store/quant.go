@@ -16,6 +16,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // DefaultCodecBits is the per-component code width every writer uses
@@ -32,6 +33,9 @@ type Quantizer struct {
 	bits   int
 	cells  int
 	bounds [][]uint16 // dims × (cells+1); bounds[j][cells] == 256 as written
+	// lbs recycles lower bounders (see recycle), so a warm filtered visit
+	// allocates none.
+	lbs sync.Pool
 }
 
 // buildQuantizer fits equi-populated boundaries to the database, the
@@ -120,6 +124,9 @@ type LowerBounder struct {
 	bits    int
 	perByte int
 	mask    byte
+	// survivors is scratch of the visit filtering with lb: the records of
+	// its current block the bound could not reject.
+	survivors []int
 }
 
 // NewLowerBounder precomputes the filter for one query point. For a code
@@ -128,13 +135,18 @@ type LowerBounder struct {
 // squared distance.
 func (qz *Quantizer) NewLowerBounder(qf []float64) *LowerBounder {
 	dims := len(qz.bounds)
-	lb := &LowerBounder{
-		table:   make([]float64, dims*qz.cells),
-		dims:    dims,
-		cells:   qz.cells,
-		bits:    qz.bits,
-		perByte: 8 / qz.bits,
-		mask:    byte(1<<uint(qz.bits)) - 1,
+	lb, _ := qz.lbs.Get().(*LowerBounder)
+	if lb == nil {
+		lb = &LowerBounder{
+			table:   make([]float64, dims*qz.cells),
+			dims:    dims,
+			cells:   qz.cells,
+			bits:    qz.bits,
+			perByte: 8 / qz.bits,
+			mask:    byte(1<<uint(qz.bits)) - 1,
+		}
+	} else {
+		clear(lb.table) // dimensions qf lacks contribute nothing
 	}
 	for j := 0; j < dims && j < len(qf); j++ {
 		b := qz.bounds[j]
@@ -149,6 +161,13 @@ func (qz *Quantizer) NewLowerBounder(qf []float64) *LowerBounder {
 		}
 	}
 	return lb
+}
+
+// recycle hands lb back for a later query's NewLowerBounder; the caller
+// must not use it afterwards.
+func (qz *Quantizer) recycle(lb *LowerBounder) {
+	lb.survivors = lb.survivors[:0]
+	qz.lbs.Put(lb)
 }
 
 // Exceeds reports whether the quantized lower bound of one packed code

@@ -3,7 +3,7 @@ package store_test
 // Cold block buffers are recycled: a block evicted, dropped or never
 // retained goes back to a pool once its last reader unpins it, and the
 // next miss reads into it. These tests poison every recycled buffer
-// (store.PoisonRecycled) and check each visited record against the
+// (store.PoisonRecycled) and check each visited span's rows against the
 // in-memory DB inside the visit callback — the window in which a block
 // recycled too early would be overwritten — while several goroutines
 // collide on a cache too small to keep anything.
@@ -36,46 +36,52 @@ type errMismatch struct{ msg string }
 func (e errMismatch) Error() string { return e.msg }
 
 // checkRecycledVisit runs one visit of the given kind over ivs and checks
-// every delivered record, field by field, against the DB at its position
-// while the callback holds it. Exact and lean visits must deliver exactly
+// every row of every delivered span, field by field, against the DB at
+// its position while the callback holds the span. Exact and lean visits must deliver exactly
 // the DB's records in order; a filtered visit may deliver extra records
 // but must deliver every one within boundSq of qf. It returns the visit's
 // own error, or an errMismatch.
 func checkRecycledVisit(cf *store.ColdFile, db *store.DB, kind int, ivs []hilbert.Interval,
 	qf []float64, boundSq float64) error {
 	var want []int
-	_ = db.VisitIntervals(ivs, func(rv store.RecordView) bool {
-		if kind != visitFiltered || faultDistSq(qf, rv.FP) <= boundSq {
-			want = append(want, rv.Pos)
+	_ = db.VisitIntervals(ivs, store.PerRecord(func(c *store.Chunk, i int) bool {
+		if kind != visitFiltered || faultDistSq(qf, c.FP(i)) <= boundSq {
+			want = append(want, c.Base()+i)
 		}
 		return true
-	})
+	}))
 	var bad error
 	n := 0
-	check := func(rv store.RecordView) bool {
-		i := rv.Pos
-		if n%7 == 0 {
-			runtime.Gosched() // widen the window a premature recycle needs
+	check := func(c *store.Chunk, lo, hi int) bool {
+		if lo < 0 || lo >= hi || hi > c.Len() {
+			bad = errMismatch{fmt.Sprintf("kind %d: span [%d,%d) of a %d-row chunk", kind, lo, hi, c.Len())}
+			return false
 		}
-		switch {
-		case kind != visitFiltered && (n >= len(want) || want[n] != i):
-			bad = errMismatch{fmt.Sprintf("kind %d: record %d at position %d, want the DB's order", kind, n, i)}
-		case i < 0 || i >= db.Len():
-			bad = errMismatch{fmt.Sprintf("kind %d: position %d outside the DB", kind, i)}
-		case rv.Key != db.Key(i) || rv.ID != db.ID(i) || rv.TC != db.TC(i) || rv.X != db.X(i) || rv.Y != db.Y(i):
-			bad = errMismatch{fmt.Sprintf("kind %d: record %d differs from the DB", kind, i)}
-		case kind == visitLean && rv.FP != nil:
-			bad = errMismatch{fmt.Sprintf("lean record %d carries a fingerprint", i)}
-		case kind != visitLean && string(rv.FP) != string(db.FP(i)):
-			bad = errMismatch{fmt.Sprintf("kind %d: record %d fingerprint differs from the DB", kind, i)}
-		case kind == visitFiltered && faultDistSq(qf, rv.FP) <= boundSq:
-			if len(want) == 0 || want[0] != i {
-				bad = errMismatch{fmt.Sprintf("filtered visit reached in-radius record %d out of order", i)}
-			} else {
-				want = want[1:]
+		for j := lo; j < hi && bad == nil; j++ {
+			i := c.Base() + j
+			if n%7 == 0 {
+				runtime.Gosched() // widen the window a premature recycle needs
 			}
+			switch {
+			case kind != visitFiltered && (n >= len(want) || want[n] != i):
+				bad = errMismatch{fmt.Sprintf("kind %d: record %d at position %d, want the DB's order", kind, n, i)}
+			case i < 0 || i >= db.Len():
+				bad = errMismatch{fmt.Sprintf("kind %d: position %d outside the DB", kind, i)}
+			case c.Key(j) != db.Key(i) || c.ID(j) != db.ID(i) || c.TC(j) != db.TC(i) || c.X(j) != db.X(i) || c.Y(j) != db.Y(i):
+				bad = errMismatch{fmt.Sprintf("kind %d: record %d differs from the DB", kind, i)}
+			case kind == visitLean && c.FP(j) != nil:
+				bad = errMismatch{fmt.Sprintf("lean record %d carries a fingerprint", i)}
+			case kind != visitLean && string(c.FP(j)) != string(db.FP(i)):
+				bad = errMismatch{fmt.Sprintf("kind %d: record %d fingerprint differs from the DB", kind, i)}
+			case kind == visitFiltered && faultDistSq(qf, c.FP(j)) <= boundSq:
+				if len(want) == 0 || want[0] != i {
+					bad = errMismatch{fmt.Sprintf("filtered visit reached in-radius record %d out of order", i)}
+				} else {
+					want = want[1:]
+				}
+			}
+			n++
 		}
-		n++
 		return bad == nil
 	}
 	var err error

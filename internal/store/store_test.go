@@ -191,14 +191,14 @@ func TestDBVisitPosIsRowIndex(t *testing.T) {
 			t.Errorf("%s DB Base %d, want 0", name, d.Base())
 		}
 		next := 0
-		if err := d.VisitIntervals([]hilbert.Interval{full}, func(rv RecordView) bool {
-			if rv.Pos != next || rv.Key != d.Key(next) || rv.ID != d.ID(next) || rv.TC != d.TC(next) {
-				t.Errorf("%s DB visit %d reported Pos %d (ID %d), want row %d (ID %d)", name, next, rv.Pos, rv.ID, next, d.ID(next))
+		if err := d.VisitIntervals([]hilbert.Interval{full}, PerRecord(func(c *Chunk, i int) bool {
+			if pos := c.Base() + i; pos != next || c.Key(i) != d.Key(next) || c.ID(i) != d.ID(next) || c.TC(i) != d.TC(next) {
+				t.Errorf("%s DB visit %d reported Pos %d (ID %d), want row %d (ID %d)", name, next, pos, c.ID(i), next, d.ID(next))
 				return false
 			}
 			next++
 			return true
-		}); err != nil {
+		})); err != nil {
 			t.Fatal(err)
 		}
 		if next != d.Len() {
