@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"runtime"
+
+	"s3cbcd/internal/hilbert"
 )
 
 // Engine serves a static database: it is the executor (executor.go)
@@ -101,4 +103,11 @@ func (e *Engine) SearchKNN(ctx context.Context, q []byte, k, maxLeaves int) ([]M
 // Index.SearchStat output for that query.
 func (e *Engine) SearchStatBatch(ctx context.Context, queries [][]byte, sq StatQuery) ([][]Match, error) {
 	return e.searchStatBatch(ctx, e.view, queries, sq)
+}
+
+// RefineStat answers a statistical query from intervals planned
+// elsewhere at this engine's curve and depth, without planning
+// (executor.refineStat).
+func (e *Engine) RefineStat(ctx context.Context, q []byte, sq StatQuery, ivs []hilbert.Interval) ([]Match, Plan, error) {
+	return e.refineStat(ctx, e.view, q, sq, ivs)
 }

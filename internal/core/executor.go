@@ -20,6 +20,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"s3cbcd/internal/bitkey"
 	"s3cbcd/internal/hilbert"
 	"s3cbcd/internal/obs"
 	"s3cbcd/internal/store"
@@ -33,6 +34,10 @@ type Searcher interface {
 	SearchRange(ctx context.Context, q []byte, eps float64) ([]Match, Plan, error)
 	SearchKNN(ctx context.Context, q []byte, k, maxLeaves int) ([]Match, KNNStats, error)
 	SearchStatBatch(ctx context.Context, queries [][]byte, sq StatQuery) ([][]Match, error)
+	// RefineStat answers a statistical query from intervals planned
+	// elsewhere at this searcher's curve and depth, without planning; q
+	// and sq are checked as SearchStat checks them.
+	RefineStat(ctx context.Context, q []byte, sq StatQuery, ivs []hilbert.Interval) ([]Match, Plan, error)
 	// PlanCacheStats reports the plan cache; false when it is off.
 	PlanCacheStats() (PlanCacheStats, bool)
 }
@@ -195,11 +200,22 @@ func (x *executor) run(ctx context.Context, v view, q []byte, sq *StatQuery, eps
 		tr.Annotate(id, "blocks", strconv.Itoa(plan.Blocks))
 		tr.Annotate(id, "descentNodes", strconv.Itoa(plan.DescentNodes))
 	}
-	t1 := time.Now()
-	matches, candidates, skipped, err := x.refine(ctx, v, plan, b, ps.rf)
+	matches, err := x.refineStage(ctx, v, plan, b, ps.rf, single)
 	if err != nil {
 		return nil, Plan{}, err
 	}
+	return matches, plan, nil
+}
+
+// refineStage is run's refinement half: refine, then the refine span
+// (single queries only) and the per-query segment counts.
+func (x *executor) refineStage(ctx context.Context, v view, plan Plan, b ball, r *refiner, single bool) ([]Match, error) {
+	t1 := time.Now()
+	matches, candidates, skipped, err := x.refine(ctx, v, plan, b, r)
+	if err != nil {
+		return nil, err
+	}
+	tr := obs.FromContext(ctx)
 	if single && tr != nil {
 		id := tr.StageSince("refine", t1)
 		tr.Annotate(id, "candidates", strconv.Itoa(candidates))
@@ -209,7 +225,7 @@ func (x *executor) run(ctx context.Context, v view, q []byte, sq *StatQuery, eps
 	}
 	tr.AddSegments(int64(len(v.segs)))
 	x.querySegments.Observe(float64(len(v.segs)))
-	return matches, plan, nil
+	return matches, nil
 }
 
 // refine scans the plan's curve intervals in every segment of v and
@@ -217,13 +233,15 @@ func (x *executor) run(ctx context.Context, v view, q []byte, sq *StatQuery, eps
 // records visited (before tombstone masks) and of segments skipped.
 // Every segment is visited through the store.RecordSource seam, one row
 // span at a time, into r's buffer. A single segment's list is already
-// canonical; several lists carry each match's key and are merged.
+// canonical; several lists carry each match's key and are merged. Every
+// span checks ctx first, so a cancelled query stops within one span and
+// returns ctx's error.
 func (x *executor) refine(ctx context.Context, v view, plan Plan, b ball, r *refiner) (matches []Match, candidates, skipped int, err error) {
 	defer x.qmet.refineSeconds.ObserveSince(time.Now())
 	if err := ctx.Err(); err != nil {
 		return nil, 0, 0, err
 	}
-	r.reset(b, len(v.segs) > 1)
+	r.reset(b, len(v.segs) > 1, ctx.Done())
 	defer r.release()
 	for i := range v.segs {
 		s := &v.segs[i]
@@ -231,7 +249,11 @@ func (x *executor) refine(ctx context.Context, v view, plan Plan, b ball, r *ref
 			skipped++
 			continue
 		}
-		if err := r.refineSegment(s.src, s.masked, plan.Intervals); err != nil {
+		err := r.refineSegment(s.src, s.masked, plan.Intervals)
+		if r.stopped {
+			return nil, 0, 0, ctx.Err()
+		}
+		if err != nil {
 			return nil, 0, 0, fmt.Errorf("core: refine of segment %s: %w", s.name, err)
 		}
 	}
@@ -269,6 +291,71 @@ func (x *executor) searchStat(ctx context.Context, v view, q []byte, sq StatQuer
 	x.qmet.inflight.Add(1)
 	defer x.qmet.inflight.Add(-1)
 	return x.run(ctx, v, q, &sq, 0, true)
+}
+
+// refineStat answers the statistical query q, sq against v from a plan
+// computed elsewhere — a router planning once for its fleet. The query
+// is refused exactly as searchStat refuses it, and the plan is checked
+// against this executor's curve and depth (givenPlan), but it is
+// neither computed nor looked up: the plan cache is not consulted and
+// no plan is counted. The returned plan carries the intervals, their
+// block count and the depth; the planner's diagnostics (mass,
+// threshold, iterations, descent nodes) stay with whoever planned.
+func (x *executor) refineStat(ctx context.Context, v view, q []byte, sq StatQuery, ivs []hilbert.Interval) ([]Match, Plan, error) {
+	if err := sq.validate(x.pl.dims()); err != nil {
+		return nil, Plan{}, err
+	}
+	if err := checkQuery(q, x.pl.dims()); err != nil {
+		return nil, Plan{}, err
+	}
+	plan, err := x.givenPlan(ivs)
+	if err != nil {
+		return nil, Plan{}, err
+	}
+	x.qmet.statQueries.Inc()
+	x.qmet.inflight.Add(1)
+	defer x.qmet.inflight.Add(-1)
+	ps := x.pl.getScratch()
+	defer x.pl.scratch.Put(ps)
+	matches, err := x.refineStage(ctx, v, plan, ball{}, ps.rf, true)
+	if err != nil {
+		return nil, Plan{}, err
+	}
+	return matches, plan, nil
+}
+
+// givenPlan checks intervals a caller planned elsewhere: each non-empty,
+// sorted and disjoint, on depth-p block boundaries and inside the
+// curve, so they are exactly what planning at this geometry could have
+// produced for refinement to scan. It returns them as a plan with the
+// block count derived from them.
+func (x *executor) givenPlan(ivs []hilbert.Interval) (Plan, error) {
+	shift := uint(x.pl.curve.IndexBits() - x.pl.depth)
+	end := bitkey.Zero.AddPow2(uint(x.pl.curve.IndexBits()))
+	// low holds the bits below a depth-p block boundary.
+	low := bitkey.Zero.AddPow2(shift).Sub(bitkey.FromUint64(1))
+	var prev bitkey.Key
+	blocks := uint64(0)
+	for i, iv := range ivs {
+		switch {
+		case !iv.Start.Less(iv.End):
+			return Plan{}, fmt.Errorf("core: plan interval %d is empty", i)
+		case iv.Start.Less(prev):
+			return Plan{}, fmt.Errorf("core: plan interval %d is out of order or overlaps its predecessor", i)
+		case end.Less(iv.End):
+			return Plan{}, fmt.Errorf("core: plan interval %d ends outside the curve", i)
+		case !iv.Start.And(low).IsZero() || !iv.End.And(low).IsZero():
+			return Plan{}, fmt.Errorf("core: plan interval %d is not on depth-%d block boundaries", i, x.pl.depth)
+		}
+		// The count is capped at 2^62, well inside an int.
+		n := iv.End.Sub(iv.Start).Shr(shift)
+		if n.BitLen() > 62 || blocks+n.Uint64() > 1<<62 {
+			return Plan{}, fmt.Errorf("core: plan spans more than 2^62 blocks")
+		}
+		blocks += n.Uint64()
+		prev = iv.End
+	}
+	return Plan{Intervals: ivs, Blocks: int(blocks), Depth: x.pl.depth}, nil
 }
 
 // searchRange executes a complete ε-range query against v.

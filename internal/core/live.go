@@ -247,23 +247,14 @@ func (s *liveSegment) masked(id uint32) bool {
 	return dead
 }
 
-// maskFn returns the tombstone predicate refinement filters with, nil
-// when the segment has no tombstones.
-func (s *liveSegment) maskFn() func(uint32) bool {
-	if len(s.tomb) == 0 {
-		return nil
-	}
-	tomb := s.tomb
-	return func(id uint32) bool {
-		_, dead := tomb[id]
-		return dead
-	}
-}
-
 // segment returns the executor's view of the segment: the seam
-// refinement visits its records through, its mask and its sketch.
+// refinement visits its records through, its mask (nil when nothing is
+// tombstoned) and its sketch.
 func (s *liveSegment) segment() segment {
-	seg := segment{src: s.db, masked: s.maskFn(), sketch: s.sketch, name: s.name}
+	seg := segment{src: s.db, sketch: s.sketch, name: s.name}
+	if len(s.tomb) > 0 {
+		seg.masked = s.masked
+	}
 	if s.cold != nil {
 		seg.src = s.cold
 	}
@@ -330,6 +321,9 @@ type liveSnapshot struct {
 	gen  uint64
 	segs []*liveSegment
 	mem  *liveSegment
+	// v is the executor's view of the snapshot, built once by publish so
+	// a query allocates nothing to see it.
+	v view
 }
 
 // LiveIndex is a segmented S³ index supporting concurrent ingest and
@@ -519,7 +513,7 @@ func OpenLiveIndex(curve *hilbert.Curve, dir string, opt LiveOptions) (*LiveInde
 	if err != nil {
 		return nil, err
 	}
-	li.snap.Store(&liveSnapshot{gen: gen, segs: segs, mem: &liveSegment{db: empty}})
+	li.publish(&liveSnapshot{gen: gen, segs: segs, mem: &liveSegment{db: empty}})
 	li.log.Info("live index opened", "dir", dir, "gen", gen, "segments", len(segs))
 	return li, nil
 }
@@ -720,7 +714,7 @@ func (li *LiveIndex) Close() error {
 	if cur := li.snap.Load(); cur.mem.db.Len() > 0 && li.dir != "" {
 		next := &liveSnapshot{gen: cur.gen + 1, segs: cur.segs, mem: cur.mem}
 		if err = li.sealInto(next); err == nil {
-			li.snap.Store(next)
+			li.publish(next)
 		} else {
 			li.notePersistFailure(err, false)
 		}
@@ -746,8 +740,16 @@ func (li *LiveIndex) Close() error {
 	return err
 }
 
-// view exposes the snapshot to the executor: every sealed segment, oldest
-// first, then the memtable when it holds records.
+// publish makes next the snapshot queries see, building its view first.
+// Every writer publishes through here, under li.mu (or before the index
+// is shared).
+func (li *LiveIndex) publish(next *liveSnapshot) {
+	next.v = next.view()
+	li.snap.Store(next)
+}
+
+// view builds the snapshot's view for the executor: every sealed
+// segment, oldest first, then the memtable when it holds records.
 func (s *liveSnapshot) view() view {
 	v := view{gen: s.gen, segs: make([]segment, 0, len(s.segs)+1)}
 	for _, seg := range s.segs {
@@ -771,14 +773,14 @@ func (s *liveSnapshot) view() view {
 func (li *LiveIndex) SearchStat(ctx context.Context, q []byte, sq StatQuery) ([]Match, Plan, error) {
 	li.queryGate.RLock()
 	defer li.queryGate.RUnlock()
-	return li.searchStat(ctx, li.snap.Load().view(), q, sq)
+	return li.searchStat(ctx, li.snap.Load().v, q, sq)
 }
 
 // SearchRange executes an ε-range query against the current snapshot.
 func (li *LiveIndex) SearchRange(ctx context.Context, q []byte, eps float64) ([]Match, Plan, error) {
 	li.queryGate.RLock()
 	defer li.queryGate.RUnlock()
-	return li.searchRange(ctx, li.snap.Load().view(), q, eps)
+	return li.searchRange(ctx, li.snap.Load().v, q, eps)
 }
 
 // SearchKNN answers a k-NN query against the current snapshot, skipping
@@ -786,7 +788,7 @@ func (li *LiveIndex) SearchRange(ctx context.Context, q []byte, eps float64) ([]
 func (li *LiveIndex) SearchKNN(ctx context.Context, q []byte, k, maxLeaves int) ([]Match, KNNStats, error) {
 	li.queryGate.RLock()
 	defer li.queryGate.RUnlock()
-	return li.searchKNN(ctx, li.snap.Load().view(), q, k, maxLeaves)
+	return li.searchKNN(ctx, li.snap.Load().v, q, k, maxLeaves)
 }
 
 // SearchStatBatch pipelines many statistical queries across the worker
@@ -794,5 +796,14 @@ func (li *LiveIndex) SearchKNN(ctx context.Context, q []byte, k, maxLeaves int) 
 func (li *LiveIndex) SearchStatBatch(ctx context.Context, queries [][]byte, sq StatQuery) ([][]Match, error) {
 	li.queryGate.RLock()
 	defer li.queryGate.RUnlock()
-	return li.searchStatBatch(ctx, li.snap.Load().view(), queries, sq)
+	return li.searchStatBatch(ctx, li.snap.Load().v, queries, sq)
+}
+
+// RefineStat answers a statistical query against the current snapshot
+// from intervals planned elsewhere at this index's curve and depth,
+// without planning (executor.refineStat).
+func (li *LiveIndex) RefineStat(ctx context.Context, q []byte, sq StatQuery, ivs []hilbert.Interval) ([]Match, Plan, error) {
+	li.queryGate.RLock()
+	defer li.queryGate.RUnlock()
+	return li.refineStat(ctx, li.snap.Load().v, q, sq, ivs)
 }

@@ -192,7 +192,7 @@ func (li *LiveIndex) compact() error {
 			base[0].cold, base[0].db = cf, nil
 		}
 	}
-	li.snap.Store(next)
+	li.publish(next)
 	// The superseded inputs' cold files are now unreachable from the
 	// published snapshot; the pre-registered defer closes them once
 	// in-flight queries drain.

@@ -52,7 +52,7 @@ func (li *LiveIndex) Ingest(recs []store.Record) error {
 			li.notePersistFailure(err, true)
 		}
 	}
-	li.snap.Store(next)
+	li.publish(next)
 	li.met.ingested.Add(int64(len(recs)))
 	if len(next.segs) >= li.opt.CompactSegments {
 		li.compactAsync()
@@ -139,7 +139,7 @@ func (li *LiveIndex) Flush() error {
 		li.notePersistFailure(err, false)
 		return err
 	}
-	li.snap.Store(next)
+	li.publish(next)
 	return nil
 }
 
@@ -193,7 +193,7 @@ func (li *LiveIndex) DeleteVideo(id uint32) error {
 		// the video, which is why dirty stays set until the commit does.
 		li.notePersistFailure(err, true)
 	}
-	li.snap.Store(next)
+	li.publish(next)
 	li.met.deletes.Inc()
 	return nil
 }
@@ -400,7 +400,7 @@ func (li *LiveIndex) persistLocked() error {
 		if err := li.sealInto(next); err != nil {
 			return err
 		}
-		li.snap.Store(next)
+		li.publish(next)
 		if len(next.segs) >= li.opt.CompactSegments {
 			li.compactAsync()
 		}

@@ -43,6 +43,10 @@ type refiner struct {
 	// visited counts the records the visits delivered, masked ones
 	// included.
 	visited int
+	// done is the query context's Done channel; stopped records that a
+	// span found it closed and ended the visit there.
+	done    <-chan struct{}
+	stopped bool
 
 	statSpan, rangeSpan func(c *store.Chunk, lo, hi int) bool
 }
@@ -59,10 +63,25 @@ func newRefiner() *refiner {
 }
 
 // reset starts a query of the given predicate; keyed records keys for a
-// merge across segments.
-func (r *refiner) reset(b ball, keyed bool) {
+// merge across segments, and done is the query's cancellation signal.
+func (r *refiner) reset(b ball, keyed bool, done <-chan struct{}) {
 	r.ms, r.keys, r.runs = r.ms[:0], r.keys[:0], r.runs[:0]
 	r.keyed, r.qf, r.epsSq, r.visited = keyed, b.qf, b.eps*b.eps, 0
+	r.done, r.stopped = done, false
+}
+
+// cancelled reports whether the query was cancelled, with a
+// non-blocking receive that takes no lock, so every span can afford it:
+// a hedge's loser stops within one span (one interval of a resident
+// segment, one interval × block of a cold one).
+func (r *refiner) cancelled() bool {
+	select {
+	case <-r.done:
+		r.stopped = true
+		return true
+	default:
+		return false
+	}
 }
 
 // refineSegment appends the matches of the plan's intervals in src,
@@ -87,6 +106,9 @@ func (r *refiner) refineSegment(src store.RecordSource, masked func(uint32) bool
 // addStat appends every unmasked record of the span: the region is the
 // answer.
 func (r *refiner) addStat(c *store.Chunk, lo, hi int) bool {
+	if r.cancelled() {
+		return false
+	}
 	r.visited += hi - lo
 	base := c.Base()
 	for i := lo; i < hi; i++ {
@@ -105,6 +127,9 @@ func (r *refiner) addStat(c *store.Chunk, lo, hi int) bool {
 // addRange appends every unmasked record of the span within the query
 // radius, at its distance.
 func (r *refiner) addRange(c *store.Chunk, lo, hi int) bool {
+	if r.cancelled() {
+		return false
+	}
 	r.visited += hi - lo
 	base := c.Base()
 	for i := lo; i < hi; i++ {
@@ -137,10 +162,10 @@ func (r *refiner) result() []Match {
 }
 
 // release drops what the pooled refiner should not keep for the next
-// query: the segment's mask, the query point, and a buffer grown past
-// maxKeptMatches.
+// query: the segment's mask, the query point, the context's channel and
+// a buffer grown past maxKeptMatches.
 func (r *refiner) release() {
-	r.masked, r.qf = nil, nil
+	r.masked, r.qf, r.done = nil, nil, nil
 	if cap(r.ms) > maxKeptMatches {
 		r.ms, r.keys = nil, nil
 	}

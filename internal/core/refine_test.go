@@ -6,7 +6,9 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"s3cbcd/internal/hilbert"
@@ -214,4 +216,159 @@ func refineCorpus(n, nq int) ([]store.Record, [][]byte) {
 		}
 	}
 	return recs, queries
+}
+
+// cancelSource wraps a segment's source: the first span it hands over
+// cancels the query, and it counts the spans refinement took.
+type cancelSource struct {
+	store.RecordSource
+	cancel         context.CancelFunc
+	calls, visited int
+}
+
+func (c *cancelSource) wrap(visit func(*store.Chunk, int, int) bool) func(*store.Chunk, int, int) bool {
+	return func(ch *store.Chunk, lo, hi int) bool {
+		c.calls++
+		ok := visit(ch, lo, hi)
+		if ok {
+			c.visited++
+		}
+		c.cancel()
+		return ok
+	}
+}
+
+func (c *cancelSource) VisitIntervals(ivs []hilbert.Interval, visit func(*store.Chunk, int, int) bool) error {
+	return c.RecordSource.VisitIntervals(ivs, c.wrap(visit))
+}
+
+func (c *cancelSource) VisitIntervalsLean(ivs []hilbert.Interval, visit func(*store.Chunk, int, int) bool) error {
+	return c.RecordSource.VisitIntervalsLean(ivs, c.wrap(visit))
+}
+
+func (c *cancelSource) VisitIntervalsFiltered(ivs []hilbert.Interval, qf []float64, boundSq float64, visit func(*store.Chunk, int, int) bool) error {
+	return c.RecordSource.VisitIntervalsFiltered(ivs, qf, boundSq, c.wrap(visit))
+}
+
+// TestRefineStopsWithinOneSpan: a query cancelled while refinement runs
+// stops at the next span its visit hands over — on a resident segment
+// (one span per interval) and a cold one (one per interval × block) —
+// and returns the context's error.
+func TestRefineStopsWithinOneSpan(t *testing.T) {
+	curve := liveTestCurve()
+	r := rand.New(rand.NewSource(45))
+	recs := make([]store.Record, 2000)
+	for i := range recs {
+		recs[i] = randLiveRecord(r)
+	}
+	q := recs[len(recs)/2].FP
+	sq := StatQuery{Alpha: 0.8, Model: IsoNormal{D: liveTestDims, Sigma: 2.5}}
+	for _, rv := range refineViews(t, curve, liveTestDepth, recs, viewStatic, viewCold) {
+		ps := rv.x.pl.getScratch()
+		if err := ps.setQuery(q); err != nil {
+			t.Fatal(err)
+		}
+		qf := append([]float64(nil), ps.qf...)
+		for _, c := range []struct {
+			kind string
+			plan Plan
+			b    ball
+		}{
+			{"statistical", rv.x.pl.planStatFrontier(ps.qf, sq, ps.mc, ps.fs), ball{}},
+			{"range", rv.x.pl.planRangeFloat(qf, 6), ball{qf: qf, eps: 6}},
+		} {
+			ctx, cancel := context.WithCancel(context.Background())
+			src := &cancelSource{RecordSource: rv.v.segs[0].src, cancel: cancel}
+			v := view{gen: rv.v.gen, segs: []segment{{src: src}}}
+			_, _, _, err := rv.x.refine(ctx, v, c.plan, c.b, ps.rf)
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("%s %s: refine returned %v, want the context's error", rv.name, c.kind, err)
+			}
+			if src.calls != 2 || src.visited != 1 {
+				t.Errorf("%s %s: the visit handed over %d spans and refinement took %d; want it stopped at the second, after taking the first",
+					rv.name, c.kind, src.calls, src.visited)
+			}
+			cancel()
+		}
+		rv.x.pl.scratch.Put(ps)
+	}
+}
+
+// TestLiveViewBuiltOncePerSnapshot: a query sees the snapshot's view as
+// published, so a statistical search over two tombstoned segments
+// allocates exactly what the executor does on a view built beforehand —
+// the view itself, its segment list and mask closures, nothing. (Built
+// per query, it cost 3 of 5 allocations.)
+func TestLiveViewBuiltOncePerSnapshot(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race instrumentation allocates, and sync.Pool drops items under it")
+	}
+	curve := liveTestCurve()
+	r := rand.New(rand.NewSource(45))
+	recs := make([]store.Record, 2000)
+	for i := range recs {
+		recs[i] = randLiveRecord(r)
+	}
+	li, err := OpenLiveIndex(curve, t.TempDir(), LiveOptions{Depth: liveTestDepth, Workers: 1, MemtableRecords: len(recs) + 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer li.Close()
+	for _, batch := range [][]store.Record{recs[:1000], recs[1000:]} {
+		if err := li.Ingest(batch); err != nil {
+			t.Fatal(err)
+		}
+		if err := li.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := li.DeleteVideo(recs[0].ID); err != nil {
+		t.Fatal(err)
+	}
+	v := li.snap.Load().v
+	if len(v.segs) != 2 || v.segs[0].masked == nil || v.segs[1].masked == nil {
+		t.Fatalf("fixture: want two tombstoned segments, got %d", len(v.segs))
+	}
+	ctx := context.Background()
+	q := recs[len(recs)/2].FP
+	sq := StatQuery{Alpha: 0.8, Model: IsoNormal{D: liveTestDims, Sigma: 2.5}}
+	ms, _, err := li.SearchStat(ctx, q, sq)
+	if err != nil || len(ms) == 0 {
+		t.Fatalf("search: %d matches, %v", len(ms), err)
+	}
+	search := testing.AllocsPerRun(100, func() { li.SearchStat(ctx, q, sq) })
+	prebuilt := testing.AllocsPerRun(100, func() { li.searchStat(ctx, v, q, sq) })
+	if search != prebuilt || search > 2 {
+		t.Fatalf("SearchStat allocates %.1f times, the executor on a prebuilt view %.1f; want equal and at most 2", search, prebuilt)
+	}
+}
+
+// TestRefineStatMatchesSearchStat: refining a plan computed elsewhere
+// answers exactly as planning it here, on every kind of view, and the
+// blocks derived from the intervals are the planner's count.
+func TestRefineStatMatchesSearchStat(t *testing.T) {
+	curve := liveTestCurve()
+	r := rand.New(rand.NewSource(46))
+	recs := make([]store.Record, 2000)
+	for i := range recs {
+		recs[i] = randLiveRecord(r)
+	}
+	sq := StatQuery{Alpha: 0.9, Model: IsoNormal{D: liveTestDims, Sigma: 3}}
+	for _, rv := range refineViews(t, curve, liveTestDepth, recs, viewStatic, viewMasked, viewCold, viewTwoSegLive) {
+		for i := 0; i < 20; i++ {
+			q := recs[r.Intn(len(recs))].FP
+			want, plan, err := rv.x.searchStat(context.Background(), rv.v, q, sq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, given, err := rv.x.refineStat(context.Background(), rv.v, q, sq, plan.Intervals)
+			if err != nil {
+				t.Fatalf("%s: %v", rv.name, err)
+			}
+			if !reflect.DeepEqual(got, want) || given.Blocks != plan.Blocks || given.Depth != plan.Depth {
+				t.Fatalf("%s query %d: refined %d matches (%d blocks), planned %d (%d blocks)",
+					rv.name, i, len(got), given.Blocks, len(want), plan.Blocks)
+			}
+		}
+	}
 }

@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"s3cbcd/internal/core"
+	"s3cbcd/internal/hilbert"
 )
 
 // gateSearcher is a core.Searcher whose searches block until released
@@ -67,6 +68,10 @@ func (g *gateSearcher) SearchStatBatch(ctx context.Context, queries [][]byte, sq
 		return nil, err
 	}
 	return make([][]core.Match, len(queries)), nil
+}
+
+func (g *gateSearcher) RefineStat(ctx context.Context, q []byte, sq core.StatQuery, ivs []hilbert.Interval) ([]core.Match, core.Plan, error) {
+	return nil, core.Plan{}, g.wait(ctx)
 }
 
 func (g *gateSearcher) PlanCacheStats() (core.PlanCacheStats, bool) {

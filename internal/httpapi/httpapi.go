@@ -62,6 +62,10 @@
 // graceful shutdown SetDraining flips /healthz to "draining", giving
 // health-aware routers a window to move traffic before the listener
 // closes.
+//
+// Every search reply names the geometry the server plans at in
+// X-S3-Curve, and a statistical search may carry a plan computed
+// elsewhere in X-S3-Plan, which the server then only refines (plan.go).
 package httpapi
 
 import (
@@ -141,6 +145,11 @@ type Server struct {
 	sem       chan struct{} // nil = unbounded
 	maxIngest int64         // <= 0 = uncapped
 
+	// geo is the geometry plans are computed at; curveHdr its
+	// CurveHeader value, stamped on every search reply.
+	geo      Geometry
+	curveHdr []string
+
 	// draining is flipped by SetDraining during graceful shutdown:
 	// /healthz advertises it so a load balancer or the s3router prober
 	// stops sending new work before the listener closes, avoiding a
@@ -172,6 +181,7 @@ func New(db *store.DB, opt Options) (*Server, error) {
 	eng := core.NewEngineOpts(ix, core.EngineOptions{Workers: opt.Workers, PlanCache: opt.PlanCache})
 	s := newServer(opt)
 	s.search, s.eng, s.dims = eng, eng, db.Dims()
+	s.setGeometry(Geometry{db.Dims(), eng.Curve().Order(), eng.Depth()})
 	eng.RegisterMetrics(s.reg)
 	return s, nil
 }
@@ -182,6 +192,7 @@ func New(db *store.DB, opt Options) (*Server, error) {
 func NewLive(li *core.LiveIndex, opt Options) *Server {
 	s := newServer(opt)
 	s.search, s.live, s.dims = li, li, li.Curve().Dims()
+	s.setGeometry(Geometry{li.Curve().Dims(), li.Curve().Order(), li.Depth()})
 	if opt.MaxIngestBytes == 0 {
 		opt.MaxIngestBytes = DefaultMaxIngestBytes
 	}
@@ -219,11 +230,26 @@ func newServer(opt Options) *Server {
 	s.mux.Handle("GET /metrics", s.reg.Handler())
 	s.handle("GET /healthz", "/healthz", s.handleHealthz)
 	s.handle("GET /stats", "/stats", s.handleStats)
-	s.handle("POST /search/statistical", "/search/statistical", s.bounded(s.handleStat))
-	s.handle("POST /search/statistical/batch", "/search/statistical/batch", s.bounded(s.handleStatBatch))
-	s.handle("POST /search/range", "/search/range", s.bounded(s.handleRange))
-	s.handle("POST /search/knn", "/search/knn", s.bounded(s.handleKNN))
+	s.handle("POST /search/statistical", "/search/statistical", s.curved(s.bounded(s.handleStat)))
+	s.handle("POST /search/statistical/batch", "/search/statistical/batch", s.curved(s.bounded(s.handleStatBatch)))
+	s.handle("POST /search/range", "/search/range", s.curved(s.bounded(s.handleRange)))
+	s.handle("POST /search/knn", "/search/knn", s.curved(s.bounded(s.handleKNN)))
 	return s
+}
+
+// setGeometry records the geometry the server plans at; the depth is
+// fixed for the life of the process.
+func (s *Server) setGeometry(g Geometry) {
+	s.geo, s.curveHdr = g, []string{g.String()}
+}
+
+// curved stamps a search route's replies with CurveHeader, from which a
+// router learns the geometry to plan its fleet's queries at.
+func (s *Server) curved(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		w.Header()[CurveHeader] = s.curveHdr
+		h(w, r)
+	}
 }
 
 // handle registers h on the mux pattern wrapped in per-route
@@ -430,8 +456,7 @@ type searchRequest struct {
 }
 
 // fingerprint validates and converts one request fingerprint.
-func (s *Server) fingerprint(raw []int) ([]byte, error) {
-	dims := s.dims
+func fingerprint(raw []int, dims int) ([]byte, error) {
 	if len(raw) != dims {
 		return nil, fmt.Errorf("fingerprint has %d components, index needs %d", len(raw), dims)
 	}
@@ -652,12 +677,12 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 }
 
 // statQuery builds the statistical query from request parameters.
-func (s *Server) statQuery(req *searchRequest) (core.StatQuery, error) {
+func statQuery(req *searchRequest, dims int) (core.StatQuery, error) {
 	if req.Sigma <= 0 {
 		return core.StatQuery{}, fmt.Errorf("sigma must be > 0")
 	}
 	return core.StatQuery{Alpha: req.Alpha,
-		Model: core.IsoNormal{D: s.dims, Sigma: req.Sigma}}, nil
+		Model: core.IsoNormal{D: dims, Sigma: req.Sigma}}, nil
 }
 
 func (s *Server) handleStat(w http.ResponseWriter, r *http.Request) {
@@ -665,18 +690,33 @@ func (s *Server) handleStat(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	fp, err := s.fingerprint(req.Fingerprint)
+	fp, err := fingerprint(req.Fingerprint, s.dims)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	sq, err := s.statQuery(req)
+	sq, err := statQuery(req, s.dims)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	ivs, planned, err := decodePlanHeader(r.Header.Get(PlanHeader), s.geo)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "%s: %v", PlanHeader, err)
 		return
 	}
 	ctx, tr := s.traceFor(r, "/search/statistical")
-	matches, plan, err := s.search.SearchStat(ctx, fp, sq)
+	var (
+		matches []core.Match
+		plan    core.Plan
+	)
+	if planned {
+		// The plan came with the query (a router planned once for its
+		// fleet): refine it, and check it there.
+		matches, plan, err = s.search.RefineStat(ctx, fp, sq, ivs)
+	} else {
+		matches, plan, err = s.search.SearchStat(ctx, fp, sq)
+	}
 	if err != nil {
 		s.finishTrace(tr, err)
 		searchError(w, r, err)
@@ -684,7 +724,7 @@ func (s *Server) handleStat(w http.ResponseWriter, r *http.Request) {
 	}
 	out := NewBody(0)
 	out.B = appendMatches(append(out.B, `"matches":`...), matches)
-	out.B = appendPlan(append(out.B, `,"plan":`...), plan)
+	out.B = AppendPlan(append(out.B, `,"plan":`...), plan)
 	s.sendSearch(w, tr, out)
 }
 
@@ -699,14 +739,14 @@ func (s *Server) handleStatBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	queries := make([][]byte, len(req.Fingerprints))
 	for i, raw := range req.Fingerprints {
-		fp, err := s.fingerprint(raw)
+		fp, err := fingerprint(raw, s.dims)
 		if err != nil {
 			httpError(w, http.StatusBadRequest, "fingerprint %d: %v", i, err)
 			return
 		}
 		queries[i] = fp
 	}
-	sq, err := s.statQuery(req)
+	sq, err := statQuery(req, s.dims)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -735,7 +775,7 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	fp, err := s.fingerprint(req.Fingerprint)
+	fp, err := fingerprint(req.Fingerprint, s.dims)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -758,7 +798,7 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	fp, err := s.fingerprint(req.Fingerprint)
+	fp, err := fingerprint(req.Fingerprint, s.dims)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -809,7 +849,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	recs := make([]store.Record, len(req.Records))
 	for i, rj := range req.Records {
-		fp, err := s.fingerprint(rj.Fingerprint)
+		fp, err := fingerprint(rj.Fingerprint, s.dims)
 		if err != nil {
 			httpError(w, http.StatusBadRequest, "record %d: %v", i, err)
 			return

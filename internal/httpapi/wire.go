@@ -85,8 +85,10 @@ func appendMatches(b []byte, ms []core.Match) []byte {
 	return append(b, ']')
 }
 
-// appendPlan appends a statistical plan's diagnostics object.
-func appendPlan(b []byte, p core.Plan) []byte {
+// AppendPlan appends a statistical plan's diagnostics object, the
+// "plan" member of a statistical reply; s3router writes the plan it
+// computed for its fleet with it.
+func AppendPlan(b []byte, p core.Plan) []byte {
 	b = append(b, `{"blocks":`...)
 	b = strconv.AppendInt(b, int64(p.Blocks), 10)
 	b = append(b, `,"depth":`...)

@@ -125,7 +125,7 @@ func BenchmarkStatReply(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		out = appendMatches(append(out[:0], `{"matches":`...), ms)
-		out = appendPlan(append(out, `,"plan":`...), plan)
+		out = AppendPlan(append(out, `,"plan":`...), plan)
 	}
 	b.SetBytes(int64(len(out)))
 }

@@ -47,6 +47,9 @@ type backend struct {
 
 	state   atomic.Int32 // health; optimistic healthy until the first probe
 	records atomic.Int64 // record count from the last successful probe
+	// curve is the X-S3-Curve geometry of the last successful search
+	// reply; nil until the first.
+	curve atomic.Pointer[string]
 
 	lat *obs.Window // recent request latencies (seconds), feeds hedging
 	br  *breaker

@@ -20,7 +20,9 @@
 // bytes, and a k-NN element is read only for its distance. When a
 // group cannot answer, the partial-result policy decides: strict
 // (default) fails the request with 503, degrade returns the reachable
-// groups' results plus a missingShards list.
+// groups' results plus a missingShards list. A statistical query is
+// planned once, at the router, and every group only refines that plan
+// (plan.go).
 package router
 
 import (
@@ -165,6 +167,12 @@ type Router struct {
 	probeTimeout time.Duration
 	sampler      *obs.Sampler
 	traces       *obs.TraceStore
+
+	// planner plans statistical requests at the fleet's learned geometry
+	// (plan.go); nil until every group has reported the same one.
+	// learnMu serializes its re-derivation.
+	planner atomic.Pointer[httpapi.Planner]
+	learnMu sync.Mutex
 
 	stop chan struct{}
 	once sync.Once
@@ -481,7 +489,12 @@ func (r *Router) search(rt *route) http.HandlerFunc {
 			ctx = obs.WithTrace(ctx, tr)
 		}
 
-		outs, errs := r.scatter(ctx, path, body, rt.parser())
+		sub := &subrequest{path: path, body: body, parse: rt.parser()}
+		var planMember []byte
+		if rt == &statRoute {
+			sub.plan, planMember = r.plan(tr, body)
+		}
+		outs, errs := r.scatter(ctx, sub)
 
 		// A defective query fails identically on every shard; surface the
 		// first backend 4xx as-is rather than as an availability problem.
@@ -527,6 +540,15 @@ func (r *Router) search(rt *route) http.HandlerFunc {
 			r.log.Warn("degraded response", "route", path, "missingShards", missing, "err", lastErr)
 		}
 		t1 := time.Now()
+		if planMember != nil {
+			// Every group refined the router's plan, so its encoding is the
+			// reply's plan member, byte for byte what a backend writes.
+			for _, rp := range outs {
+				if rp != nil {
+					rp.plan = planMember
+				}
+			}
+		}
 		out := newMerged(outs, missing)
 		k := 0
 		if rt.k != nil {
@@ -545,7 +567,7 @@ func (r *Router) search(rt *route) http.HandlerFunc {
 }
 
 // scatter fans the request out to every group concurrently.
-func (r *Router) scatter(ctx context.Context, path string, body []byte, parse func([]byte) (*reply, error)) ([]*reply, []error) {
+func (r *Router) scatter(ctx context.Context, sub *subrequest) ([]*reply, []error) {
 	outs := make([]*reply, len(r.groups))
 	errs := make([]error, len(r.groups))
 	var wg sync.WaitGroup
@@ -553,7 +575,7 @@ func (r *Router) scatter(ctx context.Context, path string, body []byte, parse fu
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			outs[g], errs[g] = r.groupDo(ctx, g, http.MethodPost, path, body, parse)
+			outs[g], errs[g] = r.groupDo(ctx, g, sub)
 		}(g)
 	}
 	wg.Wait()
@@ -603,7 +625,8 @@ func (r *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 // handleStats aggregates fleet shape: per-group records use the largest
 // replica report (replicas hold the same data; a lagging probe reports
-// 0, not less data).
+// 0, not less data), and curve is the geometry the router plans
+// statistical queries at, null until learned.
 func (r *Router) handleStats(w http.ResponseWriter, _ *http.Request) {
 	var records int64
 	for _, grp := range r.groups {
@@ -619,5 +642,6 @@ func (r *Router) handleStats(w http.ResponseWriter, _ *http.Request) {
 		"groups":   len(r.groups),
 		"backends": len(r.backends),
 		"records":  records,
+		"curve":    r.geometry(),
 	})
 }

@@ -539,25 +539,38 @@ func TestRouterHealthzAndStats(t *testing.T) {
 		t.Fatalf("groups %v, want 2", out["groups"])
 	}
 
-	deadline := time.Now().Add(5 * time.Second)
-	for {
+	stats := func() map[string]interface{} {
 		resp, err := http.Get(rts.URL + "/stats")
 		if err != nil {
 			t.Fatal(err)
 		}
-		var st map[string]float64
-		err = json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		if err != nil {
+		defer resp.Body.Close()
+		var st map[string]interface{}
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 			t.Fatal(err)
 		}
-		if int(st["records"]) == len(ordered) {
+		return st
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		st := stats()
+		if st["records"] == float64(len(ordered)) {
+			// No search has taught the router the fleet's geometry yet.
+			if c, ok := st["curve"]; !ok || c != nil {
+				t.Fatalf("stats curve %v before any search, want null", c)
+			}
 			break
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("stats records %v never reached %d", st["records"], len(ordered))
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+	if code, raw, _ := postBytes(t, rts.URL, "/search/statistical", statBody(ordered[0].FP)); code != http.StatusOK {
+		t.Fatalf("search status %d: %s", code, raw)
+	}
+	if c, want := stats()["curve"], fmt.Sprintf("%d.%d.%d", testDims, testOrder, testDepth); c != want {
+		t.Fatalf("stats curve %v after both groups answered, want %q", c, want)
 	}
 
 	b.Close() // group 1 loses its only replica

@@ -18,6 +18,7 @@ import (
 	"strconv"
 	"time"
 
+	"s3cbcd/internal/httpapi"
 	"s3cbcd/internal/obs"
 )
 
@@ -41,6 +42,16 @@ func (e *backendError) Error() string {
 // maxBackendBody caps a backend response body (64 MiB): a berserk
 // backend must not OOM the coordinator.
 const maxBackendBody = 64 << 20
+
+// subrequest is what every attempt of one client request sends, built
+// once and shared read-only by all groups, attempts, retries and hedges.
+type subrequest struct {
+	path string
+	body []byte
+	// plan is the X-S3-Plan header value; nil when unplanned.
+	plan  []string
+	parse func([]byte) (*reply, error)
+}
 
 // attemptResult is one replica attempt's outcome.
 type attemptResult struct {
@@ -108,25 +119,23 @@ func traceSkip(tr *obs.Trace, parent obs.SpanID, be *backend, reason string) {
 	tr.EndSpan(id)
 }
 
-// attempt performs one exchange with one backend: POST (or GET for
-// metadata paths) with the context deadline propagated via
-// X-S3-Deadline — and, for traced requests, the trace context via
-// X-S3-Trace, so the backend traces the subquery and returns its report
-// in-band for grafting under span. The body is read whole, checked with
-// json.Valid and located by parse. Torn or non-JSON bodies, and replies
-// parse rejects, are retryable failures — a half-written response must
-// never be half-merged.
-func (r *Router) attempt(ctx context.Context, be *backend, method, path string, body []byte, parse func([]byte) (*reply, error), tr *obs.Trace, span obs.SpanID) (*reply, error) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, be.url+path, rd)
+// attempt performs one exchange with one backend: a POST of the
+// subrequest, with its plan when it has one, and the context deadline
+// propagated via X-S3-Deadline — and, for traced requests, the trace
+// context via X-S3-Trace, so the backend traces the subquery and returns
+// its report in-band for grafting under span. The body is read whole,
+// checked with json.Valid and located by parse. Torn or non-JSON bodies,
+// and replies parse rejects, are retryable failures — a half-written
+// response must never be half-merged. A successful reply's X-S3-Curve
+// is the backend's geometry, learned for planning.
+func (r *Router) attempt(ctx context.Context, be *backend, sub *subrequest, tr *obs.Trace, span obs.SpanID) (*reply, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, be.url+sub.path, bytes.NewReader(sub.body))
 	if err != nil {
 		return nil, &backendError{msg: err.Error()}
 	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Content-Type", "application/json")
+	if sub.plan != nil {
+		req.Header[httpapi.PlanHeader] = sub.plan
 	}
 	if dl, ok := ctx.Deadline(); ok {
 		req.Header.Set(deadlineHeader, strconv.FormatInt(dl.UnixMilli(), 10))
@@ -160,10 +169,11 @@ func (r *Router) attempt(ctx context.Context, be *backend, method, path string, 
 			retryable: resp.StatusCode >= 500,
 		}
 	}
-	out, err := located(raw, parse)
+	out, err := located(raw, sub.parse)
 	if err != nil {
 		return nil, err
 	}
+	r.learn(be, resp.Header.Get(httpapi.CurveHeader))
 	if tr != nil && len(out.trace) > 0 {
 		// Grafting failure is already counted and leaves an error
 		// placeholder in the tree; the answer itself is fine.
@@ -303,7 +313,7 @@ func (r *Router) backoff(n int) time.Duration {
 // outlives the hedge fence (hedgeDelay), back off and retry siblings on
 // retryable failures, and cancel every loser once a winner lands. The
 // error, when every budgeted attempt failed, is the last failure.
-func (r *Router) groupDo(ctx context.Context, g int, method, path string, body []byte, parse func([]byte) (*reply, error)) (*reply, error) {
+func (r *Router) groupDo(ctx context.Context, g int, sub *subrequest) (*reply, error) {
 	gctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -380,7 +390,7 @@ func (r *Router) groupDo(ctx context.Context, g int, method, path string, body [
 			}
 			go func() {
 				defer be.release()
-				out, err := r.attempt(gctx, be, method, path, body, parse, tr, aspan)
+				out, err := r.attempt(gctx, be, sub, tr, aspan)
 				switch {
 				case err == nil:
 					be.br.success()

@@ -111,6 +111,47 @@ func TestTraceRoundTripRouterTwoBackends(t *testing.T) {
 		t.Fatalf("remote work counters did not aggregate: %+v", rep)
 	}
 
+	// Both groups have answered, so the router now plans: the second
+	// request's tree holds one plan span, the router's own, and each
+	// remote subtree only refines.
+	status, raw, _ = postBytes(t, rts.URL, "/search/statistical?trace=1",
+		fmt.Sprintf(`{"fingerprint":%s,"alpha":0.8,"sigma":10}`, fpJSON(fp)))
+	if status != http.StatusOK {
+		t.Fatalf("planned request status %d: %s", status, raw)
+	}
+	var planned struct {
+		Trace obs.TraceReport `json:"trace"`
+	}
+	if err := json.Unmarshal(raw, &planned); err != nil {
+		t.Fatal(err)
+	}
+	if all, top := findSpans(planned.Trace.Spans, "plan"), 0; len(all) != 1 {
+		t.Fatalf("planned request: want exactly one plan span, got %d: %+v", len(all), planned.Trace.Spans)
+	} else {
+		for _, sp := range planned.Trace.Spans {
+			if sp.Name == "plan" {
+				top++
+			}
+		}
+		if top != 1 || all[0].Annotations["blocks"] == "" || all[0].Annotations["descentNodes"] == "" {
+			t.Fatalf("the plan span is not the router's own annotated span: %+v", all[0])
+		}
+	}
+	refines := 0
+	for _, sp := range findSpans(planned.Trace.Spans, "attempt") {
+		for _, c := range sp.Children {
+			if c.Service == "remote" {
+				refines += len(findSpans(c.Children, "refine"))
+			}
+		}
+	}
+	if refines != 2 {
+		t.Fatalf("planned request: want a refine span in each of 2 remote subtrees, got %d", refines)
+	}
+	if planned.Trace.Blocks == 0 || planned.Trace.DescentNodes == 0 {
+		t.Fatalf("router plan counters missing from the report: %+v", planned.Trace)
+	}
+
 	// The assembled tree is also retrievable from the live store.
 	ds := httptest.NewServer(rt.Traces().Handler())
 	defer ds.Close()
