@@ -137,10 +137,10 @@ func TestStatPlanIntervalsSortedDisjoint(t *testing.T) {
 			t.Fatal("empty plan")
 		}
 		for i, iv := range plan.Intervals {
-			if !iv.Start.Less(iv.End) {
+			if iv.Lo >= iv.Hi {
 				t.Fatalf("interval %d empty or inverted", i)
 			}
-			if i > 0 && plan.Intervals[i-1].End.Cmp(iv.Start) >= 0 {
+			if i > 0 && plan.Intervals[i-1].Hi >= iv.Lo {
 				t.Fatalf("intervals %d,%d overlap or touch (should be merged)", i-1, i)
 			}
 		}

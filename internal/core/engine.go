@@ -39,7 +39,7 @@ func NewEngine(ix *Index, workers int) *Engine {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	return &Engine{
-		executor: executor{pl: &ix.planner, workers: workers, qmet: newQueryMetrics()},
+		executor: executor{pl: &ix.Planner, workers: workers, qmet: newQueryMetrics()},
 		ix:       ix,
 		// The database is static, so the view never changes and the plan
 		// cache generation is constant; depth changes (Index.SetDepth) are
@@ -105,9 +105,9 @@ func (e *Engine) SearchStatBatch(ctx context.Context, queries [][]byte, sq StatQ
 	return e.searchStatBatch(ctx, e.view, queries, sq)
 }
 
-// RefineStat answers a statistical query from intervals planned
+// RefineStat answers a statistical query from block runs planned
 // elsewhere at this engine's curve and depth, without planning
 // (executor.refineStat).
-func (e *Engine) RefineStat(ctx context.Context, q []byte, sq StatQuery, ivs []hilbert.Interval) ([]Match, Plan, error) {
-	return e.refineStat(ctx, e.view, q, sq, ivs)
+func (e *Engine) RefineStat(ctx context.Context, q []byte, sq StatQuery, runs []hilbert.Run) ([]Match, Plan, error) {
+	return e.refineStat(ctx, e.view, q, sq, runs)
 }

@@ -20,7 +20,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"s3cbcd/internal/bitkey"
 	"s3cbcd/internal/hilbert"
 	"s3cbcd/internal/obs"
 	"s3cbcd/internal/store"
@@ -34,10 +33,10 @@ type Searcher interface {
 	SearchRange(ctx context.Context, q []byte, eps float64) ([]Match, Plan, error)
 	SearchKNN(ctx context.Context, q []byte, k, maxLeaves int) ([]Match, KNNStats, error)
 	SearchStatBatch(ctx context.Context, queries [][]byte, sq StatQuery) ([][]Match, error)
-	// RefineStat answers a statistical query from intervals planned
+	// RefineStat answers a statistical query from block runs planned
 	// elsewhere at this searcher's curve and depth, without planning; q
 	// and sq are checked as SearchStat checks them.
-	RefineStat(ctx context.Context, q []byte, sq StatQuery, ivs []hilbert.Interval) ([]Match, Plan, error)
+	RefineStat(ctx context.Context, q []byte, sq StatQuery, runs []hilbert.Run) ([]Match, Plan, error)
 	// PlanCacheStats reports the plan cache; false when it is off.
 	PlanCacheStats() (PlanCacheStats, bool)
 }
@@ -67,7 +66,7 @@ type view struct {
 
 // executor is embedded by Engine and LiveIndex; see the file comment.
 type executor struct {
-	pl      *planner
+	pl      *Planner
 	workers int
 	// cache, when non-nil, memoizes statistical plans keyed on (query, α,
 	// model, depth, view generation).
@@ -228,7 +227,7 @@ func (x *executor) refineStage(ctx context.Context, v view, plan Plan, b ball, r
 	return matches, nil
 }
 
-// refine scans the plan's curve intervals in every segment of v and
+// refine scans the plan's block runs in every segment of v and
 // returns the matches in canonical order, plus the number of candidate
 // records visited (before tombstone masks) and of segments skipped.
 // Every segment is visited through the store.RecordSource seam, one row
@@ -249,7 +248,7 @@ func (x *executor) refine(ctx context.Context, v view, plan Plan, b ball, r *ref
 			skipped++
 			continue
 		}
-		err := r.refineSegment(s.src, s.masked, plan.Intervals)
+		err := r.refineSegment(s.src, s.masked, plan.Depth, plan.Intervals)
 		if r.stopped {
 			return nil, 0, 0, ctx.Err()
 		}
@@ -267,7 +266,7 @@ func (x *executor) refine(ctx context.Context, v view, plan Plan, b ball, r *ref
 // nothing in it, counting the consultation. For a range query the
 // component envelope bounds the distance to every record from below — a
 // box further than eps holds no match; the occupancy filter then proves
-// the plan's intervals hold none of the segment's records. Both bounds
+// the plan's runs hold none of the segment's records. Both bounds
 // are one-sided, so skipping cannot change the answer. A nil sketch
 // (sketches off, the memtable, a static database) never skips.
 func (x *executor) skip(s *segment, plan Plan, b ball) bool {
@@ -275,7 +274,7 @@ func (x *executor) skip(s *segment, plan Plan, b ball) bool {
 		return false
 	}
 	x.sketchConsults.Inc()
-	if (b.statistical() || s.sketch.EnvelopeMinDistSq(b.qf) <= b.eps*b.eps) && s.sketch.MayIntersect(plan.Intervals) {
+	if (b.statistical() || s.sketch.EnvelopeMinDistSq(b.qf) <= b.eps*b.eps) && s.sketch.MayIntersect(plan.Depth, plan.Intervals) {
 		return false
 	}
 	x.segmentsSkipped.Inc()
@@ -298,17 +297,17 @@ func (x *executor) searchStat(ctx context.Context, v view, q []byte, sq StatQuer
 // is refused exactly as searchStat refuses it, and the plan is checked
 // against this executor's curve and depth (givenPlan), but it is
 // neither computed nor looked up: the plan cache is not consulted and
-// no plan is counted. The returned plan carries the intervals, their
-// block count and the depth; the planner's diagnostics (mass,
-// threshold, iterations, descent nodes) stay with whoever planned.
-func (x *executor) refineStat(ctx context.Context, v view, q []byte, sq StatQuery, ivs []hilbert.Interval) ([]Match, Plan, error) {
+// no plan is counted. The returned plan carries the runs, their block
+// count and the depth; the planner's diagnostics (mass, threshold,
+// iterations, descent nodes) stay with whoever planned.
+func (x *executor) refineStat(ctx context.Context, v view, q []byte, sq StatQuery, runs []hilbert.Run) ([]Match, Plan, error) {
 	if err := sq.validate(x.pl.dims()); err != nil {
 		return nil, Plan{}, err
 	}
 	if err := checkQuery(q, x.pl.dims()); err != nil {
 		return nil, Plan{}, err
 	}
-	plan, err := x.givenPlan(ivs)
+	plan, err := x.givenPlan(runs)
 	if err != nil {
 		return nil, Plan{}, err
 	}
@@ -324,38 +323,27 @@ func (x *executor) refineStat(ctx context.Context, v view, q []byte, sq StatQuer
 	return matches, plan, nil
 }
 
-// givenPlan checks intervals a caller planned elsewhere: each non-empty,
-// sorted and disjoint, on depth-p block boundaries and inside the
-// curve, so they are exactly what planning at this geometry could have
-// produced for refinement to scan. It returns them as a plan with the
-// block count derived from them.
-func (x *executor) givenPlan(ivs []hilbert.Interval) (Plan, error) {
-	shift := uint(x.pl.curve.IndexBits() - x.pl.depth)
-	end := bitkey.Zero.AddPow2(uint(x.pl.curve.IndexBits()))
-	// low holds the bits below a depth-p block boundary.
-	low := bitkey.Zero.AddPow2(shift).Sub(bitkey.FromUint64(1))
-	var prev bitkey.Key
-	blocks := uint64(0)
-	for i, iv := range ivs {
+// givenPlan checks block runs a caller planned elsewhere: each
+// non-empty, sorted, disjoint and inside the 2^p blocks of this
+// geometry, so they are what planning here could have produced for
+// refinement to scan. It returns them as a plan with the block count
+// derived from them; p <= hilbert.MaxDepth keeps that count in an int.
+func (x *executor) givenPlan(runs []hilbert.Run) (Plan, error) {
+	end := uint64(1) << uint(x.pl.depth)
+	prev, blocks := uint64(0), uint64(0)
+	for i, r := range runs {
 		switch {
-		case !iv.Start.Less(iv.End):
-			return Plan{}, fmt.Errorf("core: plan interval %d is empty", i)
-		case iv.Start.Less(prev):
-			return Plan{}, fmt.Errorf("core: plan interval %d is out of order or overlaps its predecessor", i)
-		case end.Less(iv.End):
-			return Plan{}, fmt.Errorf("core: plan interval %d ends outside the curve", i)
-		case !iv.Start.And(low).IsZero() || !iv.End.And(low).IsZero():
-			return Plan{}, fmt.Errorf("core: plan interval %d is not on depth-%d block boundaries", i, x.pl.depth)
+		case r.Lo >= r.Hi:
+			return Plan{}, fmt.Errorf("core: plan run %d is empty", i)
+		case r.Lo < prev:
+			return Plan{}, fmt.Errorf("core: plan run %d is out of order or overlaps its predecessor", i)
+		case r.Hi > end:
+			return Plan{}, fmt.Errorf("core: plan run %d ends outside the curve", i)
 		}
-		// The count is capped at 2^62, well inside an int.
-		n := iv.End.Sub(iv.Start).Shr(shift)
-		if n.BitLen() > 62 || blocks+n.Uint64() > 1<<62 {
-			return Plan{}, fmt.Errorf("core: plan spans more than 2^62 blocks")
-		}
-		blocks += n.Uint64()
-		prev = iv.End
+		blocks += r.Hi - r.Lo
+		prev = r.Hi
 	}
-	return Plan{Intervals: ivs, Blocks: int(blocks), Depth: x.pl.depth}, nil
+	return Plan{Intervals: runs, Blocks: int(blocks), Depth: x.pl.depth}, nil
 }
 
 // searchRange executes a complete ε-range query against v.

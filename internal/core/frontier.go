@@ -3,7 +3,6 @@ package core
 import (
 	"sort"
 
-	"s3cbcd/internal/bitkey"
 	"s3cbcd/internal/hilbert"
 )
 
@@ -31,8 +30,8 @@ import (
 
 // frontierLeaf is one discovered depth-p block.
 type frontierLeaf struct {
-	start bitkey.Key // first index of the block's curve interval
-	mass  float64    // the block's own mass (the visitor product at the leaf)
+	start uint64  // the block's index at the planner's depth
+	mass  float64 // the block's own mass (the visitor product at the leaf)
 	// gate is the minimum running product along the root path, including
 	// the leaf itself. A single descent at threshold t emits this leaf
 	// iff every product on the path exceeds t, i.e. iff gate > t. For a
@@ -91,10 +90,10 @@ type frontierState struct {
 	fpos   []hilbert.Pos
 	fnext  []int32
 	bounds []uint32
-	ivs    []hilbert.Interval
+	plan   []hilbert.Run
 
-	// alias makes intervalsAt skip its defensive copy: the produced
-	// plan's Intervals then share s.ivs and are overwritten by the next
+	// alias makes runsAt skip its defensive copy: the produced
+	// plan's Intervals then share s.plan and are overwritten by the next
 	// query that borrows this state. Only Engine.PlanStat sets it — the
 	// one caller whose contract documents the aliasing — keeping the
 	// untraced pooled plan path allocation-free.
@@ -127,7 +126,7 @@ func (s *frontierState) begin(depth int, m Model, q []float64, mc *massCache) {
 	s.depth, s.m, s.q, s.mc = depth, m, q, mc
 	s.leaves = s.leaves[:0]
 	s.scratch = s.scratch[:0]
-	s.ivs = s.ivs[:0]
+	s.plan = s.plan[:0]
 	s.nodes = 0
 	s.fmass = append(s.fmass[:0], 1)
 	s.fgate = append(s.fgate[:0], 1)
@@ -201,7 +200,7 @@ func (s *frontierState) Leave(int) {
 
 // Leaf implements hilbert.StepVisitor.
 func (s *frontierState) Leaf(b hilbert.Block) bool {
-	s.pending = append(s.pending, frontierLeaf{start: b.Start, mass: s.prod, gate: s.gate})
+	s.pending = append(s.pending, frontierLeaf{start: b.Index, mass: s.prod, gate: s.gate})
 	return true
 }
 
@@ -237,7 +236,7 @@ func (s *frontierState) mergePending() {
 		if k+1 < len(s.runs) {
 			run = s.pending[off:s.runs[k+1]]
 		}
-		n := sort.Search(len(rest), func(i int) bool { return !rest[i].start.Less(run[0].start) })
+		n := sort.Search(len(rest), func(i int) bool { return rest[i].start >= run[0].start })
 		merged = append(append(merged, rest[:n]...), run...)
 		rest = rest[n:]
 	}
@@ -257,25 +256,21 @@ func (s *frontierState) selectAt(t float64) (blocks int, mass float64) {
 	return blocks, mass
 }
 
-// intervalsAt returns the merged curve intervals of the selection at t.
+// runsAt returns the merged block runs of the selection at t.
 // Unless s.alias is set the result is freshly allocated: plans outlive
 // the pooled state.
-func (s *frontierState) intervalsAt(t float64) []hilbert.Interval {
-	s.ivs = s.ivs[:0]
-	span := uint(s.curve.IndexBits() - s.depth) // log2 of a block's interval
+func (s *frontierState) runsAt(t float64) []hilbert.Run {
+	s.plan = s.plan[:0]
 	for i := range s.leaves {
 		if l := &s.leaves[i]; l.gate > t {
-			s.ivs = append(s.ivs, hilbert.Interval{Start: l.start, End: l.start.AddPow2(span)})
+			s.plan = hilbert.AppendBlock(s.plan, l.start)
 		}
 	}
-	merged := hilbert.MergeIntervals(s.ivs)
-	if len(merged) == 0 {
+	if len(s.plan) == 0 {
 		return nil // matches the legacy planner's empty result exactly
 	}
 	if s.alias {
-		return merged
+		return s.plan
 	}
-	out := make([]hilbert.Interval, len(merged))
-	copy(out, merged)
-	return out
+	return append([]hilbert.Run(nil), s.plan...)
 }

@@ -9,11 +9,13 @@ import (
 	"s3cbcd/internal/store"
 )
 
-// planner holds what the filtering step needs: the curve geometry and the
+// Planner holds what the filtering step needs: the curve geometry and the
 // partition depth. Crucially it does not reference the record data, which
 // is what allows the pseudo-disk strategy to filter a whole query batch
-// before loading any database section (Section IV-B).
-type planner struct {
+// before loading any database section (Section IV-B), and a router to
+// plan for shards that hold the records. A Planner is safe for
+// concurrent queries (SetDepth excluded).
+type Planner struct {
 	curve *hilbert.Curve
 	depth int
 	// scratch pools the per-query working state, so concurrent queries
@@ -35,7 +37,7 @@ type planScratch struct {
 
 // getScratch borrows a scratch set with a fresh mass cache; return it
 // with pl.scratch.Put.
-func (pl *planner) getScratch() *planScratch {
+func (pl *Planner) getScratch() *planScratch {
 	if v := pl.scratch.Get(); v != nil {
 		ps := v.(*planScratch)
 		ps.mc.reset()
@@ -61,14 +63,45 @@ func (ps *planScratch) setQuery(q []byte) error {
 }
 
 // dims returns the fingerprint dimension.
-func (pl *planner) dims() int { return pl.curve.Dims() }
+func (pl *Planner) dims() int { return pl.curve.Dims() }
+
+// NewPlanner returns a planner at the given depth of curve.
+func NewPlanner(curve *hilbert.Curve, depth int) (*Planner, error) {
+	pl := &Planner{}
+	if err := pl.init(curve, depth); err != nil {
+		return nil, err
+	}
+	return pl, nil
+}
+
+// init binds the planner to curve at depth, which it checks.
+func (pl *Planner) init(curve *hilbert.Curve, depth int) error {
+	if err := checkDepth(curve, depth); err != nil {
+		return err
+	}
+	pl.curve, pl.depth = curve, depth
+	return nil
+}
+
+// checkDepth is the one depth check: a plan's depth is in
+// [1, min(K·D, hilbert.MaxDepth)], so its blocks are the curve's and
+// their indices, counts and run ends fit 64-bit integers.
+func checkDepth(curve *hilbert.Curve, depth int) error {
+	if hi := maxDepth(curve); depth < 1 || depth > hi {
+		return fmt.Errorf("core: depth %d outside [1,%d]", depth, hi)
+	}
+	return nil
+}
+
+// maxDepth is the deepest partition of curve a plan may use.
+func maxDepth(curve *hilbert.Curve) int { return min(curve.IndexBits(), hilbert.MaxDepth) }
 
 // Index is the in-memory S³ index: a curve-ordered fingerprint database
 // plus the partition depth p used by the filtering step. The database is
 // static (Section IV); rebuilding is the only way to insert or delete.
 // An Index is safe for concurrent queries (SetDepth excluded).
 type Index struct {
-	planner
+	Planner
 	db *store.DB
 }
 
@@ -84,10 +117,7 @@ func DefaultDepth(curve *hilbert.Curve, n int) int {
 	if p < 1 {
 		p = 1
 	}
-	if max := curve.IndexBits(); p > max {
-		p = max
-	}
-	return p
+	return min(p, maxDepth(curve))
 }
 
 // NewIndex wraps a database. depth <= 0 selects DefaultDepth.
@@ -96,25 +126,30 @@ func NewIndex(db *store.DB, depth int) (*Index, error) {
 	if depth <= 0 {
 		depth = DefaultDepth(curve, db.Len())
 	}
-	if depth > curve.IndexBits() {
-		return nil, fmt.Errorf("core: depth %d exceeds index bits %d", depth, curve.IndexBits())
+	ix := &Index{db: db}
+	if err := ix.init(curve, depth); err != nil {
+		return nil, err
 	}
-	return &Index{planner: planner{curve: curve, depth: depth}, db: db}, nil
+	return ix, nil
 }
 
 // DB returns the underlying database.
 func (ix *Index) DB() *store.DB { return ix.db }
 
-// SetDepth changes the partition depth. It panics outside [1, K*D].
-func (pl *planner) SetDepth(p int) {
-	if p < 1 || p > pl.curve.IndexBits() {
-		panic(fmt.Sprintf("core: depth %d outside [1,%d]", p, pl.curve.IndexBits()))
+// SetDepth changes the partition depth. It panics outside
+// [1, min(K·D, hilbert.MaxDepth)].
+func (pl *Planner) SetDepth(p int) {
+	if err := checkDepth(pl.curve, p); err != nil {
+		panic(err)
 	}
 	pl.depth = p
 }
 
 // Depth returns the current partition depth p.
-func (pl *planner) Depth() int { return pl.depth }
+func (pl *Planner) Depth() int { return pl.depth }
+
+// Curve returns the curve the planner plans on.
+func (pl *Planner) Curve() *hilbert.Curve { return pl.curve }
 
 // Match is one fingerprint returned by a query.
 type Match struct {

@@ -399,14 +399,15 @@ type LiveIndex struct {
 // committed snapshot.
 func OpenLiveIndex(curve *hilbert.Curve, dir string, opt LiveOptions) (*LiveIndex, error) {
 	opt = opt.withDefaults(curve)
-	if opt.Depth > curve.IndexBits() {
-		return nil, fmt.Errorf("core: depth %d exceeds index bits %d", opt.Depth, curve.IndexBits())
+	pl, err := NewPlanner(curve, opt.Depth)
+	if err != nil {
+		return nil, err
 	}
 	met := newLiveMetrics()
 	li := &LiveIndex{opt: opt, dir: dir,
 		fs: opt.FS, closedCh: make(chan struct{}), pending: make(map[string]struct{}),
 		met: met, coldCtr: store.NewColdCounters(), log: opt.Logger}
-	li.executor = executor{pl: &planner{curve: curve, depth: opt.Depth}, workers: opt.Workers,
+	li.executor = executor{pl: pl, workers: opt.Workers,
 		qmet: newQueryMetrics(), querySegments: met.querySegments,
 		sketchConsults: met.sketchConsults, segmentsSkipped: met.segmentsSkipped}
 	if opt.PlanCache {
@@ -800,10 +801,10 @@ func (li *LiveIndex) SearchStatBatch(ctx context.Context, queries [][]byte, sq S
 }
 
 // RefineStat answers a statistical query against the current snapshot
-// from intervals planned elsewhere at this index's curve and depth,
+// from block runs planned elsewhere at this index's curve and depth,
 // without planning (executor.refineStat).
-func (li *LiveIndex) RefineStat(ctx context.Context, q []byte, sq StatQuery, ivs []hilbert.Interval) ([]Match, Plan, error) {
+func (li *LiveIndex) RefineStat(ctx context.Context, q []byte, sq StatQuery, runs []hilbert.Run) ([]Match, Plan, error) {
 	li.queryGate.RLock()
 	defer li.queryGate.RUnlock()
-	return li.refineStat(ctx, li.snap.Load().v, q, sq, ivs)
+	return li.refineStat(ctx, li.snap.Load().v, q, sq, runs)
 }

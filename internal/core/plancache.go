@@ -68,7 +68,7 @@ func planCacheBypassed(ctx context.Context) bool {
 }
 
 // DefaultPlanCacheEntries is the capacity of every served plan cache:
-// plans are small (merged intervals plus scalars), so a few thousand
+// plans are small (merged runs plus scalars), so a few thousand
 // cover a monitoring session's working set comfortably.
 const DefaultPlanCacheEntries = 4096
 
@@ -336,7 +336,7 @@ func (pc *planCache) plan(ctx context.Context, q []byte, alpha float64, mkey, ge
 	// The computed Intervals may alias pooled planner buffers; the cached
 	// copy must outlive them. nil stays nil (byte-identical to uncached).
 	if out.Intervals != nil {
-		ivs := make([]hilbert.Interval, len(out.Intervals))
+		ivs := make([]hilbert.Run, len(out.Intervals))
 		copy(ivs, out.Intervals)
 		out.Intervals = ivs
 	}

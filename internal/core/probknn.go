@@ -77,7 +77,8 @@ func (ix *Index) SearchKNNProb(q []byte, k int, confidence float64, m Model) ([]
 		if e.node.Bits >= ix.depth {
 			stats.Leaves++
 			stats.VisitedMass += e.mass
-			lo, hi := ix.db.FindInterval(ix.curve.NodeInterval(e.node))
+			b := ix.curve.NodeBlock(e.node)
+			lo, hi := ix.db.FindRun(0, hilbert.Run{Lo: b, Hi: b + 1}, uint(ix.curve.IndexBits()-ix.depth))
 			for i := lo; i < hi; i++ {
 				stats.Scanned++
 				d := math.Sqrt(distSqToFP(qf, ix.db.FP(i)))

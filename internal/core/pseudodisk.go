@@ -6,7 +6,7 @@ import (
 	"runtime"
 	"time"
 
-	"s3cbcd/internal/bitkey"
+	"s3cbcd/internal/hilbert"
 	"s3cbcd/internal/store"
 )
 
@@ -19,7 +19,7 @@ import (
 // whose intervals intersect it. The average total response time per query
 // follows eq. (5): T_tot = T + T_load/N_sig.
 type DiskIndex struct {
-	planner
+	Planner
 	file    *store.File
 	workers int
 }
@@ -32,11 +32,11 @@ func NewDiskIndex(file *store.File, depth int) (*DiskIndex, error) {
 	if depth <= 0 {
 		depth = DefaultDepth(curve, file.Count())
 	}
-	if depth > curve.IndexBits() {
-		return nil, fmt.Errorf("core: depth %d exceeds index bits %d", depth, curve.IndexBits())
+	di := &DiskIndex{file: file, workers: runtime.GOMAXPROCS(0)}
+	if err := di.init(curve, depth); err != nil {
+		return nil, err
 	}
-	return &DiskIndex{planner: planner{curve: curve, depth: depth}, file: file,
-		workers: runtime.GOMAXPROCS(0)}, nil
+	return di, nil
 }
 
 // SetWorkers bounds the concurrency of batch executions; n <= 1 is fully
@@ -111,25 +111,25 @@ func (di *DiskIndex) SearchStatBatch(queries [][]byte, sq StatQuery, budgetRecor
 	// Phase 2: cyclic section loading + refinement.
 	bits := di.ChooseSectionBits(budgetRecords)
 	stats.SectionBits = bits
-	shift := uint(di.curve.IndexBits() - bits)
+	shift := uint(di.curve.IndexBits() - di.depth)
+	// sections returns the sections a plan run touches.
+	sections := func(r hilbert.Run) hilbert.Run { return r.Rescale(di.depth, bits) }
 	results := make([][]Match, len(queries))
 	cursors := make([]int, len(queries))
 	for s := 0; s < 1<<uint(bits); s++ {
 		lo, hi := di.file.SectionRecordRange(bits, s)
-		secStart := bitkey.FromUint64(uint64(s)).Shl(shift)
-		secEnd := bitkey.FromUint64(uint64(s) + 1).Shl(shift)
 
 		// Which queries touch this section?
 		type touch struct{ q, ivFrom int }
 		var touching []touch
 		for qi := range queries {
-			ivs := plans[qi].Intervals
+			runs := plans[qi].Intervals
 			c := cursors[qi]
-			for c < len(ivs) && ivs[c].End.Cmp(secStart) <= 0 {
+			for c < len(runs) && sections(runs[c]).Hi <= uint64(s) {
 				c++
 			}
 			cursors[qi] = c
-			if c < len(ivs) && ivs[c].Start.Less(secEnd) {
+			if c < len(runs) && sections(runs[c]).Lo <= uint64(s) {
 				touching = append(touching, touch{q: qi, ivFrom: c})
 			}
 		}
@@ -156,9 +156,9 @@ func (di *DiskIndex) SearchStatBatch(queries [][]byte, sq StatQuery, budgetRecor
 		tr := time.Now()
 		err = forEach(context.Background(), di.workers, len(touching), func(ti int) error {
 			tc := touching[ti]
-			ivs := plans[tc.q].Intervals
-			for c := tc.ivFrom; c < len(ivs) && ivs[c].Start.Less(secEnd); c++ {
-				clo, chi := chunk.FindInterval(ivs[c])
+			runs := plans[tc.q].Intervals
+			for c := tc.ivFrom; c < len(runs) && sections(runs[c]).Lo <= uint64(s); c++ {
+				clo, chi := chunk.FindRun(0, runs[c], shift)
 				for i := clo; i < chi; i++ {
 					results[tc.q] = append(results[tc.q], Match{
 						Pos: chunk.Base() + i, ID: chunk.ID(i), TC: chunk.TC(i),

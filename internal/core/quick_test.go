@@ -28,10 +28,10 @@ func TestQuickStatPlanInvariants(t *testing.T) {
 			return false
 		}
 		for i, iv := range plan.Intervals {
-			if !iv.Start.Less(iv.End) {
+			if iv.Lo >= iv.Hi {
 				return false
 			}
-			if i > 0 && plan.Intervals[i-1].End.Cmp(iv.Start) >= 0 {
+			if i > 0 && plan.Intervals[i-1].Hi >= iv.Lo {
 				return false
 			}
 		}

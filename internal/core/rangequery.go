@@ -22,10 +22,10 @@ func (ix *Index) PlanRange(q []byte, eps float64) (Plan, error) {
 	return ix.planRangeFloat(qf, eps), nil
 }
 
-func (pl *planner) planRangeFloat(qf []float64, eps float64) Plan {
+func (pl *Planner) planRangeFloat(qf []float64, eps float64) Plan {
 	v := newRangeVisitor(qf, eps)
 	pl.curve.DescendSteps(pl.depth, v)
-	return Plan{Intervals: v.ivs, Blocks: v.blocks,
+	return Plan{Intervals: v.runs, Blocks: v.blocks,
 		FilterIters: 1, DescentNodes: v.nodes, Depth: pl.depth}
 }
 
@@ -48,7 +48,7 @@ func (ix *Index) refineRange(qf []float64, eps float64, plan Plan) []Match {
 	epsSq := eps * eps
 	var out []Match
 	// A DB visit cannot fail; the error path exists for cold sources.
-	ix.db.VisitIntervals(plan.Intervals, func(c *store.Chunk, lo, hi int) bool {
+	ix.db.VisitIntervals(plan.Depth, plan.Intervals, func(c *store.Chunk, lo, hi int) bool {
 		for i := lo; i < hi; i++ {
 			if d := distSqToFP(qf, c.FP(i)); d <= epsSq {
 				out = append(out, Match{Pos: c.Base() + i, ID: c.ID(i), TC: c.TC(i), X: c.X(i), Y: c.Y(i), Dist: math.Sqrt(d)})

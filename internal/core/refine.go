@@ -72,8 +72,8 @@ func (r *refiner) reset(b ball, keyed bool, done <-chan struct{}) {
 
 // cancelled reports whether the query was cancelled, with a
 // non-blocking receive that takes no lock, so every span can afford it:
-// a hedge's loser stops within one span (one interval of a resident
-// segment, one interval × block of a cold one).
+// a hedge's loser stops within one span (one run of a resident segment,
+// one run × block of a cold one).
 func (r *refiner) cancelled() bool {
 	select {
 	case <-r.done:
@@ -84,18 +84,18 @@ func (r *refiner) cancelled() bool {
 	}
 }
 
-// refineSegment appends the matches of the plan's intervals in src,
+// refineSegment appends the matches of the plan's runs at depth in src,
 // hiding the masked video ids. A statistical query visits the source's
 // lean rows; a range query its filtered rows, whose conservative filter
 // the exact distance check in addRange completes.
-func (r *refiner) refineSegment(src store.RecordSource, masked func(uint32) bool, ivs []hilbert.Interval) error {
+func (r *refiner) refineSegment(src store.RecordSource, masked func(uint32) bool, depth int, runs []hilbert.Run) error {
 	r.masked = masked
 	lo := len(r.ms)
 	var err error
 	if r.qf == nil {
-		err = src.VisitIntervalsLean(ivs, r.statSpan)
+		err = src.VisitIntervalsLean(depth, runs, r.statSpan)
 	} else {
-		err = src.VisitIntervalsFiltered(ivs, r.qf, r.epsSq, r.rangeSpan)
+		err = src.VisitIntervalsFiltered(depth, runs, r.qf, r.epsSq, r.rangeSpan)
 	}
 	if len(r.ms) > lo {
 		r.runs = append(r.runs, matchRun{lo, len(r.ms)})
@@ -205,7 +205,7 @@ func canonicalLess(ms []Match, keys []bitkey.Key, i, j int) bool {
 
 // searchKNNSource is the k-NN best-first traversal over a record source:
 // blocks of the partition tree are expanded in increasing distance
-// order, leaves refined by visiting their curve interval through the
+// order, leaves refined by visiting their block through the
 // seam. keep, when non-nil, restricts results to accepted video ids.
 // See Index.SearchKNN for the exact/approximate contract.
 func searchKNNSource(curve *hilbert.Curve, depth int, src store.RecordSource, q []byte, k, maxLeaves int, keep func(id uint32) bool) ([]Match, KNNStats, error) {
@@ -227,9 +227,9 @@ func searchKNNSource(curve *hilbert.Curve, depth int, src store.RecordSource, q 
 		return best[0].Dist
 	}
 
-	// One-element interval slice reused for every leaf visit: a node's
-	// curve interval is a single contiguous range, trivially sorted.
-	ivbuf := make([]hilbert.Interval, 1)
+	// One-element run slice reused for every leaf visit: a leaf is one
+	// block.
+	leaf := make([]hilbert.Run, 1)
 	nodes := nodeQueue{{node: curve.RootNode(), distSq: 0}}
 	for len(nodes) > 0 {
 		e := heap.Pop(&nodes).(nodeEntry)
@@ -240,8 +240,9 @@ func searchKNNSource(curve *hilbert.Curve, depth int, src store.RecordSource, q 
 		if e.node.Bits >= depth {
 			// Leaf block: refine its records.
 			stats.Leaves++
-			ivbuf[0] = curve.NodeInterval(e.node)
-			if err := src.VisitIntervals(ivbuf, func(c *store.Chunk, lo, hi int) bool {
+			b := curve.NodeBlock(e.node)
+			leaf[0] = hilbert.Run{Lo: b, Hi: b + 1}
+			if err := src.VisitIntervals(depth, leaf, func(c *store.Chunk, lo, hi int) bool {
 				for i := lo; i < hi; i++ {
 					id := c.ID(i)
 					if keep != nil && !keep(id) {

@@ -238,16 +238,16 @@ func (c *cancelSource) wrap(visit func(*store.Chunk, int, int) bool) func(*store
 	}
 }
 
-func (c *cancelSource) VisitIntervals(ivs []hilbert.Interval, visit func(*store.Chunk, int, int) bool) error {
-	return c.RecordSource.VisitIntervals(ivs, c.wrap(visit))
+func (c *cancelSource) VisitIntervals(depth int, runs []hilbert.Run, visit func(*store.Chunk, int, int) bool) error {
+	return c.RecordSource.VisitIntervals(depth, runs, c.wrap(visit))
 }
 
-func (c *cancelSource) VisitIntervalsLean(ivs []hilbert.Interval, visit func(*store.Chunk, int, int) bool) error {
-	return c.RecordSource.VisitIntervalsLean(ivs, c.wrap(visit))
+func (c *cancelSource) VisitIntervalsLean(depth int, runs []hilbert.Run, visit func(*store.Chunk, int, int) bool) error {
+	return c.RecordSource.VisitIntervalsLean(depth, runs, c.wrap(visit))
 }
 
-func (c *cancelSource) VisitIntervalsFiltered(ivs []hilbert.Interval, qf []float64, boundSq float64, visit func(*store.Chunk, int, int) bool) error {
-	return c.RecordSource.VisitIntervalsFiltered(ivs, qf, boundSq, c.wrap(visit))
+func (c *cancelSource) VisitIntervalsFiltered(depth int, runs []hilbert.Run, qf []float64, boundSq float64, visit func(*store.Chunk, int, int) bool) error {
+	return c.RecordSource.VisitIntervalsFiltered(depth, runs, qf, boundSq, c.wrap(visit))
 }
 
 // TestRefineStopsWithinOneSpan: a query cancelled while refinement runs

@@ -30,14 +30,14 @@ func (sq StatQuery) validate(dims int) error {
 	return validateModel(sq.Model, dims)
 }
 
-// Plan is the outcome of a filtering step: the curve intervals to scan
-// plus diagnostics. It performs no database access; Plans can therefore
+// Plan is the outcome of a filtering step: the block runs to scan plus
+// diagnostics. It performs no database access; Plans can therefore
 // be computed for many queries before any section of a disk-resident
 // database is loaded (the pseudo-disk strategy).
 type Plan struct {
-	// Intervals are the merged curve intervals of the selected blocks, in
-	// curve order.
-	Intervals []hilbert.Interval
+	// Intervals are the selected blocks as runs of block indices at Depth,
+	// merged and in curve order: sorted, disjoint and non-adjacent.
+	Intervals []hilbert.Run
 	// Blocks is the number of p-blocks selected (card(Bα)).
 	Blocks int
 	// Mass is the achieved probability sum P_sup(t_max) >= α for
@@ -96,19 +96,19 @@ const thresholdTol = 1.1
 // threshold evaluation either expands part of that frontier (lower t) or
 // filters the accumulated leaves with no traversal at all (higher t).
 // The returned Plan is bit-identical to PlanStatLegacy's.
-func (ix *Index) PlanStat(q []byte, sq StatQuery) (Plan, error) {
-	if err := sq.validate(ix.db.Dims()); err != nil {
+func (pl *Planner) PlanStat(q []byte, sq StatQuery) (Plan, error) {
+	if err := sq.validate(pl.dims()); err != nil {
 		return Plan{}, err
 	}
-	qf, err := queryPoint(q, ix.db.Dims())
+	qf, err := queryPoint(q, pl.dims())
 	if err != nil {
 		return Plan{}, err
 	}
-	return ix.planStatFloat(qf, sq), nil
+	return pl.planStatFloat(qf, sq), nil
 }
 
 // planStatFloat plans with pooled scratch.
-func (pl *planner) planStatFloat(qf []float64, sq StatQuery) Plan {
+func (pl *Planner) planStatFloat(qf []float64, sq StatQuery) Plan {
 	ps := pl.getScratch()
 	defer pl.scratch.Put(ps)
 	return pl.planStatFrontier(qf, sq, ps.mc, ps.fs)
@@ -119,7 +119,7 @@ func (pl *planner) planStatFloat(qf []float64, sq StatQuery) Plan {
 // rebound to this query. The control flow mirrors planStatLegacyCached
 // exactly — same threshold sequence, same bracket updates — so the two
 // return bit-identical plans; only the cost of an evaluation differs.
-func (pl *planner) planStatFrontier(qf []float64, sq StatQuery, mc *massCache, fs *frontierState) Plan {
+func (pl *Planner) planStatFrontier(qf []float64, sq StatQuery, mc *massCache, fs *frontierState) Plan {
 	fs.begin(pl.depth, sq.Model, qf, mc)
 	iters := 0
 	eval := func(t float64) (int, float64) {
@@ -128,7 +128,7 @@ func (pl *planner) planStatFrontier(qf []float64, sq StatQuery, mc *massCache, f
 		return fs.selectAt(t)
 	}
 	done := func(t float64, blocks int, mass float64) Plan {
-		return Plan{Intervals: fs.intervalsAt(t), Blocks: blocks, Mass: mass,
+		return Plan{Intervals: fs.runsAt(t), Blocks: blocks, Mass: mass,
 			Threshold: t, FilterIters: iters, DescentNodes: fs.nodes, Depth: pl.depth}
 	}
 
@@ -223,33 +223,33 @@ func (ix *Index) PlanStatLegacy(q []byte, sq StatQuery) (Plan, error) {
 
 // statDescent runs one pruned descent at threshold t on the pooled
 // visitor v, which is reset first (its buffers and the shared mass cache
-// carry over between descents). The returned intervals alias v.ivs.
-func (pl *planner) statDescent(v *statVisitor, t float64) ([]hilbert.Interval, int, float64) {
+// carry over between descents). The returned runs alias v.runs.
+func (pl *Planner) statDescent(v *statVisitor, t float64) ([]hilbert.Run, int, float64) {
 	v.reset(t)
 	pl.curve.DescendSteps(pl.depth, v)
-	return hilbert.MergeIntervals(v.ivs), v.blocks, v.total
+	return v.runs, v.blocks, v.total
 }
 
 // planStatLegacyCached is the legacy search with a caller-provided mass
 // cache, which must be fresh or reset. One statVisitor serves all
-// descents; interval buffers double-buffer between the visitor and the
+// descents; run buffers double-buffer between the visitor and the
 // currently-retained result so the whole search allocates only when a
 // buffer first grows.
-func (pl *planner) planStatLegacyCached(qf []float64, sq StatQuery, mc *massCache) Plan {
+func (pl *Planner) planStatLegacyCached(qf []float64, sq StatQuery, mc *massCache) Plan {
 	v := newStatVisitor(mc, sq.Model, qf, 0)
-	var spare []hilbert.Interval
+	var spare []hilbert.Run
 	iters := 0
-	eval := func(t float64) ([]hilbert.Interval, int, float64) {
+	eval := func(t float64) ([]hilbert.Run, int, float64) {
 		iters++
 		return pl.statDescent(v, t)
 	}
-	// keep retains an eval's intervals across later descents: the visitor
+	// keep retains an eval's runs across later descents: the visitor
 	// gets the spare buffer, the retained slice keeps its backing.
-	keep := func(ivs []hilbert.Interval) []hilbert.Interval {
-		v.ivs, spare = spare[:0], ivs
+	keep := func(ivs []hilbert.Run) []hilbert.Run {
+		v.runs, spare = spare[:0], ivs
 		return ivs
 	}
-	done := func(t float64, ivs []hilbert.Interval, blocks int, mass float64) Plan {
+	done := func(t float64, ivs []hilbert.Run, blocks int, mass float64) Plan {
 		return Plan{Intervals: ivs, Blocks: blocks, Mass: mass,
 			Threshold: t, FilterIters: iters, DescentNodes: v.nodes, Depth: pl.depth}
 	}
@@ -332,7 +332,7 @@ func (ix *Index) SearchStat(q []byte, sq StatQuery) ([]Match, Plan, error) {
 func (ix *Index) refineStat(plan Plan) []Match {
 	var out []Match
 	// A DB visit cannot fail; the error path exists for cold sources.
-	ix.db.VisitIntervals(plan.Intervals, func(c *store.Chunk, lo, hi int) bool {
+	ix.db.VisitIntervals(plan.Depth, plan.Intervals, func(c *store.Chunk, lo, hi int) bool {
 		for i := lo; i < hi; i++ {
 			out = append(out, Match{Pos: c.Base() + i, ID: c.ID(i), TC: c.TC(i), X: c.X(i), Y: c.Y(i), Dist: -1})
 		}
@@ -358,8 +358,8 @@ func (ix *Index) PlanStatExact(q []byte, sq StatQuery) (Plan, error) {
 	}
 	side := ix.curve.SideLen()
 	type wb struct {
-		iv   hilbert.Interval
-		mass float64
+		block uint64
+		mass  float64
 	}
 	var all []wb
 	const floor = 1e-12
@@ -367,10 +367,7 @@ func (ix *Index) PlanStatExact(q []byte, sq StatQuery) (Plan, error) {
 		return blockMass(sq.Model, qf, lo, hi, side, floor) > floor
 	}
 	ix.curve.Descend(ix.depth, keep, func(b hilbert.Block) bool {
-		all = append(all, wb{
-			iv:   hilbert.Interval{Start: b.Start, End: b.End},
-			mass: blockMass(sq.Model, qf, b.Lo, b.Hi, side, 0),
-		})
+		all = append(all, wb{block: b.Index, mass: blockMass(sq.Model, qf, b.Lo, b.Hi, side, 0)})
 		return true
 	})
 	sort.Slice(all, func(i, j int) bool { return all[i].mass > all[j].mass })
@@ -386,11 +383,11 @@ func (ix *Index) PlanStatExact(q []byte, sq StatQuery) (Plan, error) {
 		thr = sel[nsel-1].mass
 	}
 	// Re-sort the selected blocks into curve order for merging.
-	sort.Slice(sel, func(i, j int) bool { return sel[i].iv.Start.Less(sel[j].iv.Start) })
-	ivs := make([]hilbert.Interval, nsel)
-	for i, b := range sel {
-		ivs[i] = b.iv
+	sort.Slice(sel, func(i, j int) bool { return sel[i].block < sel[j].block })
+	var runs []hilbert.Run
+	for _, b := range sel {
+		runs = hilbert.AppendBlock(runs, b.block)
 	}
-	return Plan{Intervals: hilbert.MergeIntervals(ivs), Blocks: nsel, Mass: total,
+	return Plan{Intervals: runs, Blocks: nsel, Mass: total,
 		Threshold: thr, FilterIters: 1, Depth: ix.depth}, nil
 }

@@ -33,8 +33,8 @@ func (ix *Index) SweepDepth(depths []int, samples [][]byte, sq StatQuery) ([]Dep
 
 	out := make([]DepthTiming, 0, len(depths))
 	for _, p := range depths {
-		if p < 1 || p > ix.curve.IndexBits() {
-			return nil, fmt.Errorf("core: sweep depth %d outside [1,%d]", p, ix.curve.IndexBits())
+		if err := checkDepth(ix.curve, p); err != nil {
+			return nil, err
 		}
 		ix.depth = p
 		var dt DepthTiming
@@ -71,9 +71,8 @@ func (ix *Index) SweepDepth(depths []int, samples [][]byte, sq StatQuery) ([]Dep
 // sweep for inspection.
 func (ix *Index) TuneDepth(depths []int, samples [][]byte, sq StatQuery) ([]DepthTiming, error) {
 	if depths == nil {
-		maxP := ix.curve.IndexBits()
 		for p := ix.depth - 6; p <= ix.depth+6; p += 2 {
-			if p >= 1 && p <= maxP {
+			if checkDepth(ix.curve, p) == nil {
 				depths = append(depths, p)
 			}
 		}

@@ -116,7 +116,7 @@ type statVisitor struct {
 	factors []float64 // current factor per dimension (1 at the root)
 	prod    float64   // current node mass
 	stack   []statFrame
-	ivs     []hilbert.Interval
+	runs    []hilbert.Run
 	blocks  int
 	total   float64
 	nodes   int // Enter calls across all descents since construction
@@ -149,7 +149,7 @@ func (v *statVisitor) reset(t float64) {
 		v.factors[i] = 1
 	}
 	v.stack = v.stack[:0]
-	v.ivs = v.ivs[:0]
+	v.runs = v.runs[:0]
 	v.blocks = 0
 	v.total = 0
 }
@@ -177,11 +177,12 @@ func (v *statVisitor) Leave(int) {
 	v.prod = fr.prod
 }
 
-// Leaf implements hilbert.StepVisitor.
+// Leaf implements hilbert.StepVisitor. Leaves arrive in curve order, so
+// appending each extends the merged plan as emitted.
 func (v *statVisitor) Leaf(b hilbert.Block) bool {
 	v.total += v.prod
 	v.blocks++
-	v.ivs = append(v.ivs, hilbert.Interval{Start: b.Start, End: b.End})
+	v.runs = hilbert.AppendBlock(v.runs, b.Index)
 	return true
 }
 
@@ -194,7 +195,7 @@ type rangeVisitor struct {
 	contrib []float64
 	sum     float64
 	stack   []rangeFrame
-	ivs     []hilbert.Interval
+	runs    []hilbert.Run
 	blocks  int
 	nodes   int
 }
@@ -248,15 +249,11 @@ func (v *rangeVisitor) Leave(int) {
 }
 
 // Leaf implements hilbert.StepVisitor. Leaves arrive in curve order, so
-// a block that abuts the previous one extends its interval: ivs is the
+// a block that abuts the previous one extends its run: runs is the
 // merged plan as emitted, with no post-pass over tens of thousands of
 // p-blocks.
 func (v *rangeVisitor) Leaf(b hilbert.Block) bool {
 	v.blocks++
-	if n := len(v.ivs); n > 0 && v.ivs[n-1].End == b.Start {
-		v.ivs[n-1].End = b.End
-	} else {
-		v.ivs = append(v.ivs, hilbert.Interval{Start: b.Start, End: b.End})
-	}
+	v.runs = hilbert.AppendBlock(v.runs, b.Index)
 	return true
 }

@@ -48,7 +48,7 @@ func FuzzFrontierResume(f *testing.F) {
 		// frontier at each weaker threshold in turn.
 		first := newScoreVisitor(dims, seed, ts[0])
 		fd.Descend(&root, depth, first, capture)
-		leaves := append([]Interval(nil), first.leaves...)
+		leaves := append([]keyRange(nil), first.leaves...)
 		for _, tr := range ts[1:] {
 			pending := frontier
 			frontier = nil

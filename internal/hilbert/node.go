@@ -106,7 +106,8 @@ func (c *Curve) SplitNode(n Node) [2]Node {
 	return out
 }
 
-// NodeInterval returns the curve interval covered by the node.
-func (c *Curve) NodeInterval(n Node) Interval {
-	return Interval{Start: n.Start, End: n.Start.AddPow2(uint(c.IndexBits() - n.Bits))}
+// NodeBlock returns n's index among the nodes of its depth: the top
+// n.Bits bits of its curve interval's start (their low 64 past depth 64).
+func (c *Curve) NodeBlock(n Node) uint64 {
+	return n.Start.Shr(uint(c.IndexBits() - n.Bits)).Uint64()
 }

@@ -26,9 +26,11 @@ func TestSplitNodeEnumeratesDescendBlocks(t *testing.T) {
 				t.Fatalf("D=%d K=%d p=%d: %d leaves, want %d", cfg[0], cfg[1], p, len(leaves), len(want))
 			}
 			for i, n := range leaves {
-				iv := c.NodeInterval(n)
-				if iv.Start != want[i].start || iv.End != want[i].end {
-					t.Fatalf("leaf %d interval [%v,%v), want [%v,%v)", i, iv.Start, iv.End, want[i].start, want[i].end)
+				if n.Start != want[i].start {
+					t.Fatalf("leaf %d starts at %v, want %v", i, n.Start, want[i].start)
+				}
+				if b := c.NodeBlock(n); b != uint64(i) || want[i].index != uint64(i) {
+					t.Fatalf("leaf %d: node block %d, descent block %d", i, b, want[i].index)
 				}
 				for j := range n.Lo {
 					if n.Lo[j] != want[i].lo[j] || n.Hi[j] != want[i].hi[j] {

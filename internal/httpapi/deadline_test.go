@@ -70,7 +70,7 @@ func (g *gateSearcher) SearchStatBatch(ctx context.Context, queries [][]byte, sq
 	return make([][]core.Match, len(queries)), nil
 }
 
-func (g *gateSearcher) RefineStat(ctx context.Context, q []byte, sq core.StatQuery, ivs []hilbert.Interval) ([]core.Match, core.Plan, error) {
+func (g *gateSearcher) RefineStat(ctx context.Context, q []byte, sq core.StatQuery, runs []hilbert.Run) ([]core.Match, core.Plan, error) {
 	return nil, core.Plan{}, g.wait(ctx)
 }
 

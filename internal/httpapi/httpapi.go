@@ -700,7 +700,7 @@ func (s *Server) handleStat(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	ivs, planned, err := decodePlanHeader(r.Header.Get(PlanHeader), s.geo)
+	runs, planned, err := decodePlanHeader(r.Header.Get(PlanHeader), s.geo)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%s: %v", PlanHeader, err)
 		return
@@ -713,7 +713,7 @@ func (s *Server) handleStat(w http.ResponseWriter, r *http.Request) {
 	if planned {
 		// The plan came with the query (a router planned once for its
 		// fleet): refine it, and check it there.
-		matches, plan, err = s.search.RefineStat(ctx, fp, sq, ivs)
+		matches, plan, err = s.search.RefineStat(ctx, fp, sq, runs)
 	} else {
 		matches, plan, err = s.search.SearchStat(ctx, fp, sq)
 	}

@@ -2,6 +2,7 @@ package httpapi
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -10,18 +11,17 @@ import (
 	"strings"
 	"testing"
 
-	"s3cbcd/internal/bitkey"
+	"s3cbcd/internal/core"
 	"s3cbcd/internal/hilbert"
 	"s3cbcd/internal/store"
 )
 
 // planDepth is the plan tests' partition depth on their (8, 8) curve:
-// blocks are 2^55 wide, so a key is 3 bytes on the wire (the top 17 of
-// its 65 bits, the lowest 7 of them zero on a block boundary).
+// 512 blocks, so a run's gap and length are one or two bytes each.
 const planDepth = 9
 
 // planServer is a static server over 600 random records, and a request
-// body for a stored fingerprint whose plan has several intervals.
+// body for a stored fingerprint whose plan has several runs.
 func planServer(tb testing.TB) (*Server, string) {
 	tb.Helper()
 	curve := hilbert.MustNew(8, 8)
@@ -67,42 +67,40 @@ func matchesOf(t testing.TB, body []byte) json.RawMessage {
 }
 
 // wellFormed is the contract of an accepted plan, checked independently
-// of the code under test: at most MaxPlanIntervals intervals, each
-// non-empty, sorted and disjoint, on depth-p block boundaries and
-// inside the curve.
-func wellFormed(g Geometry, ivs []hilbert.Interval) error {
-	if len(ivs) > MaxPlanIntervals {
-		return fmt.Errorf("%d intervals", len(ivs))
+// of the code under test: at most MaxPlanIntervals runs, each non-empty,
+// sorted, apart from the one before it and inside the 2^p blocks of the
+// curve.
+func wellFormed(g Geometry, runs []hilbert.Run) error {
+	if len(runs) > MaxPlanIntervals {
+		return fmt.Errorf("%d runs", len(runs))
 	}
-	bits := g.Dims * g.Order
-	block := bitkey.Zero.AddPow2(uint(bits - g.Depth))
-	end := bitkey.Zero.AddPow2(uint(bits))
-	for i, iv := range ivs {
-		for _, k := range []bitkey.Key{iv.Start, iv.End} {
-			if !k.Sub(k.Shr(uint(bits - g.Depth)).Shl(uint(bits - g.Depth))).IsZero() {
-				return fmt.Errorf("interval %d: key %v not a multiple of %v", i, k, block)
-			}
-		}
-		if !iv.Start.Less(iv.End) || end.Less(iv.End) || (i > 0 && iv.Start.Less(ivs[i-1].End)) {
-			return fmt.Errorf("interval %d [%v, %v) empty, out of order or outside the curve", i, iv.Start, iv.End)
+	for i, r := range runs {
+		if r.Lo >= r.Hi || r.Hi > 1<<g.Depth || (i > 0 && r.Lo <= runs[i-1].Hi) {
+			return fmt.Errorf("run %d %v empty, out of order, abutting or outside the curve", i, r)
 		}
 	}
 	return nil
 }
 
+// planFor plans body at g through the router's entry point.
+func planFor(tb testing.TB, g Geometry, body string) (string, core.Plan, bool) {
+	tb.Helper()
+	pl, err := g.Planner()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return PlanRequest(pl, []byte(body))
+}
+
 // TestPlanHeaderRefines: a router's plan, sent back to the backend it
 // was computed for, yields the matches the backend finds planning
 // itself, and the plan member carries the blocks and depth of the
-// intervals it refined.
+// runs it refined.
 func TestPlanHeaderRefines(t *testing.T) {
 	s, body := planServer(t)
-	pl, err := NewPlanner(s.geo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hdr, plan, ok := pl.Plan([]byte(body))
+	hdr, plan, ok := planFor(t, s.geo, body)
 	if !ok || len(plan.Intervals) < 2 {
-		t.Fatalf("planner: ok=%v, %d intervals; the fixture wants several", ok, len(plan.Intervals))
+		t.Fatalf("planner: ok=%v, %d runs; the fixture wants several", ok, len(plan.Intervals))
 	}
 	if err := wellFormed(s.geo, plan.Intervals); err != nil {
 		t.Fatalf("the planner's own plan: %v", err)
@@ -126,44 +124,36 @@ func TestPlanHeaderRefines(t *testing.T) {
 
 // TestPlanHeaderHostile: every malformed header is a 400 naming the
 // header, and a header at another geometry is ignored — the answer is
-// the unplanned one, byte for byte.
+// the unplanned one, byte for byte. Unsorted, overlapping and
+// misaligned plans cannot be spelled in the run encoding.
 func TestPlanHeaderHostile(t *testing.T) {
 	s, body := planServer(t)
-	pl, err := NewPlanner(s.geo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, plan, _ := pl.Plan([]byte(body))
-	ivs := plan.Intervals
 	g := s.geo
-	block := bitkey.Zero.AddPow2(uint(g.Dims*g.Order - g.Depth))
-	curveEnd := bitkey.Zero.AddPow2(uint(g.Dims * g.Order))
-	with := func(edit func([]hilbert.Interval) []hilbert.Interval) string {
-		return planHeader(g, edit(append([]hilbert.Interval(nil), ivs...)))
-	}
-	shift := uint(g.Dims*g.Order - g.Depth)
-	overCap := make([]hilbert.Interval, MaxPlanIntervals+1)
+	hdr, _, _ := planFor(t, g, body)
+	// enc spells raw bytes as a header at g.
+	enc := func(raw ...byte) string { return g.String() + "." + planEncoding.EncodeToString(raw) }
+	end := uint64(1) << g.Depth
+	overCap := make([]hilbert.Run, MaxPlanIntervals+1)
 	for i := range overCap {
-		start := bitkey.FromUint64(uint64(2 * i)).Shl(shift)
-		overCap[i] = hilbert.Interval{Start: start, End: start.Add(block)}
+		overCap[i] = hilbert.Run{Lo: uint64(2*i + 1), Hi: uint64(2*i + 2)}
 	}
 	bad := []struct{ name, hdr, why string }{
-		{"unsorted", with(func(v []hilbert.Interval) []hilbert.Interval { v[0], v[1] = v[1], v[0]; return v }), "out of order"},
-		{"overlapping", with(func(v []hilbert.Interval) []hilbert.Interval {
-			return append(v[:1], append([]hilbert.Interval{{Start: v[0].Start, End: v[0].End.Add(block)}}, v[1:]...)...)
-		}), "overlaps"},
-		{"empty interval", with(func(v []hilbert.Interval) []hilbert.Interval { v[0].End = v[0].Start; return v }), "is empty"},
-		{"misaligned start", with(func(v []hilbert.Interval) []hilbert.Interval { v[0].Start = v[0].Start.AddPow2(49); return v }), "block boundaries"},
-		{"misaligned end", with(func(v []hilbert.Interval) []hilbert.Interval { v[0].End = v[0].End.AddPow2(50); return v }), "block boundaries"},
-		{"out of curve", with(func(v []hilbert.Interval) []hilbert.Interval {
-			return append(v, hilbert.Interval{Start: curveEnd, End: curveEnd.Add(block)})
-		}), "outside the curve"},
-		{"over cap", planHeader(g, overCap), fmt.Sprintf("more than %d intervals", MaxPlanIntervals)},
+		{"empty run", enc(3, 0), "run 0 is empty"},
+		{"zero gap", enc(3, 1, 0, 1), "run 1 abuts run 0"},
+		{"past the curve", planHeader(g, []hilbert.Run{{Lo: 0, Hi: end + 1}}), "ends past the curve"},
+		{"starts past the curve", planHeader(g, []hilbert.Run{{Lo: 1, Hi: 2}, {Lo: end, Hi: end + 1}}), "run 1 ends past the curve"},
+		{"huge gap", planHeader(g, []hilbert.Run{{Lo: 1, Hi: 2}, {Lo: 1 << 63, Hi: 1<<63 + 1}}), "run 1 ends past the curve"},
+		{"huge length", planHeader(g, []hilbert.Run{{Lo: 1, Hi: 1<<64 - 1}}), "run 0 ends past the curve"},
+		{"overflowing uvarint", enc(0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 1), "overflows"},
+		{"non-minimal uvarint", enc(0x81, 0x00, 1), "not minimally encoded"},
+		{"non-minimal zero", enc(0x80, 0x00, 1), "not minimally encoded"},
+		{"truncated uvarint", enc(1, 0x81), "truncated"},
+		{"half a run", enc(5), "truncated"},
+		{"over cap", planHeader(g, overCap), fmt.Sprintf("more than %d runs", MaxPlanIntervals)},
 		{"bad base64", g.String() + ".!!not*base64", "illegal base64"},
 		{"padded base64", g.String() + ".AAAAAAAAAAAAAAAAAAAAAAAA==", "illegal base64"},
 		{"non-canonical base64", g.String() + ".AB", "illegal base64"},
 		{"line break in base64", g.String() + ".\n", "line break"},
-		{"partial interval", g.String() + "." + planEncoding.EncodeToString(make([]byte, 5)), "whole"},
 		{"no geometry", "AAAA", "prefix"},
 		{"short geometry", "8.8." + planEncoding.EncodeToString(make([]byte, 18)), "is not dims.order.depth"},
 		{"leading zero", "08.8.9." + planEncoding.EncodeToString(make([]byte, 18)), "is not dims.order.depth"},
@@ -171,14 +161,13 @@ func TestPlanHeaderHostile(t *testing.T) {
 	}
 	for _, c := range bad {
 		code, raw := statWith(s, body, c.hdr)
-		if code != http.StatusBadRequest || !bytes.Contains(raw, []byte(c.why)) {
+		if code != http.StatusBadRequest || !bytes.Contains(raw, []byte(c.why)) || !bytes.Contains(raw, []byte(PlanHeader)) {
 			t.Errorf("%s header %.60q: status %d (%s), want 400 for %q", c.name, c.hdr, code, raw, c.why)
 		}
 	}
 
 	// A valid plan does not excuse an invalid query: α outside (0, 1) is
 	// refused as it is without the header.
-	hdr, _, _ := pl.Plan([]byte(body))
 	badAlpha := strings.Replace(body, `"alpha":0.9`, `"alpha":1.5`, 1)
 	if code, raw := statWith(s, badAlpha, hdr); code != http.StatusBadRequest || !bytes.Contains(raw, []byte("alpha")) {
 		t.Errorf("planned request with alpha 1.5: status %d (%s), want the unplanned 400", code, raw)
@@ -188,11 +177,7 @@ func TestPlanHeaderHostile(t *testing.T) {
 	// itself and answers exactly as without the header.
 	_, self := statWith(s, body, "")
 	for _, other := range []Geometry{{g.Dims, g.Order, g.Depth + 1}, {g.Dims, g.Order + 1, g.Depth}} {
-		opl, err := NewPlanner(other)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hdr, _, ok := opl.Plan([]byte(body))
+		hdr, _, ok := planFor(t, other, body)
 		if !ok {
 			t.Fatalf("planner at %v refused the body", other)
 		}
@@ -203,19 +188,16 @@ func TestPlanHeaderHostile(t *testing.T) {
 	}
 }
 
-// FuzzPlanHeader holds the backend to three properties on any X-S3-Plan
-// value: it never panics and answers 200 or 400; every header it
-// accepts at its geometry decodes to a well-formed plan that re-encodes
-// to the same bytes; and every well-formed plan at its geometry is
-// accepted.
+// FuzzPlanHeader holds the backend to three properties on any
+// PlanHeader value: it never panics and answers 200 or 400; every header
+// it accepts at its geometry decodes to a well-formed plan that
+// re-encodes to the same bytes, so a plan has one spelling; and every
+// well-formed plan at its geometry is accepted.
 func FuzzPlanHeader(f *testing.F) {
 	s, body := planServer(f)
-	pl, err := NewPlanner(s.geo)
-	if err != nil {
-		f.Fatal(err)
-	}
-	hdr, _, _ := pl.Plan([]byte(body))
-	for _, seed := range []string{hdr, s.geo.String() + ".", "8.8.10." + hdr[len("8.8.9."):], hdr[:len(hdr)-3], "8.8.9.AAAA", "1.1.1.x"} {
+	hdr, _, _ := planFor(f, s.geo, body)
+	g := s.geo.String() + "."
+	for _, seed := range []string{hdr, g, "8.8.10." + hdr[len(g):], hdr[:len(hdr)-3], g + "AwA", g + "AwEAAQ", g + "gQAB", "1.1.1.x"} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, h string) {
@@ -223,24 +205,63 @@ func FuzzPlanHeader(f *testing.F) {
 		if code != http.StatusOK && code != http.StatusBadRequest {
 			t.Fatalf("header %q: status %d (%s)", h, code, raw)
 		}
-		ivs, used, err := decodePlanHeader(h, s.geo)
+		runs, used, err := decodePlanHeader(h, s.geo)
 		if err != nil && code != http.StatusBadRequest {
 			t.Fatalf("header %q fails to decode (%v) but was answered %d", h, err, code)
 		}
 		if err != nil || !used {
 			return
 		}
-		if wf := wellFormed(s.geo, ivs); wf != nil {
-			if code != http.StatusBadRequest {
-				t.Fatalf("header %q accepted with a malformed plan: %v", h, wf)
-			}
-			return
+		if wf := wellFormed(s.geo, runs); wf != nil {
+			t.Fatalf("header %q decodes to a malformed plan: %v", h, wf)
 		}
 		if code != http.StatusOK {
 			t.Fatalf("well-formed header %q refused: %s", h, raw)
 		}
-		if again, ok := encodePlanHeader(s.geo, ivs); !ok || again != h {
+		if again, ok := encodePlanHeader(s.geo, runs); !ok || again != h {
 			t.Fatalf("accepted header %q re-encodes to %q", h, again)
 		}
 	})
+}
+
+// BenchmarkPlanHeader is the plan-once wire cost per request: the
+// router's encode, then the backend's decode and its check of the runs
+// (the executor's givenPlan, through RefineStat's first step), for
+// plans of 66 and 433 runs — fleet_single's median and 95th percentile
+// plan sizes — at D = 20, K = 8, p = 20.
+func BenchmarkPlanHeader(b *testing.B) {
+	g := Geometry{Dims: 20, Order: 8, Depth: 20}
+	curve := hilbert.MustNew(g.Dims, g.Order)
+	ix, err := core.NewIndex(store.MustBuild(curve, nil), g.Depth)
+	if err != nil {
+		b.Fatal(err)
+	}
+	e := core.NewEngine(ix, 1)
+	q := make([]byte, g.Dims)
+	sq := core.StatQuery{Alpha: 0.5, Model: core.IsoNormal{D: g.Dims, Sigma: 20}}
+	for _, n := range []int{66, 433} {
+		r := rand.New(rand.NewSource(int64(n)))
+		runs := make([]hilbert.Run, n)
+		at := uint64(0)
+		for i := range runs {
+			at += 1 + uint64(r.Intn(4000))
+			runs[i] = hilbert.Run{Lo: at, Hi: at + 1 + uint64(r.Intn(4))}
+			at = runs[i].Hi
+		}
+		b.Run(fmt.Sprintf("runs=%d", n), func(b *testing.B) {
+			hdr := planHeader(g, runs)
+			b.ReportMetric(float64(len(hdr)), "bytes")
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				h, _ := encodePlanHeader(g, runs)
+				got, _, err := decodePlanHeader(h, g)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, _, err := e.RefineStat(context.Background(), q, sq, got); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -14,6 +14,7 @@ import (
 	"strconv"
 	"time"
 
+	"s3cbcd/internal/core"
 	"s3cbcd/internal/httpapi"
 	"s3cbcd/internal/obs"
 )
@@ -39,7 +40,7 @@ func (r *Router) learn(be *backend, curve string) {
 // reported, nil while a group has not reported, two backends disagree
 // or the geometry does not parse. It keeps the current planner when the
 // geometry is unchanged. The caller holds learnMu.
-func (r *Router) fleetPlanner() *httpapi.Planner {
+func (r *Router) fleetPlanner() *core.Planner {
 	curve := ""
 	for _, grp := range r.groups {
 		reported := false
@@ -61,10 +62,10 @@ func (r *Router) fleetPlanner() *httpapi.Planner {
 	if !ok {
 		return nil
 	}
-	if cur := r.planner.Load(); cur != nil && cur.Geometry() == g {
+	if cur := r.planner.Load(); cur != nil && httpapi.GeometryOf(cur) == g {
 		return cur
 	}
-	pl, err := httpapi.NewPlanner(g)
+	pl, err := g.Planner()
 	if err != nil {
 		return nil
 	}
@@ -83,7 +84,7 @@ func (r *Router) plan(tr *obs.Trace, body []byte) (hdr []string, member []byte) 
 		return nil, nil
 	}
 	t0 := time.Now()
-	h, plan, ok := pl.Plan(body)
+	h, plan, ok := httpapi.PlanRequest(pl, body)
 	if !ok {
 		return nil, nil
 	}
@@ -101,7 +102,7 @@ func (r *Router) plan(tr *obs.Trace, body []byte) (hdr []string, member []byte) 
 // while unknown.
 func (r *Router) geometry() any {
 	if pl := r.planner.Load(); pl != nil {
-		return pl.Geometry().String()
+		return httpapi.GeometryOf(pl).String()
 	}
 	return nil
 }

@@ -154,3 +154,60 @@ func TestRouterNeverPlansMixedDepths(t *testing.T) {
 		t.Fatalf("router learned geometry %v from disagreeing groups", g)
 	}
 }
+
+// TestBackendIgnoresOldPlanHeader: plans were once sent as key intervals
+// under X-S3-Plan. A router of that time in front of today's backends
+// sends its plan under that name; each backend ignores it, plans the
+// query itself and answers byte-identically to one s3serve holding the
+// whole corpus.
+func TestBackendIgnoresOldPlanHeader(t *testing.T) {
+	rng := rand.New(rand.NewSource(faultSeed(t)))
+	curve := testCurve(t)
+	ordered := sortedRecords(store.MustBuild(curve, randomRecords(rng, 300)))
+	ref := apiServer(t, curve, ordered)
+	var groups [][]string
+	var servers []*httptest.Server
+	for _, chunk := range splitGroups(rng, ordered, 2) {
+		s, err := httpapi.New(store.MustBuild(curve, chunk), httpapi.Options{Depth: testDepth, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+			if h := r.Header.Get(httpapi.PlanHeader); h != "" {
+				r.Header.Del(httpapi.PlanHeader)
+				r.Header.Set("X-S3-Plan", h)
+			}
+			s.ServeHTTP(rw, r)
+		}))
+		t.Cleanup(ts.Close)
+		servers = append(servers, ts)
+		groups = append(groups, []string{ts.URL})
+	}
+	rt, rts := startRouter(t, Options{Groups: groups, ProbeInterval: -1})
+	if code, raw, _ := postBytes(t, rts.URL, "/search/statistical", statBody(ordered[0].FP)); code != http.StatusOK {
+		t.Fatalf("status %d: %s", code, raw)
+	}
+	if rt.geometry() == nil {
+		t.Fatal("router did not learn the fleet's geometry")
+	}
+	before := make([]int, len(servers))
+	for i, ts := range servers {
+		before[i] = plansComputed(t, ts.URL)
+	}
+	const queries = 8
+	for i := 0; i < queries; i++ {
+		// Distinct queries, none the first: a plan cache hit computes no
+		// plan.
+		body := statBody(ordered[1+37*i].FP)
+		refCode, refBody, _ := postBytes(t, ref.URL, "/search/statistical", body)
+		gotCode, gotBody, _ := postBytes(t, rts.URL, "/search/statistical", body)
+		if refCode != http.StatusOK || gotCode != http.StatusOK || !bytes.Equal(refBody, gotBody) {
+			t.Fatalf("status ref=%d router=%d, answers differ:\nref:    %s\nrouter: %s", refCode, gotCode, refBody, gotBody)
+		}
+	}
+	for i, ts := range servers {
+		if n := plansComputed(t, ts.URL) - before[i]; n != queries {
+			t.Errorf("backend %d planned %d of %d queries sent with the old header", i, n, queries)
+		}
+	}
+}

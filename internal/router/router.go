@@ -39,6 +39,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"s3cbcd/internal/core"
 	"s3cbcd/internal/httpapi"
 	"s3cbcd/internal/obs"
 )
@@ -171,7 +172,7 @@ type Router struct {
 	// planner plans statistical requests at the fleet's learned geometry
 	// (plan.go); nil until every group has reported the same one.
 	// learnMu serializes its re-derivation.
-	planner atomic.Pointer[httpapi.Planner]
+	planner atomic.Pointer[core.Planner]
 	learnMu sync.Mutex
 
 	stop chan struct{}

@@ -198,23 +198,27 @@ func chunkEqualsViews(t *testing.T, ch *Chunk, views []flatRecord, lo, hi int, f
 // record range [lo, hi).
 func chunkSearchEqualsOracle(t *testing.T, r *rand.Rand, ch *Chunk, curve *hilbert.Curve, views []flatRecord, lo, hi int) bool {
 	t.Helper()
-	bitsN := uint(curve.IndexBits())
-	pastCurve := bitkey.FromUint64(1).Shl(bitsN)
-	keyOf := func(i int) bitkey.Key { return views[min(max(i, 0), len(views)-1)].key }
-	randKey := func() bitkey.Key {
-		return bitkey.Key{r.Uint64(), r.Uint64(), r.Uint64(), r.Uint64()}.Shr(bitkey.MaxBits - bitsN)
+	// Runs are at the deepest depth a plan may use, or a random one.
+	depth := min(curve.IndexBits(), hilbert.MaxDepth)
+	if r.Intn(2) == 0 {
+		depth = 1 + r.Intn(depth)
 	}
-	// Sorted cut points: 0, keys around both chunk ends, random stored
-	// keys and their successors, random keys, one past the curve.
-	cuts := []bitkey.Key{bitkey.Zero, keyOf(lo - 1), keyOf(lo), keyOf(lo).Inc(),
-		keyOf(hi - 1), keyOf(hi - 1).Inc(), keyOf(hi), pastCurve}
+	shift := uint(curve.IndexBits() - depth)
+	blockOf := func(i int) uint64 { return views[min(max(i, 0), len(views)-1)].key.Shr(shift).Uint64() }
+	// Sorted cut points: 0, the blocks around both chunk ends, the blocks
+	// of random stored keys and their successors, random blocks, and one
+	// past the curve.
+	cuts := []uint64{0, blockOf(lo - 1), blockOf(lo), blockOf(lo) + 1,
+		blockOf(hi - 1), blockOf(hi-1) + 1, blockOf(hi), 1 << depth}
 	for i := 0; i < 12; i++ {
-		k := views[r.Intn(len(views))].key
-		cuts = append(cuts, k, k.Inc(), randKey())
+		b := blockOf(r.Intn(len(views)))
+		cuts = append(cuts, b, b+1, r.Uint64()>>(64-depth))
 	}
-	sort.Slice(cuts, func(a, b int) bool { return cuts[a].Less(cuts[b]) })
-	// below counts the stored keys below k: the oracle's lower bound.
-	below := func(k bitkey.Key) int {
+	sort.Slice(cuts, func(a, b int) bool { return cuts[a] < cuts[b] })
+	// below counts the stored keys below block b's first key: the
+	// oracle's lower bound.
+	below := func(b uint64) int {
+		k := bitkey.FromUint64(b).Shl(shift)
 		n := 0
 		for _, v := range views {
 			if v.key.Less(k) {
@@ -225,21 +229,21 @@ func chunkSearchEqualsOracle(t *testing.T, r *rand.Rand, ch *Chunk, curve *hilbe
 	}
 	clip := func(i int) int { return min(max(i, lo), hi) - lo }
 	ok := true
-	// Every pair of cut points is an interval (equal cuts select nothing);
+	// Every pair of cut points is a run (equal cuts select nothing);
 	// consecutive ones are sorted and disjoint, so they also drive the
 	// from-hinted walk.
 	from := 0
 	for a := 0; a < len(cuts); a++ {
 		for b := a; b < len(cuts); b++ {
-			iv := hilbert.Interval{Start: cuts[a], End: cuts[b]}
-			wlo, whi := clip(below(iv.Start)), clip(below(iv.End))
-			if glo, ghi := ch.FindInterval(iv); glo != wlo || ghi != whi {
-				t.Errorf("FindInterval [%v,%v) = [%d,%d), want [%d,%d)", iv.Start, iv.End, glo, ghi, wlo, whi)
+			run := hilbert.Run{Lo: cuts[a], Hi: cuts[b]}
+			wlo, whi := clip(below(run.Lo)), clip(below(run.Hi))
+			if glo, ghi := ch.FindRun(0, run, shift); glo != wlo || ghi != whi {
+				t.Errorf("FindRun %v at depth %d = [%d,%d), want [%d,%d)", run, depth, glo, ghi, wlo, whi)
 				ok = false
 			}
 			if b == a+1 {
-				if glo, ghi := ch.FindIntervalFrom(from, iv); glo != wlo || ghi != whi {
-					t.Errorf("FindIntervalFrom(%d) [%v,%v) = [%d,%d), want [%d,%d)", from, iv.Start, iv.End, glo, ghi, wlo, whi)
+				if glo, ghi := ch.FindRun(from, run, shift); glo != wlo || ghi != whi {
+					t.Errorf("FindRun from %d %v at depth %d = [%d,%d), want [%d,%d)", from, run, depth, glo, ghi, wlo, whi)
 					ok = false
 				}
 				from = whi

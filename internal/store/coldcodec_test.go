@@ -189,7 +189,7 @@ func TestColdFileLeanMatchesDB(t *testing.T) {
 			ivs := randIntervals(r, db.Curve(), 1+r.Intn(5))
 			want := collectVisits(t, db, ivs)
 			var got []flatRecord
-			if err := cf.VisitIntervalsLean(ivs, PerRecord(func(c *Chunk, i int) bool {
+			if err := cf.VisitIntervalsLean(ivs.depth, ivs.runs, PerRecord(func(c *Chunk, i int) bool {
 				if c.FP(i) != nil {
 					t.Fatal("lean visit delivered a fingerprint")
 				}
@@ -246,7 +246,7 @@ func TestColdFileFilteredMatchesDB(t *testing.T) {
 			boundSq := []float64{4, 50, 400}[trial%3]
 
 			within := map[int]flatRecord{}
-			if err := db.VisitIntervals(ivs, PerRecord(func(c *Chunk, i int) bool {
+			if err := db.VisitIntervals(ivs.depth, ivs.runs, PerRecord(func(c *Chunk, i int) bool {
 				if distSqBytes(qf, c.FP(i)) <= boundSq {
 					within[c.Base()+i] = flatAt(c, i)
 				}
@@ -256,7 +256,7 @@ func TestColdFileFilteredMatchesDB(t *testing.T) {
 			}
 
 			seen := map[int]bool{}
-			if err := cf.VisitIntervalsFiltered(ivs, qf, boundSq, PerRecord(func(c *Chunk, i int) bool {
+			if err := cf.VisitIntervalsFiltered(ivs.depth, ivs.runs, qf, boundSq, PerRecord(func(c *Chunk, i int) bool {
 				got := flatAt(c, i)
 				seen[got.pos] = true
 				if w, ok := within[got.pos]; ok {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"s3cbcd/internal/bitkey"
 	"s3cbcd/internal/hilbert"
 	"s3cbcd/internal/obs"
 )
@@ -33,8 +32,7 @@ type ColdFile struct {
 	fl    *File
 	cache *BlockCache
 	id    uint64
-	bits  int  // blocks are curve sections of a 2^bits partition
-	shift uint // curve index bits - bits
+	bits  int // blocks are curve sections of a 2^bits partition
 
 	sketch *Sketch       // block-level skip filter; nil when absent or disabled
 	codec  bool          // serve lean/quantized read paths
@@ -110,7 +108,7 @@ type ColdOptions struct {
 	// DefaultColdBlockRecords.
 	BlockRecords int
 	// Sketch consults the file's embedded occupancy sketch (when present)
-	// to skip blocks a query's intervals provably miss.
+	// to skip blocks a query's runs provably miss.
 	Sketch bool
 	// Codec serves statistical refinement from the lean record area and
 	// pre-filters geometric candidates with quantized codes (when the file
@@ -149,8 +147,7 @@ func OpenColdOptsFS(fsys FS, path string, opt ColdOptions) (*ColdFile, error) {
 	if opt.Cache != nil {
 		id = opt.Cache.nextFileID()
 	}
-	cf := &ColdFile{fl: fl, cache: opt.Cache, id: id, bits: bits,
-		shift: uint(fl.curve.IndexBits() - bits), ctr: opt.Counters}
+	cf := &ColdFile{fl: fl, cache: opt.Cache, id: id, bits: bits, ctr: opt.Counters}
 	if opt.Sketch {
 		cf.sketch = fl.sketch
 	}
@@ -265,39 +262,36 @@ func (cf *ColdFile) block(a area, s, lo, hi int) (pinnedBlock, error) {
 	return pinnedBlock{Chunk: e.val, cache: cf.cache, e: e}, nil
 }
 
-// sketchSkips reports whether the sketch proves a block — keys in
-// [secStart, secEnd) — holds no record of the intervals touching it.
-// Intervals are clipped to the block before probing; a nil sketch or an
-// exhausted probe budget never skips.
-func (cf *ColdFile) sketchSkips(ivs []hilbert.Interval, secStart, secEnd bitkey.Key, budget *int) bool {
+// sketchSkips reports whether the sketch proves block s holds no record
+// of the runs at depth touching it. Runs are clipped to the block before
+// probing, at the finer of the two depths; a nil sketch or an exhausted
+// probe budget never skips.
+func (cf *ColdFile) sketchSkips(depth int, runs []hilbert.Run, s uint64, budget *int) bool {
 	if cf.sketch == nil {
 		return false
 	}
-	for _, iv := range ivs {
-		start, end := iv.Start, iv.End
-		if start.Less(secStart) {
-			start = secStart
-		}
-		if secEnd.Less(end) {
-			end = secEnd
-		}
-		if cf.sketch.mayIntersectRange(start, end, budget) {
+	q := max(depth, cf.bits)
+	block := hilbert.Run{Lo: s, Hi: s + 1}.Rescale(cf.bits, q)
+	for _, r := range runs {
+		r = r.Rescale(depth, q)
+		r.Lo, r.Hi = max(r.Lo, block.Lo), min(r.Hi, block.Hi)
+		if r.Lo < r.Hi && cf.sketch.mayIntersectRun(q, r, budget) {
 			return false
 		}
 	}
 	return true
 }
 
-// visitBlocks walks the blocks the intervals touch in curve order — the
-// cursor logic of the pseudo-disk batch path — calling do once per
-// non-empty touched block even when several intervals fall inside it.
-// Empty stretches of the curve are skipped by jumping the block cursor
-// to the next interval's start; blocks the sketch proves interval-free
-// are skipped without a read. do receives the block index, its record
-// range and the intervals touching it; returning false stops the walk.
-func (cf *ColdFile) visitBlocks(ivs []hilbert.Interval,
-	do func(s, lo, hi int, touching []hilbert.Interval) (bool, error)) error {
-	if len(ivs) == 0 || cf.fl.count == 0 {
+// visitBlocks walks the blocks the runs at depth touch in curve order —
+// the cursor logic of the pseudo-disk batch path — calling do once per
+// non-empty touched block even when several runs fall inside it. Empty
+// stretches of the curve are skipped by jumping the block cursor to the
+// next run's first block; blocks the sketch proves run-free are skipped
+// without a read. do receives the block index, its record range and the
+// runs touching it; returning false stops the walk.
+func (cf *ColdFile) visitBlocks(depth int, runs []hilbert.Run,
+	do func(s, lo, hi int, touching []hilbert.Run) (bool, error)) error {
+	if len(runs) == 0 || cf.fl.count == 0 {
 		return nil
 	}
 	if err := cf.enter(); err != nil {
@@ -305,41 +299,31 @@ func (cf *ColdFile) visitBlocks(ivs []hilbert.Interval,
 	}
 	defer cf.exit()
 	budget := maxSketchProbes
-	nb := 1 << uint(cf.bits)
-	c := 0
-	for c < len(ivs) {
-		// Jump to the first block the current interval touches.
-		s := int(ivs[c].Start.Shr(cf.shift).Uint64())
-		if s >= nb {
-			break
-		}
-		for ; s < nb && c < len(ivs); s++ {
-			secStart := bitkey.FromUint64(uint64(s)).Shl(cf.shift)
-			secEnd := bitkey.FromUint64(uint64(s) + 1).Shl(cf.shift)
-			for c < len(ivs) && ivs[c].End.Cmp(secStart) <= 0 {
+	// blocks returns the blocks run c touches.
+	blocks := func(c int) hilbert.Run { return runs[c].Rescale(depth, cf.bits) }
+	for c := 0; c < len(runs); {
+		// Jump to the first block the current run touches; a run past
+		// the block the cursor stands on sends it back here.
+		for s := blocks(c).Lo; ; s++ {
+			for c < len(runs) && blocks(c).Hi <= s {
 				c++
 			}
-			if c >= len(ivs) {
+			if c == len(runs) || blocks(c).Lo > s {
 				break
 			}
-			if !ivs[c].Start.Less(secEnd) {
-				// The next interval starts past this block: recompute the
-				// jump in the outer loop instead of scanning empty blocks.
-				break
-			}
-			lo, hi := cf.fl.SectionRecordRange(cf.bits, s)
+			lo, hi := cf.fl.SectionRecordRange(cf.bits, int(s))
 			if lo == hi {
 				continue
 			}
 			e := c + 1
-			for e < len(ivs) && ivs[e].Start.Less(secEnd) {
+			for e < len(runs) && blocks(e).Lo <= s {
 				e++
 			}
-			if cf.sketchSkips(ivs[c:e], secStart, secEnd, &budget) {
+			if cf.sketchSkips(depth, runs[c:e], s, &budget) {
 				cf.ctr.addSkipped(int64(hi-lo) * int64(cf.fl.recSize))
 				continue
 			}
-			ok, err := do(s, lo, hi, ivs[c:e])
+			ok, err := do(int(s), lo, hi, runs[c:e])
 			if err != nil {
 				return err
 			}
@@ -347,27 +331,23 @@ func (cf *ColdFile) visitBlocks(ivs []hilbert.Interval,
 				return nil
 			}
 		}
-		if s >= nb {
-			// The block cursor ran off the curve: whatever interval tail
-			// remains was covered by the blocks just visited.
-			break
-		}
 	}
 	return nil
 }
 
 // VisitIntervals implements RecordSource over the exact record area,
 // refining each touched block with in-place key searches: one span per
-// interval the block's rows answer.
-func (cf *ColdFile) VisitIntervals(ivs []hilbert.Interval, visit func(c *Chunk, lo, hi int) bool) error {
-	return cf.visitArea(areaExact, ivs, visit)
+// run the block's rows answer.
+func (cf *ColdFile) VisitIntervals(depth int, runs []hilbert.Run, visit func(c *Chunk, lo, hi int) bool) error {
+	return cf.visitArea(areaExact, depth, runs, visit)
 }
 
-// visitArea visits the intervals' rows from one keyed area: exact rows,
-// or lean rows (whose chunks carry no fingerprint) counted against the
+// visitArea visits the runs' rows from one keyed area: exact rows, or
+// lean rows (whose chunks carry no fingerprint) counted against the
 // exact bytes they spared.
-func (cf *ColdFile) visitArea(a area, ivs []hilbert.Interval, visit func(c *Chunk, lo, hi int) bool) error {
-	return cf.visitBlocks(ivs, func(s, lo, hi int, touching []hilbert.Interval) (bool, error) {
+func (cf *ColdFile) visitArea(a area, depth int, runs []hilbert.Run, visit func(c *Chunk, lo, hi int) bool) error {
+	shift := cf.runShift(depth)
+	return cf.visitBlocks(depth, runs, func(s, lo, hi int, touching []hilbert.Run) (bool, error) {
 		b, err := cf.block(a, s, lo, hi)
 		if err != nil {
 			return false, err
@@ -376,20 +356,23 @@ func (cf *ColdFile) visitArea(a area, ivs []hilbert.Interval, visit func(c *Chun
 		if a == areaLean {
 			cf.ctr.addLeanSaved(int64(hi-lo) * int64(cf.fl.recSize-cf.fl.leanSize))
 		}
-		return b.spans(touching, visit), nil
+		return b.spans(shift, touching, visit), nil
 	})
 }
+
+// runShift returns the curve index bits a block at depth spans.
+func (cf *ColdFile) runShift(depth int) uint { return uint(cf.fl.curve.IndexBits() - depth) }
 
 // VisitIntervalsLean implements RecordSource from the lean record area
 // when the codec is active: the spans' chunks carry no fingerprint
 // (statistical refinement never reads one), so the bytes per touched
 // block shrink by recSize/leanSize. Falls back to the exact area
 // otherwise.
-func (cf *ColdFile) VisitIntervalsLean(ivs []hilbert.Interval, visit func(c *Chunk, lo, hi int) bool) error {
+func (cf *ColdFile) VisitIntervalsLean(depth int, runs []hilbert.Run, visit func(c *Chunk, lo, hi int) bool) error {
 	if !cf.codec {
-		return cf.VisitIntervals(ivs, visit)
+		return cf.VisitIntervals(depth, runs, visit)
 	}
-	return cf.visitArea(areaLean, ivs, visit)
+	return cf.visitArea(areaLean, depth, runs, visit)
 }
 
 // VisitIntervalsFiltered implements RecordSource, pre-filtering
@@ -398,20 +381,21 @@ func (cf *ColdFile) VisitIntervalsLean(ivs []hilbert.Interval, visit func(c *Chu
 // whole exact block when enough survive to justify it, a single-record
 // fallback read otherwise. Falls back to VisitIntervals when the codec
 // is inactive.
-func (cf *ColdFile) VisitIntervalsFiltered(ivs []hilbert.Interval, qf []float64, boundSq float64,
+func (cf *ColdFile) VisitIntervalsFiltered(depth int, runs []hilbert.Run, qf []float64, boundSq float64,
 	visit func(c *Chunk, lo, hi int) bool) error {
 	if !cf.codec {
-		return cf.VisitIntervals(ivs, visit)
+		return cf.VisitIntervals(depth, runs, visit)
 	}
 	lb := cf.fl.quant.NewLowerBounder(qf)
 	defer cf.fl.quant.recycle(lb)
-	return cf.visitBlocks(ivs, func(s, lo, hi int, touching []hilbert.Interval) (bool, error) {
+	shift := cf.runShift(depth)
+	return cf.visitBlocks(depth, runs, func(s, lo, hi int, touching []hilbert.Run) (bool, error) {
 		codes, err := cf.block(areaCodes, s, lo, hi)
 		if err != nil {
 			return false, err
 		}
 		defer codes.done()
-		// Keys drive interval refinement within the block; the lean rows
+		// Keys drive run refinement within the block; the lean rows
 		// carry them at the smallest byte cost.
 		lean, err := cf.block(areaLean, s, lo, hi)
 		if err != nil {
@@ -421,7 +405,7 @@ func (cf *ColdFile) VisitIntervalsFiltered(ivs []hilbert.Interval, qf []float64,
 		// Survivors are record indices relative to lo.
 		survivors := lb.survivors[:0]
 		rejects := int64(0)
-		lean.spans(touching, func(_ *Chunk, a, b int) bool {
+		lean.spans(shift, touching, func(_ *Chunk, a, b int) bool {
 			for i := a; i < b; i++ {
 				if lb.Exceeds(codes.row(i), boundSq) {
 					rejects++

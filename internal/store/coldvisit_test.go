@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"s3cbcd/internal/bitkey"
 	"s3cbcd/internal/hilbert"
 )
 
@@ -15,7 +14,7 @@ import (
 // plans synthetic query plans: each a sorted, disjoint set of short curve
 // intervals around stored keys, a few records apiece, like the p-block
 // runs of a statistical plan.
-func coldVisitFixture(tb testing.TB, n, plans int) (string, *DB, [][]hilbert.Interval) {
+func coldVisitFixture(tb testing.TB, n, plans int) (string, *DB, []testPlan) {
 	tb.Helper()
 	curve := hilbert.MustNew(20, 8)
 	r := rand.New(rand.NewSource(16))
@@ -24,14 +23,19 @@ func coldVisitFixture(tb testing.TB, n, plans int) (string, *DB, [][]hilbert.Int
 	if err := db.WriteFileOpts(path, WriteOptions{SectionBits: 8, Sketch: true, Codec: true}); err != nil {
 		tb.Fatal(err)
 	}
-	span := bitkey.FromUint64(1).Shl(uint(curve.IndexBits() - 14))
-	out := make([][]hilbert.Interval, plans)
+	const depth = 20
+	out := make([]testPlan, plans)
 	for p := range out {
-		var ivs []hilbert.Interval
+		out[p].depth = depth
 		for i := r.Intn(n / 48); i < n; i += 1 + r.Intn(n/24) {
-			ivs = append(ivs, hilbert.Interval{Start: db.Key(i), End: db.Key(i).Add(span)})
+			b := db.Key(i).Shr(uint(curve.IndexBits() - depth)).Uint64()
+			runs := out[p].runs
+			if k := len(runs); k > 0 && b <= runs[k-1].Hi {
+				runs[k-1].Hi = b + 64
+				continue
+			}
+			out[p].runs = append(runs, hilbert.Run{Lo: b, Hi: b + 64})
 		}
-		out[p] = hilbert.MergeIntervals(ivs)
 	}
 	return path, db, out
 }
@@ -60,7 +64,7 @@ func TestColdVisitAllocs(t *testing.T) {
 	}
 	run := func(cf *ColdFile) func() {
 		return func() {
-			if err := cf.VisitIntervalsLean(ivs, visit); err != nil {
+			if err := cf.VisitIntervalsLean(ivs.depth, ivs.runs, visit); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -117,7 +121,7 @@ func TestChunkClassSlack(t *testing.T) {
 	}
 }
 
-func benchmarkColdVisit(b *testing.B, cache *BlockCache, visit func(cf *ColdFile, db *DB, ivs []hilbert.Interval) error) {
+func benchmarkColdVisit(b *testing.B, cache *BlockCache, visit func(cf *ColdFile, db *DB, ivs testPlan) error) {
 	path, db, plans := coldVisitFixture(b, 20000, 64)
 	cf, err := OpenColdOptsFS(OSFS, path, ColdOptions{Cache: cache, Codec: true})
 	if err != nil {
@@ -158,8 +162,8 @@ func BenchmarkColdVisitMiss(b *testing.B) {
 	benchmarkColdVisit(b, NewBlockCache(1), visitLean)
 }
 
-func visitLean(cf *ColdFile, _ *DB, ivs []hilbert.Interval) error {
-	return cf.VisitIntervalsLean(ivs, sumIDs)
+func visitLean(cf *ColdFile, _ *DB, ivs testPlan) error {
+	return cf.VisitIntervalsLean(ivs.depth, ivs.runs, sumIDs)
 }
 
 // BenchmarkColdVisitFiltered is one ε-range refinement of the same file
@@ -167,10 +171,10 @@ func visitLean(cf *ColdFile, _ *DB, ivs []hilbert.Interval) error {
 // verified by exact reads.
 func BenchmarkColdVisitFiltered(b *testing.B) {
 	qf := make([]float64, 20)
-	benchmarkColdVisit(b, nil, func(cf *ColdFile, db *DB, ivs []hilbert.Interval) error {
-		for j, c := range db.FP(len(ivs) % db.Len()) {
+	benchmarkColdVisit(b, nil, func(cf *ColdFile, db *DB, ivs testPlan) error {
+		for j, c := range db.FP(len(ivs.runs) % db.Len()) {
 			qf[j] = float64(c)
 		}
-		return cf.VisitIntervalsFiltered(ivs, qf, 90*90, sumIDs)
+		return cf.VisitIntervalsFiltered(ivs.depth, ivs.runs, qf, 90*90, sumIDs)
 	})
 }

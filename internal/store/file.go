@@ -707,7 +707,7 @@ func ReadFileFS(fsys FS, path string) (*DB, error) {
 // Chunk is a contiguous run of rows of one record area, held as the
 // bytes one read returned: a view, not a decoded copy. Record i of the
 // chunk is record Base()+i of the database; accessors decode that one
-// record on demand, and interval searches compare the stored keys in
+// record on demand, and run searches compare the stored keys in
 // place. Keys are stored big-endian, so byte order is key order. Every
 // offset is a multiple of the stride plus a field offset the layout
 // fixes, bounded by the buffer length. A resident DB is a Chunk over its

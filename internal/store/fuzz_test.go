@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"s3cbcd/internal/bitkey"
 	"s3cbcd/internal/hilbert"
 )
 
@@ -55,11 +54,13 @@ func FuzzOpen(f *testing.F) {
 		if ch, err := fl.LoadRecords(0, n); err == nil {
 			// The chunk is the file's bytes: every accessor and the in-place
 			// key search (over keys no writer sorted) must stay in bounds.
+			depth := min(fl.Curve().IndexBits(), hilbert.MaxDepth)
+			shift := uint(fl.Curve().IndexBits() - depth)
 			for i := 0; i < ch.Len(); i++ {
-				rec := flatAt(ch, i)
-				ch.FindIntervalFrom(i/2, hilbert.Interval{Start: rec.key, End: rec.key.Inc()})
+				b := flatAt(ch, i).key.Shr(shift).Uint64()
+				ch.FindRun(i/2, hilbert.Run{Lo: b, Hi: b + 1}, shift)
 			}
-			ch.FindInterval(hilbert.Interval{End: bitkey.FromUint64(1).Shl(uint(fl.Curve().IndexBits()))})
+			ch.FindRun(0, hilbert.Run{Lo: 0, Hi: 1 << depth}, shift)
 		}
 	})
 }

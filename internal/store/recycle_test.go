@@ -18,7 +18,6 @@ import (
 	"testing"
 
 	"s3cbcd/internal/faultfs"
-	"s3cbcd/internal/hilbert"
 	"s3cbcd/internal/store"
 )
 
@@ -41,10 +40,10 @@ func (e errMismatch) Error() string { return e.msg }
 // the DB's records in order; a filtered visit may deliver extra records
 // but must deliver every one within boundSq of qf. It returns the visit's
 // own error, or an errMismatch.
-func checkRecycledVisit(cf *store.ColdFile, db *store.DB, kind int, ivs []hilbert.Interval,
+func checkRecycledVisit(cf *store.ColdFile, db *store.DB, kind int, ivs faultPlan,
 	qf []float64, boundSq float64) error {
 	var want []int
-	_ = db.VisitIntervals(ivs, store.PerRecord(func(c *store.Chunk, i int) bool {
+	_ = db.VisitIntervals(ivs.depth, ivs.runs, store.PerRecord(func(c *store.Chunk, i int) bool {
 		if kind != visitFiltered || faultDistSq(qf, c.FP(i)) <= boundSq {
 			want = append(want, c.Base()+i)
 		}
@@ -87,11 +86,11 @@ func checkRecycledVisit(cf *store.ColdFile, db *store.DB, kind int, ivs []hilber
 	var err error
 	switch kind {
 	case visitExact:
-		err = cf.VisitIntervals(ivs, check)
+		err = cf.VisitIntervals(ivs.depth, ivs.runs, check)
 	case visitLean:
-		err = cf.VisitIntervalsLean(ivs, check)
+		err = cf.VisitIntervalsLean(ivs.depth, ivs.runs, check)
 	default:
-		err = cf.VisitIntervalsFiltered(ivs, qf, boundSq, check)
+		err = cf.VisitIntervalsFiltered(ivs.depth, ivs.runs, qf, boundSq, check)
 	}
 	switch {
 	case err != nil:
@@ -110,7 +109,7 @@ func checkRecycledVisit(cf *store.ColdFile, db *store.DB, kind int, ivs []hilber
 // so singleflight waiters collide, cycled through the three visit kinds
 // with query points whose radii select sparse and dense survivors.
 type recycleRounds struct {
-	plans [][]hilbert.Interval
+	plans []faultPlan
 	qfs   [][]float64
 }
 

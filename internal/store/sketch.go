@@ -24,14 +24,12 @@ import (
 	"fmt"
 	"math"
 
-	"s3cbcd/internal/bitkey"
 	"s3cbcd/internal/hilbert"
 )
 
 const (
-	// maxSketchBits bounds the sketch's block granularity: block indices
-	// must fit the low word of a key, and a finer partition than 2^28
-	// blocks buys nothing a header could legitimately want (mirrors
+	// maxSketchBits bounds the sketch's block granularity: a finer
+	// partition than 2^28 blocks buys nothing a header could legitimately want (mirrors
 	// maxSectionBits).
 	maxSketchBits = 28
 	// maxSketchHashes bounds the Bloom probe count a header may claim.
@@ -41,7 +39,7 @@ const (
 	// drive a huge allocation at open.
 	maxSketchFilterBytes = 1 << 26
 	// maxSketchProbes is the per-consultation probe budget: a query whose
-	// intervals cover more blocks than this is served conservatively
+	// runs cover more blocks than this is served conservatively
 	// (treated as intersecting) instead of burning CPU on probes.
 	maxSketchProbes = 4096
 
@@ -55,8 +53,7 @@ const (
 // Sketch is a segment's occupancy summary. The zero value is not valid;
 // build one with DB.BuildSketch or decode one from a v4 file.
 type Sketch struct {
-	bits   int  // blocks are curve sections of a 2^bits partition
-	shift  uint // curve index bits - bits
+	bits   int // blocks are curve sections of a 2^bits partition
 	hashes int
 	blocks int // distinct occupied blocks at build time
 	filter []byte
@@ -130,7 +127,6 @@ func (db *DB) BuildSketch(bits int) *Sketch {
 	bits = clampSketchBits(curve, bits, db.Len())
 	sk := &Sketch{
 		bits:   bits,
-		shift:  uint(curve.IndexBits() - bits),
 		hashes: sketchHashCount,
 	}
 	// Keys are sorted, so distinct occupied blocks are transitions in the
@@ -235,16 +231,12 @@ func (sk *Sketch) EstimatedSkipRate(probes int) float64 {
 	return float64(skipped) / float64(probes)
 }
 
-// mayIntersectRange reports whether any occupied block overlaps the
-// half-open key range [start, end). budget bounds the total probes of
-// one consultation; on exhaustion the answer is conservatively true.
-func (sk *Sketch) mayIntersectRange(start, end bitkey.Key, budget *int) bool {
-	if !start.Less(end) {
-		return false
-	}
-	b := start.Shr(sk.shift).Uint64()
-	nb := uint64(1) << uint(sk.bits)
-	for b < nb {
+// mayIntersectRun reports whether any occupied block overlaps r, a run
+// of blocks at depth. budget bounds the total probes of one
+// consultation; on exhaustion the answer is conservatively true.
+func (sk *Sketch) mayIntersectRun(depth int, r hilbert.Run, budget *int) bool {
+	r = r.Rescale(depth, sk.bits)
+	for b := r.Lo; b < r.Hi; b++ {
 		if *budget <= 0 {
 			return true
 		}
@@ -252,21 +244,17 @@ func (sk *Sketch) mayIntersectRange(start, end bitkey.Key, budget *int) bool {
 		if sk.mayHaveBlock(b) {
 			return true
 		}
-		b++
-		if !bitkey.FromUint64(b).Shl(sk.shift).Less(end) {
-			break
-		}
 	}
 	return false
 }
 
 // MayIntersect reports whether any occupied block overlaps any of the
-// sorted, non-overlapping curve intervals. False is a proof: no stored
-// key lies in any interval, so refinement over them yields nothing.
-func (sk *Sketch) MayIntersect(ivs []hilbert.Interval) bool {
+// sorted, disjoint block runs at depth. False is a proof: no stored key
+// lies in any run, so refinement over them yields nothing.
+func (sk *Sketch) MayIntersect(depth int, runs []hilbert.Run) bool {
 	budget := maxSketchProbes
-	for _, iv := range ivs {
-		if sk.mayIntersectRange(iv.Start, iv.End, &budget) {
+	for _, r := range runs {
+		if sk.mayIntersectRun(depth, r, &budget) {
 			return true
 		}
 	}
@@ -353,7 +341,6 @@ func decodeSketch(data []byte, curve *hilbert.Curve) (*Sketch, int, error) {
 	}
 	sk := &Sketch{
 		bits:   bits,
-		shift:  uint(curve.IndexBits() - bits),
 		hashes: hashes,
 		blocks: int(blocks64),
 		min:    append([]byte{}, data[16:16+dims]...),

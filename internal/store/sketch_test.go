@@ -3,7 +3,6 @@ package store
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"s3cbcd/internal/bitkey"
@@ -38,7 +37,7 @@ func TestSketchNeverFalseNegative(t *testing.T) {
 		for _, bits := range []int{0, 1, 4, curve.IndexBits()} {
 			sk := db.BuildSketch(bits)
 			for trial := 0; trial < 60; trial++ {
-				var ivs []hilbert.Interval
+				var ivs testPlan
 				if seed < 8 {
 					ivs = randIntervals(r, curve, 1+r.Intn(5))
 				} else {
@@ -46,15 +45,9 @@ func TestSketchNeverFalseNegative(t *testing.T) {
 				}
 				occupied := false
 				for i := 0; i < db.Len() && !occupied; i++ {
-					k := db.Key(i)
-					for _, iv := range ivs {
-						if !k.Less(iv.Start) && k.Less(iv.End) {
-							occupied = true
-							break
-						}
-					}
+					occupied = ivs.holds(curve, db.Key(i))
 				}
-				if occupied && !sk.MayIntersect(ivs) {
+				if occupied && !sk.MayIntersect(ivs.depth, ivs.runs) {
 					t.Fatalf("seed %d bits %d trial %d: sketch denies an occupied interval set",
 						seed, bits, trial)
 				}
@@ -63,24 +56,24 @@ func TestSketchNeverFalseNegative(t *testing.T) {
 	}
 }
 
-// dyadicIntervals returns up to n sorted, merged curve blocks of random
-// size, each around a stored key of db or the same key with its top bit
-// flipped (a block that may be empty), for curves too wide for
-// randIntervals.
-func dyadicIntervals(r *rand.Rand, db *DB, n int) []hilbert.Interval {
+// dyadicIntervals returns up to n sorted, merged aligned runs of random
+// size at the deepest plan depth, each around the block of a stored key
+// of db or of the same key with its top bit flipped (a run that may be
+// empty), for curves too wide for randIntervals.
+func dyadicIntervals(r *rand.Rand, db *DB, n int) testPlan {
 	bits := uint(db.Curve().IndexBits())
-	ivs := make([]hilbert.Interval, 0, n)
+	p := testPlan{depth: min(int(bits), hilbert.MaxDepth)}
 	for i := 0; i < n; i++ {
 		k := db.Key(r.Intn(db.Len()))
 		if r.Intn(2) == 0 {
 			k = k.Xor(bitkey.FromUint64(1).Shl(bits - 1))
 		}
-		j := uint(r.Intn(int(bits)))
-		start := k.Shr(j).Shl(j)
-		ivs = append(ivs, hilbert.Interval{Start: start, End: start.AddPow2(j)})
+		j := uint(r.Intn(p.depth))
+		lo := k.Shr(bits-uint(p.depth)).Uint64() >> j << j
+		p.runs = append(p.runs, hilbert.Run{Lo: lo, Hi: lo + 1<<j})
 	}
-	sort.Slice(ivs, func(a, b int) bool { return ivs[a].Start.Less(ivs[b].Start) })
-	return hilbert.MergeIntervals(ivs)
+	p.runs = mergeRuns(p.runs)
+	return p
 }
 
 // TestSketchSkipsEmptyRanges: the sketch must actually skip — probing the
@@ -100,10 +93,9 @@ func TestSketchSkipsEmptyRanges(t *testing.T) {
 		ivs := randIntervals(r, curve, 1)
 		occupied := false
 		for i := 0; i < db.Len() && !occupied; i++ {
-			k := db.Key(i)
-			occupied = !k.Less(ivs[0].Start) && k.Less(ivs[0].End)
+			occupied = ivs.holds(curve, db.Key(i))
 		}
-		if !occupied && !sk.MayIntersect(ivs) {
+		if !occupied && !sk.MayIntersect(ivs.depth, ivs.runs) {
 			skips++
 		}
 	}
@@ -208,7 +200,7 @@ func TestSketchRoundTrip(t *testing.T) {
 	}
 	for trial := 0; trial < 100; trial++ {
 		ivs := randIntervals(r, curve, 1+r.Intn(4))
-		if got.MayIntersect(ivs) != sk.MayIntersect(ivs) {
+		if got.MayIntersect(ivs.depth, ivs.runs) != sk.MayIntersect(ivs.depth, ivs.runs) {
 			t.Fatalf("trial %d: decoded sketch disagrees with built sketch", trial)
 		}
 	}
@@ -267,7 +259,7 @@ func FuzzSketchDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if sk, _, err := decodeSketch(data, curve); err == nil {
 			ivs := randIntervals(rand.New(rand.NewSource(1)), curve, 2)
-			_ = sk.MayIntersect(ivs)
+			_ = sk.MayIntersect(ivs.depth, ivs.runs)
 			_ = sk.EnvelopeMinDistSq(make([]float64, curve.Dims()))
 			_ = sk.FalsePositiveRate()
 			_ = sk.EstimatedSkipRate(16)

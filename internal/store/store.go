@@ -10,6 +10,7 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"s3cbcd/internal/bitkey"
@@ -33,7 +34,7 @@ type Record struct {
 // exact record area of a format-v2 file: one row buffer of key,
 // fingerprint, id, tc, x and y per record (see file.go), so writing it is
 // one copy and loading it one read. It is a Chunk whose record 0 is the
-// database's (Base() is 0) plus the curve; its accessors and interval
+// database's (Base() is 0) plus the curve; its accessors and run
 // searches are the Chunk's. A DB is immutable after Build and safe for
 // concurrent readers.
 type DB struct {
@@ -146,15 +147,16 @@ type rowKey struct {
 	last int        // index of the last word holding key bytes
 }
 
-// bound returns k as a search bound over the chunk's rows, or false when
-// k is too wide for the stored key width — past every stored key (the
-// one-past-the-curve key may be). The bound is k shifted left by the
-// bits the key width leaves unused.
-func (c *Chunk) bound(k bitkey.Key) (rowKey, bool) {
-	if k.BitLen() > 8*c.kb {
+// blockBound returns the first key of block b, b·2^shift, as a search
+// bound over the chunk's rows, or false when that key is too wide for the
+// stored key width — past every stored key (the end of the curve may
+// be). The bound is the key shifted left by the bits the key width
+// leaves unused.
+func (c *Chunk) blockBound(b uint64, shift uint) (rowKey, bool) {
+	if bits.Len64(b)+int(shift) > 8*c.kb {
 		return rowKey{}, false
 	}
-	return rowKey{w: k.Shl(uint(bitkey.MaxBits - 8*c.kb)), last: (c.kb+7)/8 - 1}, true
+	return rowKey{w: bitkey.FromUint64(b).Shl(shift + uint(bitkey.MaxBits-8*c.kb)), last: (c.kb+7)/8 - 1}, true
 }
 
 // below reports whether the stored key of chunk-local record i is below
@@ -169,28 +171,25 @@ func (c *Chunk) below(i int, k *rowKey) bool {
 	return binary.BigEndian.Uint64(row[8*k.last:]) < k.w[k.last]
 }
 
-// FindInterval returns the chunk-local index range whose keys fall in iv.
-func (c *Chunk) FindInterval(iv hilbert.Interval) (lo, hi int) {
-	return c.FindIntervalFrom(0, iv)
-}
-
-// FindIntervalFrom is FindInterval for a caller that knows no key before
-// record from falls in iv — the previous interval's hi, when walking the
-// sorted, disjoint intervals of a plan. Start is binary-searched in
-// [from, Len). End is galloped for from lo: the range a plan interval
-// selects is a handful of records, so its end is a few probes into the
-// rows the start search just touched, not another full-length search.
-// Keys are compared in place as words and no record is decoded. A bound
-// too wide for the stored key width lies past every stored key: such an
-// End selects to the end of the chunk, such a Start nothing.
-func (c *Chunk) FindIntervalFrom(from int, iv hilbert.Interval) (lo, hi int) {
+// FindRun returns the chunk-local row range whose keys fall in the
+// blocks of r, where a block spans 2^shift curve indices (shift is
+// K·D − p for a run at depth p). The caller knows no key before row
+// from falls in r — the previous run's hi, when walking the sorted,
+// disjoint runs of a plan. The start is binary-searched in [from, Len).
+// The end is galloped for from lo: the range a run selects is a handful
+// of records, so its end is a few probes into the rows the start search
+// just touched, not another full-length search. Keys are compared in
+// place as words and no record is decoded. A bound too wide for the
+// stored key width lies past every stored key: such an end selects to
+// the end of the chunk, such a start nothing.
+func (c *Chunk) FindRun(from int, r hilbert.Run, shift uint) (lo, hi int) {
 	n := c.Len()
-	start, ok := c.bound(iv.Start)
+	start, ok := c.blockBound(r.Lo, shift)
 	if !ok {
 		return n, n
 	}
 	lo = c.lowerBound(from, n, &start)
-	end, ok := c.bound(iv.End)
+	end, ok := c.blockBound(r.Hi, shift)
 	if !ok {
 		return lo, n
 	}
@@ -236,7 +235,7 @@ func (db *DB) SectionStarts(bits int) []int {
 	shift := uint(db.curve.IndexBits() - bits)
 	for s := 1; s < n; s++ {
 		// s<<shift is below 2^IndexBits, so it fits the stored key width.
-		start, _ := db.bound(bitkey.FromUint64(uint64(s)).Shl(shift))
+		start, _ := db.blockBound(uint64(s), shift)
 		starts[s] = db.gallop(starts[s-1], &start)
 	}
 	starts[n] = db.Len()

@@ -61,32 +61,33 @@ func TestBuildValidation(t *testing.T) {
 	}
 }
 
-func TestFindIntervalMatchesBruteForce(t *testing.T) {
+func TestFindRunMatchesBruteForce(t *testing.T) {
 	curve := hilbert.MustNew(6, 4)
 	r := rand.New(rand.NewSource(2))
 	db := MustBuild(curve, randRecords(r, curve, 300))
 	for trial := 0; trial < 200; trial++ {
-		a := bitkey.FromUint64(uint64(r.Int63n(1 << 24)))
-		b := bitkey.FromUint64(uint64(r.Int63n(1 << 24)))
-		if b.Less(a) {
+		depth := 1 + r.Intn(curve.IndexBits())
+		shift := uint(curve.IndexBits() - depth)
+		a, b := uint64(r.Int63n(1<<depth+1)), uint64(r.Int63n(1<<depth+1))
+		if b < a {
 			a, b = b, a
 		}
-		iv := hilbert.Interval{Start: a, End: b}
-		lo, hi := db.FindInterval(iv)
+		lo, hi := db.FindRun(0, hilbert.Run{Lo: a, Hi: b}, shift)
 		for i := 0; i < db.Len(); i++ {
-			in := db.Key(i).Cmp(a) >= 0 && db.Key(i).Less(b)
+			blk := db.Key(i).Shr(shift).Uint64()
+			in := blk >= a && blk < b
 			got := i >= lo && i < hi
 			if in != got {
-				t.Fatalf("record %d: in=%v got=%v (lo=%d hi=%d)", i, in, got, lo, hi)
+				t.Fatalf("depth %d record %d: in=%v got=%v (lo=%d hi=%d)", depth, i, in, got, lo, hi)
 			}
 		}
 	}
 }
 
-// TestFindIntervalFromWalksSortedIntervals checks the hinted search on
-// the input it exists for: over sorted, disjoint intervals, starting each
-// search at the previous interval's hi finds exactly FindInterval's range.
-func TestFindIntervalFromWalksSortedIntervals(t *testing.T) {
+// TestFindRunFromWalksSortedRuns checks the hinted search on the input
+// it exists for: over sorted, disjoint runs, starting each search at the
+// previous run's hi finds exactly the range a search from 0 finds.
+func TestFindRunFromWalksSortedRuns(t *testing.T) {
 	curve := hilbert.MustNew(6, 4)
 	r := rand.New(rand.NewSource(4))
 	db := MustBuild(curve, randRecords(r, curve, 300))
@@ -94,10 +95,10 @@ func TestFindIntervalFromWalksSortedIntervals(t *testing.T) {
 		from, at := 0, uint64(0)
 		for at < 1<<24 {
 			start := at + uint64(r.Int63n(1<<18))
-			end := start + uint64(r.Int63n(1<<19)) // empty intervals included
-			iv := hilbert.Interval{Start: bitkey.FromUint64(start), End: bitkey.FromUint64(end)}
-			wantLo, wantHi := db.FindInterval(iv)
-			lo, hi := db.FindIntervalFrom(from, iv)
+			end := start + uint64(r.Int63n(1<<19)) // empty runs included
+			run := hilbert.Run{Lo: start, Hi: end}
+			wantLo, wantHi := db.FindRun(0, run, 0)
+			lo, hi := db.FindRun(from, run, 0)
 			if lo != wantLo || hi != wantHi {
 				t.Fatalf("from %d: [%d,%d), want [%d,%d)", from, lo, hi, wantLo, wantHi)
 			}
@@ -185,13 +186,12 @@ func TestDBVisitPosIsRowIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := hilbert.Interval{Start: bitkey.Key{}, End: bitkey.FromUint64(1).Shl(uint(curve.IndexBits()))}
 	for name, d := range map[string]*DB{"built": db, "loaded": loaded} {
 		if d.Base() != 0 {
 			t.Errorf("%s DB Base %d, want 0", name, d.Base())
 		}
 		next := 0
-		if err := d.VisitIntervals([]hilbert.Interval{full}, PerRecord(func(c *Chunk, i int) bool {
+		if err := d.VisitIntervals(fullPlan.depth, fullPlan.runs, PerRecord(func(c *Chunk, i int) bool {
 			if pos := c.Base() + i; pos != next || c.Key(i) != d.Key(next) || c.ID(i) != d.ID(next) || c.TC(i) != d.TC(next) {
 				t.Errorf("%s DB visit %d reported Pos %d (ID %d), want row %d (ID %d)", name, next, pos, c.ID(i), next, d.ID(next))
 				return false
@@ -304,11 +304,11 @@ func TestFileSectionsAndChunks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	iv := hilbert.Interval{Start: db.Key(100), End: db.Key(200)}
-	clo, chi := ch.FindInterval(iv)
-	dlo, dhi := db.FindInterval(iv)
+	run := hilbert.Run{Lo: db.Key(100).Uint64(), Hi: db.Key(200).Uint64()}
+	clo, chi := ch.FindRun(0, run, 0)
+	dlo, dhi := db.FindRun(0, run, 0)
 	if clo != dlo || chi != dhi {
-		t.Fatalf("chunk FindInterval [%d,%d), db [%d,%d)", clo, chi, dlo, dhi)
+		t.Fatalf("chunk FindRun [%d,%d), db [%d,%d)", clo, chi, dlo, dhi)
 	}
 }
 
