@@ -52,7 +52,7 @@ func (v *recordingVisitor) Leaf(b Block) bool {
 		lo:    append([]uint32(nil), b.Lo...),
 		hi:    append([]uint32(nil), b.Hi...),
 		start: b.Start,
-		end:   b.End,
+		end:   b.Start.AddPow2(uint(v.c.IndexBits() - b.Depth)),
 	})
 	return v.stopAt == 0 || len(v.leaves) < v.stopAt
 }

@@ -5,9 +5,13 @@ package store
 
 import (
 	"encoding/binary"
+	"math/rand"
 	"os"
+	"sort"
 	"sync"
 	"testing"
+
+	"s3cbcd/internal/hilbert"
 )
 
 // AddShardManifest rewrites the database file at path — version 2 or 4,
@@ -88,4 +92,36 @@ func PoisonRecycled(tb testing.TB) (outstanding func() int) {
 		defer mu.Unlock()
 		return len(drawn)
 	}
+}
+
+// RandRuns returns up to n random runs at depth, sorted and merged.
+func RandRuns(r *rand.Rand, depth, n int) []hilbert.Run {
+	end := uint64(1) << uint(depth)
+	runs := make([]hilbert.Run, 0, n)
+	for i := 0; i < n; i++ {
+		a, b := r.Uint64()%end, r.Uint64()%(end+1)
+		if a > b {
+			a, b = b, a
+		}
+		if a == b {
+			b++
+		}
+		runs = append(runs, hilbert.Run{Lo: a, Hi: b})
+	}
+	return mergeRuns(runs)
+}
+
+// mergeRuns sorts runs and merges the overlapping or adjacent ones, in
+// place.
+func mergeRuns(runs []hilbert.Run) []hilbert.Run {
+	sort.Slice(runs, func(i, j int) bool { return runs[i].Lo < runs[j].Lo })
+	out := runs[:0]
+	for _, r := range runs {
+		if n := len(out); n > 0 && r.Lo <= out[n-1].Hi {
+			out[n-1].Hi = max(out[n-1].Hi, r.Hi)
+			continue
+		}
+		out = append(out, r)
+	}
+	return out
 }
