@@ -29,6 +29,7 @@ func BenchmarkPlanStat(b *testing.B) {
 	_, ix, queries := sharedCorpusDB(b)
 	sq := corpusBenchQuery()
 	b.ReportAllocs()
+	b.ResetTimer() // the first benchmark to run builds the shared corpus
 	for i := 0; i < b.N; i++ {
 		if _, err := ix.PlanStat(queries[i%len(queries)], sq); err != nil {
 			b.Fatal(err)
@@ -41,6 +42,7 @@ func BenchmarkPlanStatLegacy(b *testing.B) {
 	_, ix, queries := sharedCorpusDB(b)
 	sq := corpusBenchQuery()
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ix.PlanStatLegacy(queries[i%len(queries)], sq); err != nil {
 			b.Fatal(err)
@@ -57,6 +59,7 @@ func BenchmarkEnginePlanStat(b *testing.B) {
 	sq := corpusBenchQuery()
 	ctx := context.Background()
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := eng.PlanStat(ctx, queries[i%len(queries)], sq); err != nil {
 			b.Fatal(err)
