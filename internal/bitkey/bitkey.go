@@ -51,12 +51,6 @@ func (k Key) Cmp(o Key) int {
 	return 0
 }
 
-// Less reports whether k < o.
-func (k Key) Less(o Key) bool { return k.Cmp(o) < 0 }
-
-// IsZero reports whether k == 0.
-func (k Key) IsZero() bool { return k == Zero }
-
 // Shl returns k << n. Shifting by MaxBits or more yields zero.
 func (k Key) Shl(n uint) Key {
 	if n >= MaxBits {
@@ -97,33 +91,6 @@ func (k Key) Shr(n uint) Key {
 	return r
 }
 
-// Or returns k | o.
-func (k Key) Or(o Key) Key {
-	var r Key
-	for i := range r {
-		r[i] = k[i] | o[i]
-	}
-	return r
-}
-
-// And returns k & o.
-func (k Key) And(o Key) Key {
-	var r Key
-	for i := range r {
-		r[i] = k[i] & o[i]
-	}
-	return r
-}
-
-// Xor returns k ^ o.
-func (k Key) Xor(o Key) Key {
-	var r Key
-	for i := range r {
-		r[i] = k[i] ^ o[i]
-	}
-	return r
-}
-
 // Add returns k + o, wrapping on overflow.
 func (k Key) Add(o Key) Key {
 	var r Key
@@ -148,11 +115,8 @@ func (k Key) Sub(o Key) Key {
 	return r
 }
 
-// AddUint64 returns k + v.
-func (k Key) AddUint64(v uint64) Key { return k.Add(FromUint64(v)) }
-
 // Inc returns k + 1.
-func (k Key) Inc() Key { return k.AddUint64(1) }
+func (k Key) Inc() Key { return k.Add(FromUint64(1)) }
 
 // AddPow2 returns k + 2^n, wrapping on overflow: the exclusive end of the
 // dyadic curve interval of length 2^n that starts at k. Unlike
@@ -178,41 +142,15 @@ func (k Key) Bit(i uint) uint64 {
 	return (k[word] >> (i % 64)) & 1
 }
 
-// SetBit returns k with bit i set to v (0 or 1). Bit 0 is the least
-// significant bit.
-func (k Key) SetBit(i uint, v uint64) Key {
-	if i >= MaxBits {
-		panic(fmt.Sprintf("bitkey: bit index %d out of range", i))
-	}
-	word := Words - 1 - int(i/64)
-	mask := uint64(1) << (i % 64)
-	if v&1 == 1 {
-		k[word] |= mask
-	} else {
-		k[word] &^= mask
-	}
-	return k
-}
-
 // OrLowBits returns k | v where v occupies the least significant 64 bits.
 func (k Key) OrLowBits(v uint64) Key {
 	k[Words-1] |= v
 	return k
 }
 
-// BitLen returns the number of bits required to represent k (0 for zero).
-func (k Key) BitLen() int {
-	for i := 0; i < Words; i++ {
-		if k[i] != 0 {
-			return (Words-i)*64 - bits.LeadingZeros64(k[i])
-		}
-	}
-	return 0
-}
-
 // String renders k as a hexadecimal number without leading zeros.
 func (k Key) String() string {
-	if k.IsZero() {
+	if k == Zero {
 		return "0x0"
 	}
 	s := "0x"

@@ -50,7 +50,7 @@ func TestCmp(t *testing.T) {
 	if a.Cmp(b) != -1 || b.Cmp(a) != 1 || a.Cmp(a) != 0 {
 		t.Fatalf("small Cmp wrong")
 	}
-	if !b.Less(c) {
+	if b.Cmp(c) != -1 {
 		t.Fatalf("expected %v < %v", b, c)
 	}
 }
@@ -143,22 +143,18 @@ func TestAddSubAgainstBig(t *testing.T) {
 	}
 }
 
+// TestBitSetBit reads every bit of random keys with Bit and checks it
+// against math/big's Bit.
 func TestBitSetBit(t *testing.T) {
-	var k Key
-	idx := []uint{0, 1, 63, 64, 100, 128, 255}
-	for _, i := range idx {
-		k = k.SetBit(i, 1)
-	}
-	for _, i := range idx {
-		if k.Bit(i) != 1 {
-			t.Fatalf("bit %d not set", i)
+	r := rand.New(rand.NewSource(5))
+	for n := 0; n < 50; n++ {
+		k := randKey(r)
+		b := toBig(k)
+		for i := uint(0); i < MaxBits; i++ {
+			if got, want := k.Bit(i), uint64(b.Bit(int(i))); got != want {
+				t.Fatalf("Bit(%d) of %v = %d, want %d", i, k, got, want)
+			}
 		}
-	}
-	for _, i := range idx {
-		k = k.SetBit(i, 0)
-	}
-	if !k.IsZero() {
-		t.Fatalf("expected zero after clearing, got %v", k)
 	}
 }
 
@@ -169,18 +165,6 @@ func TestBitPanicsOutOfRange(t *testing.T) {
 		}
 	}()
 	Zero.Bit(MaxBits)
-}
-
-func TestBitLen(t *testing.T) {
-	if Zero.BitLen() != 0 {
-		t.Fatalf("Zero.BitLen() = %d", Zero.BitLen())
-	}
-	if got := FromUint64(1).BitLen(); got != 1 {
-		t.Fatalf("BitLen(1) = %d", got)
-	}
-	if got := FromUint64(1).Shl(200).BitLen(); got != 201 {
-		t.Fatalf("BitLen(1<<200) = %d", got)
-	}
 }
 
 func TestBytesRoundTrip(t *testing.T) {
@@ -236,16 +220,5 @@ func TestIncString(t *testing.T) {
 	}
 	if s := Zero.String(); s != "0x0" {
 		t.Fatalf("String(0) = %q", s)
-	}
-}
-
-func TestXorOrAnd(t *testing.T) {
-	f := func(aw, bw [Words]uint64) bool {
-		a, b := Key(aw), Key(bw)
-		x := a.Xor(b)
-		return x.Xor(b) == a && a.Or(b).And(a) == a
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -31,18 +31,16 @@ func TestQuickAddSubInverse(t *testing.T) {
 	}
 }
 
-// TestQuickBitRoundTrip: SetBit then Bit reads back, and clearing
-// restores the original when the bit was clear.
+// TestQuickBitRoundTrip: Bit reads back every bit of a key rebuilt from
+// its bits with Shl and OrLowBits.
 func TestQuickBitRoundTrip(t *testing.T) {
-	f := func(w [Words]uint64, iRaw uint16) bool {
+	f := func(w [Words]uint64) bool {
 		k := Key(w)
-		i := uint(iRaw) % MaxBits
-		set := k.SetBit(i, 1)
-		if set.Bit(i) != 1 {
-			return false
+		var rebuilt Key
+		for i := MaxBits - 1; i >= 0; i-- {
+			rebuilt = rebuilt.Shl(1).OrLowBits(k.Bit(uint(i)))
 		}
-		cleared := set.SetBit(i, 0)
-		return cleared.Bit(i) == 0 && cleared == k.SetBit(i, 0)
+		return rebuilt == k
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

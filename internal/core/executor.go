@@ -110,23 +110,27 @@ func (x *executor) DescentNodes() int64 { return x.qmet.descentNodes.Value() }
 // was computed: the plan-work metrics and trace counters are untouched,
 // and the returned Intervals are the cache's shared immutable slice.
 func (x *executor) planStat(ctx context.Context, gen uint64, ps *planScratch, q []byte, sq StatQuery) Plan {
-	compute := func() Plan {
-		t0 := time.Now()
-		p := x.pl.planStatFrontier(ps.qf, sq, ps.mc, ps.fs)
-		x.notePlan(ctx, p, t0)
-		return p
-	}
-	if pc := x.cache; pc != nil {
+	var k planKey
+	pc := x.cache
+	if pc != nil {
 		mkey, keyable := modelPlanKey(sq.Model)
 		if !keyable || planCacheBypassed(ctx) {
-			pc.noteBypass()
-		} else if plan, ok := pc.plan(ctx, q, sq.Alpha, mkey, gen, x.pl.depth, compute); ok {
-			return plan
+			pc.bypasses.Inc()
+			pc = nil // plan uncached
+		} else {
+			k = newPlanKey(q, sq.Alpha, mkey, gen, x.pl.depth)
+			if plan, ok := pc.get(&k); ok {
+				return plan
+			}
 		}
-		// Not ok: ctx was canceled while waiting on another caller's
-		// computation. Plan locally; the ctx error surfaces in refinement.
 	}
-	return compute()
+	t0 := time.Now()
+	plan := x.pl.planStatFrontier(ps.qf, sq, ps.mc, ps.fs)
+	x.notePlan(ctx, plan, t0)
+	if pc != nil {
+		return pc.put(&k, plan)
+	}
+	return plan
 }
 
 // planStatAliased is the filtering step alone, through pooled scratch.

@@ -1,9 +1,10 @@
 package core
 
 // Concurrency stress for the plan cache, designed to run under -race
-// (internal/core is in the Makefile's RACE_PKGS). Phase one pins the
-// singleflight contract: a burst of goroutines on one cold key admits
-// exactly one plan computation. Phase two hammers a live index with
+// (internal/core is in the Makefile's RACE_PKGS). Phase one bursts
+// goroutines on one cold key: every lookup is counted once, as a hit or
+// a miss, and every goroutine gets the same plan whether it computed or
+// read it. Phase two hammers a live index with
 // concurrent readers and mutators, then quiesces and checks no stale
 // plan survived the mutations (generation-keyed invalidation cannot
 // lose an update).
@@ -18,7 +19,7 @@ import (
 	"s3cbcd/internal/store"
 )
 
-func TestPlanCacheSingleflightBurst(t *testing.T) {
+func TestPlanCacheBurstPlansAgree(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	recs := make([]store.Record, 500)
 	for i := range recs {
@@ -68,14 +69,11 @@ func TestPlanCacheSingleflightBurst(t *testing.T) {
 	if !ok {
 		t.Fatal("plan cache reported disabled")
 	}
-	if st.Misses != 1 {
-		t.Errorf("burst on one cold key admitted %d plan computations, want 1 (singleflight)", st.Misses)
+	if st.Hits+st.Misses != n {
+		t.Errorf("burst: %d hits + %d misses, want %d lookups", st.Hits, st.Misses, n)
 	}
-	if st.Hits != n-1 {
-		t.Errorf("burst: %d hits, want %d (every non-winner must be served from the winner's plan)", st.Hits, n-1)
-	}
-	if st.SharedWaits > n-1 {
-		t.Errorf("burst: %d shared waits exceed the %d possible waiters", st.SharedWaits, n-1)
+	if st.Misses == 0 {
+		t.Error("burst on a cold key counted no miss")
 	}
 }
 
@@ -189,6 +187,6 @@ func TestPlanCacheConcurrentMutationStress(t *testing.T) {
 	if st.Hits == 0 {
 		t.Errorf("stress produced no cache hits (misses %d)", st.Misses)
 	}
-	t.Logf("stress: %d hits, %d misses, %d shared waits, %d evictions, %d entries",
-		st.Hits, st.Misses, st.SharedWaits, st.Evictions, st.Entries)
+	t.Logf("stress: %d hits, %d misses, %d evictions, %d entries",
+		st.Hits, st.Misses, st.Evictions, st.Entries)
 }

@@ -64,7 +64,7 @@ func FuzzFrontierResume(f *testing.F) {
 				leaves = append(leaves, v.leaves...)
 			}
 		}
-		sort.Slice(leaves, func(i, j int) bool { return leaves[i].Start.Less(leaves[j].Start) })
+		sort.Slice(leaves, func(i, j int) bool { return leaves[i].Start.Cmp(leaves[j].Start) < 0 })
 
 		// Fresh descent at the final threshold.
 		fresh := newScoreVisitor(dims, seed, tFinal)

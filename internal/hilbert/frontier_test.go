@@ -165,7 +165,7 @@ func TestFrontierResumeEquivalence(t *testing.T) {
 			fd.Descend(n, cfg.depth, v, nil)
 			leaves = append(leaves, v.leaves...)
 		}
-		sort.Slice(leaves, func(i, j int) bool { return leaves[i].Start.Less(leaves[j].Start) })
+		sort.Slice(leaves, func(i, j int) bool { return leaves[i].Start.Cmp(leaves[j].Start) < 0 })
 
 		// Fresh descent at the weak threshold.
 		fresh := newScoreVisitor(cfg.dims, cfg.seed, cfg.tLo)
@@ -339,7 +339,7 @@ func TestKernelTilesPaperCurve(t *testing.T) {
 					out = j
 				}
 			}
-			if k := c.Encode(pt); k.Less(iv.Start) || !k.Less(iv.End) {
+			if k := c.Encode(pt); k.Cmp(iv.Start) < 0 || k.Cmp(iv.End) >= 0 {
 				t.Fatalf("depth %d tile %d: inside point %v encodes to %v outside [%v,%v)", depth, i, pt, k, iv.Start, iv.End)
 			}
 			if out >= 0 {
@@ -347,7 +347,7 @@ func TestKernelTilesPaperCurve(t *testing.T) {
 				if pt[out] = uint32(v.r.Intn(int(c.SideLen() - e))); pt[out] >= tl.Lo[out] {
 					pt[out] += e
 				}
-				if k := c.Encode(pt); !k.Less(iv.Start) && k.Less(iv.End) {
+				if k := c.Encode(pt); k.Cmp(iv.Start) >= 0 && k.Cmp(iv.End) < 0 {
 					t.Fatalf("depth %d tile %d: outside point %v encodes to %v inside [%v,%v)", depth, i, pt, k, iv.Start, iv.End)
 				}
 			}

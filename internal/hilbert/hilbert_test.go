@@ -32,7 +32,7 @@ func TestEncodeDecodeRoundTripSmall(t *testing.T) {
 		seen := make(map[string]bool, len(pts))
 		for i, pt := range pts {
 			h := c.Encode(pt)
-			if h.Uint64() != uint64(i) || h.BitLen() > 64 {
+			if h.Uint64() != uint64(i) || h.Shr(64) != bitkey.Zero {
 				t.Fatalf("D=%d K=%d: Encode(Decode(%d)) = %v", cfg[0], cfg[1], i, h)
 			}
 			key := ""

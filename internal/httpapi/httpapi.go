@@ -550,13 +550,12 @@ func (s *Server) planCacheField(body map[string]interface{}) {
 		hitRate = float64(st.Hits) / float64(lookups)
 	}
 	body["planCache"] = map[string]interface{}{
-		"hits":        st.Hits,
-		"misses":      st.Misses,
-		"sharedWaits": st.SharedWaits,
-		"bypasses":    st.Bypasses,
-		"evictions":   st.Evictions,
-		"entries":     st.Entries,
-		"hitRate":     hitRate,
+		"hits":      st.Hits,
+		"misses":    st.Misses,
+		"bypasses":  st.Bypasses,
+		"evictions": st.Evictions,
+		"entries":   st.Entries,
+		"hitRate":   hitRate,
 	}
 }
 

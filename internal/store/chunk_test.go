@@ -221,7 +221,7 @@ func chunkSearchEqualsOracle(t *testing.T, r *rand.Rand, ch *Chunk, curve *hilbe
 		k := bitkey.FromUint64(b).Shl(shift)
 		n := 0
 		for _, v := range views {
-			if v.key.Less(k) {
+			if v.key.Cmp(k) < 0 {
 				n++
 			}
 		}

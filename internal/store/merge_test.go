@@ -32,7 +32,7 @@ func TestMergeEqualsRebuild(t *testing.T) {
 	}
 	// Sorted invariant.
 	for i := 1; i < merged.Len(); i++ {
-		if merged.Key(i).Less(merged.Key(i - 1)) {
+		if merged.Key(i).Cmp(merged.Key(i-1)) < 0 {
 			t.Fatalf("merge broke ordering at %d", i)
 		}
 	}
@@ -116,7 +116,7 @@ func TestFilterRemovesIdentifier(t *testing.T) {
 		if out.ID(i) == victim {
 			t.Fatal("victim id survived")
 		}
-		if i > 0 && out.Key(i).Less(out.Key(i-1)) {
+		if i > 0 && out.Key(i).Cmp(out.Key(i-1)) < 0 {
 			t.Fatal("filter broke curve order")
 		}
 	}

@@ -65,8 +65,12 @@ func dyadicIntervals(r *rand.Rand, db *DB, n int) testPlan {
 	p := testPlan{depth: min(int(bits), hilbert.MaxDepth)}
 	for i := 0; i < n; i++ {
 		k := db.Key(r.Intn(db.Len()))
-		if r.Intn(2) == 0 {
-			k = k.Xor(bitkey.FromUint64(1).Shl(bits - 1))
+		if top := bitkey.FromUint64(1).Shl(bits - 1); r.Intn(2) == 0 {
+			if k.Cmp(top) < 0 {
+				k = k.Add(top)
+			} else {
+				k = k.Sub(top)
+			}
 		}
 		j := uint(r.Intn(p.depth))
 		lo := k.Shr(bits-uint(p.depth)).Uint64() >> j << j

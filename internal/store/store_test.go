@@ -35,7 +35,7 @@ func TestBuildSortsByKey(t *testing.T) {
 	}
 	pt := make([]uint32, 20)
 	for i := 0; i < db.Len(); i++ {
-		if i > 0 && db.Key(i).Less(db.Key(i-1)) {
+		if i > 0 && db.Key(i).Cmp(db.Key(i-1)) < 0 {
 			t.Fatalf("keys not sorted at %d", i)
 		}
 		for j, b := range db.FP(i) {
@@ -123,12 +123,12 @@ func TestSectionStarts(t *testing.T) {
 		for s := 0; s < 1<<uint(bits); s++ {
 			end := bitkey.FromUint64(uint64(s) + 1).Shl(shift)
 			for i := starts[s]; i < starts[s+1]; i++ {
-				if !db.Key(i).Less(end) {
+				if db.Key(i).Cmp(end) >= 0 {
 					t.Fatalf("bits=%d section %d: record %d beyond section end", bits, s, i)
 				}
 				if s > 0 {
 					begin := bitkey.FromUint64(uint64(s)).Shl(shift)
-					if db.Key(i).Less(begin) {
+					if db.Key(i).Cmp(begin) < 0 {
 						t.Fatalf("bits=%d section %d: record %d before section start", bits, s, i)
 					}
 				}

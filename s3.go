@@ -193,7 +193,9 @@ func (x *Index) Dims() int { return x.db.Dims() }
 // Depth returns the current partition depth p.
 func (x *Index) Depth() int { return x.ix.Depth() }
 
-// SetDepth changes the partition depth p. It panics outside [1, K*D].
+// SetDepth changes the partition depth p. It panics outside
+// [1, min(K·D, 62)]: 62 is hilbert.MaxDepth, the deepest partition whose
+// block indices fit an int.
 func (x *Index) SetDepth(p int) { x.ix.SetDepth(p) }
 
 // Engine exposes the index's query engine (e.g. to share it with a
