@@ -42,7 +42,7 @@ func fuzzPlanEngine(tb testing.TB) *Engine {
 			tb.Fatal(err)
 		}
 		eng := NewEngine(ix, 1)
-		// Tiny capacity so fuzz inputs also churn the LRU/eviction path.
+		// Tiny capacity so fuzz inputs also rotate and evict generations.
 		eng.cache = newPlanCache(64)
 		fuzzPlanState.eng = eng
 	})
